@@ -8,9 +8,9 @@
  *
  * Two dispatch experiments follow:
  *  - skewed trace sizes: one 100k-op trace among thousands of 100-op
- *    traces, dispatched to 4 workers with stealing off (the original
- *    pinned round-robin — small traces queue head-of-line behind the
- *    giant) vs stealing on (idle workers steal the stuck queue).
+ *    traces, dispatched round-robin to 4 workers. A quarter of the
+ *    small traces queue behind the giant; idle workers steal them, so
+ *    every small result is ready long before the giant's.
  *  - bounded backpressure: a fast producer against a single worker
  *    with a small queue capacity — the queue depth stays at the
  *    bound and the overflow shows up as producer stall time instead
@@ -58,7 +58,7 @@ struct SkewResult
 
 /** One @p giant_ops trace among @p smalls 100-op traces, 4 workers. */
 SkewResult
-runSkewed(bool stealing, size_t giant_ops, size_t smalls)
+runSkewed(size_t giant_ops, size_t smalls)
 {
     // Prebuild the traces: the timer must measure dispatch +
     // checking, not trace construction on the producer. The giant
@@ -73,13 +73,12 @@ runSkewed(bool stealing, size_t giant_ops, size_t smalls)
 
     core::PoolOptions options;
     options.workers = 4;
-    options.workStealing = stealing;
     core::EnginePool pool(options);
 
     // The giant goes first (round-robin lands it on worker 0); the
     // smalls follow in dispatch batches so the producer keeps every
     // queue backlogged — the measurement is then checking-bound and
-    // the two modes differ only in who drains the giant's queue.
+    // the small-trace latency shows who drains the giant's queue.
     constexpr size_t kDispatchBatch = 64;
     Timer timer;
     pool.submit(std::move(traces[0]));
@@ -96,7 +95,7 @@ runSkewed(bool stealing, size_t giant_ops, size_t smalls)
 
     SkewResult result;
     // Head-of-line metric: when is every *small* trace's result
-    // ready? Pinned dispatch parks a quarter of them behind the giant
+    // ready? Round-robin parks a quarter of them behind the giant
     // (checked >= smalls leaves at most one trace outstanding, so the
     // error is one small trace).
     while (pool.tracesChecked() < smalls)
@@ -186,25 +185,15 @@ main()
     const size_t giant_ops = 100000 * bench::scale();
     const size_t smalls = 1000 * bench::scale();
     // Best-of-3 (on the head-of-line metric) to de-noise.
-    SkewResult pinned = runSkewed(false, giant_ops, smalls);
-    SkewResult stealing = runSkewed(true, giant_ops, smalls);
+    SkewResult stealing = runSkewed(giant_ops, smalls);
     for (int rep = 1; rep < 3; rep++) {
-        SkewResult p = runSkewed(false, giant_ops, smalls);
-        if (p.smallsSeconds < pinned.smallsSeconds)
-            pinned = p;
-        SkewResult s = runSkewed(true, giant_ops, smalls);
+        SkewResult s = runSkewed(giant_ops, smalls);
         if (s.smallsSeconds < stealing.smallsSeconds)
             stealing = s;
     }
-    std::printf("pinned round-robin: smalls done %s s, all done %s s\n",
-                fmtDouble(pinned.smallsSeconds, 3).c_str(),
-                fmtDouble(pinned.totalSeconds, 3).c_str());
-    std::printf("work stealing:      smalls done %s s, all done %s s\n",
+    std::printf("smalls done %s s, all done %s s, %llu steals\n",
                 fmtDouble(stealing.smallsSeconds, 3).c_str(),
-                fmtDouble(stealing.totalSeconds, 3).c_str());
-    std::printf("head-of-line speedup (time to small-trace results): "
-                "%.2fx, %llu steals\n",
-                pinned.smallsSeconds / stealing.smallsSeconds,
+                fmtDouble(stealing.totalSeconds, 3).c_str(),
                 static_cast<unsigned long long>(stealing.stats.steals));
     // 4 workers + 1 producer want 5 cores; below that, go through
     // the shared detection helper (PMTEST_WORKERS overrides it, so a
@@ -217,10 +206,10 @@ main()
                     cores);
     }
     std::printf("%s\n", stealing.stats.str().c_str());
-    std::printf("Expected shape: >= 1.5x — without stealing the small "
-                "traces round-robined behind the 100k-op trace wait "
-                "for it; with stealing idle workers drain that queue "
-                "while the giant is still being checked.\n\n");
+    std::printf("Expected shape: smalls done well before all done — "
+                "idle workers steal the small traces round-robined "
+                "behind the 100k-op trace while the giant is still "
+                "being checked.\n\n");
 
     bench::banner("Dispatch", "bounded queue backpressure, 1 worker");
     runBackpressure(/*capacity=*/64, /*traces=*/2000 * bench::scale());

@@ -7,10 +7,9 @@
  * time (paper §2.2's "fast" requirement). Also measures the
  * worker-pool dispatch overhead per trace.
  *
- * Two further axes ablate the checking-kernel rewrite: reusing one
+ * A further axis ablates the checking-kernel rewrite: reusing one
  * engine's trace state across traces versus constructing a fresh
- * engine per trace (the pre-rewrite pool behaviour), and the
- * model-templated dispatch versus per-op virtual dispatch.
+ * engine per trace (the pre-rewrite pool behaviour).
  */
 
 #include <benchmark/benchmark.h>
@@ -136,33 +135,6 @@ BM_EngineStateFresh(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * trace.size());
 }
 
-void
-BM_EngineDispatchTemplated(benchmark::State &state)
-{
-    const Trace trace =
-        makeTrace(static_cast<size_t>(state.range(0)), 64, 42);
-    Engine engine(ModelKind::X86, Engine::Dispatch::Templated);
-    for (auto _ : state) {
-        const Report report = engine.check(trace);
-        benchmark::DoNotOptimize(report.failCount());
-    }
-    state.SetItemsProcessed(state.iterations() * trace.size());
-}
-
-void
-BM_EngineDispatchVirtual(benchmark::State &state)
-{
-    // Per-op virtual call into the model (the pre-rewrite kernel).
-    const Trace trace =
-        makeTrace(static_cast<size_t>(state.range(0)), 64, 42);
-    Engine engine(ModelKind::X86, Engine::Dispatch::Virtual);
-    for (auto _ : state) {
-        const Report report = engine.check(trace);
-        benchmark::DoNotOptimize(report.failCount());
-    }
-    state.SetItemsProcessed(state.iterations() * trace.size());
-}
-
 } // namespace
 
 BENCHMARK(BM_EngineThroughput)->Arg(16)->Arg(256)->Arg(4096);
@@ -171,7 +143,5 @@ BENCHMARK(BM_EngineCheckerDensity)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
 BENCHMARK(BM_PoolDispatch)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_EngineStateReused)->Arg(4)->Arg(64)->Arg(1024);
 BENCHMARK(BM_EngineStateFresh)->Arg(4)->Arg(64)->Arg(1024);
-BENCHMARK(BM_EngineDispatchTemplated)->Arg(16)->Arg(256)->Arg(4096);
-BENCHMARK(BM_EngineDispatchVirtual)->Arg(16)->Arg(256)->Arg(4096);
 
 BENCHMARK_MAIN();

@@ -8,18 +8,16 @@
  * This benchmark applies the same synthetic PM-operation stream to
  * both and reports ns/op as the range size grows.
  *
- * A second axis ablates the interval map's own backing store: the
- * flat sorted-vector layout (core::IntervalMap) against the original
- * one-heap-node-per-entry std::map layout (bench::NodeIntervalMap) on
- * an interval-heavy stream of assigns, erases, coverage queries and
- * overlap scans.
+ * A second axis measures the interval map's own backing store
+ * (core::IntervalMap) on an interval-heavy stream of assigns, erases,
+ * coverage queries and overlap scans; bench_kernel compares it with
+ * the retired flat layout.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <unordered_map>
 
-#include "bench/node_interval_map.hh"
 #include "core/interval_map.hh"
 #include "core/shadow_memory.hh"
 #include "util/random.hh"
@@ -191,18 +189,6 @@ BM_FlatIntervalMap(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * stream.ops.size());
 }
 
-/** Node-per-entry std::map baseline (pre-rewrite backing). */
-void
-BM_NodeIntervalMap(benchmark::State &state)
-{
-    const IntervalStream stream(
-        8192, static_cast<uint64_t>(state.range(0)), 42);
-    pmtest::bench::NodeIntervalMap<uint64_t> map;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(runIntervalStream(map, stream));
-    state.SetItemsProcessed(state.iterations() * stream.ops.size());
-}
-
 } // namespace
 
 BENCHMARK(BM_IntervalShadow)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
@@ -211,8 +197,6 @@ BENCHMARK(BM_ByteShadow)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
 // Working-set sizes in bytes: small sets stress carve/split density,
 // large sets stress the search.
 BENCHMARK(BM_FlatIntervalMap)
-    ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
-BENCHMARK(BM_NodeIntervalMap)
     ->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 BENCHMARK_MAIN();

@@ -1,8 +1,8 @@
 /**
  * @file
  * Offline ingest harness: load→verdict wall time and peak-RSS growth
- * of the v2 mmap-parallel ingest pipeline against the sequential v1
- * stream loader, on two file shapes:
+ * of the v2 mmap-parallel ingest pipeline against a serial
+ * decode-and-check loop over the same file, on two file shapes:
  *
  *  - table1_small: many small traces (the Table 1 micro-benchmark
  *    shape) — dispatch-bound, where parallel decode overlapping the
@@ -11,9 +11,8 @@
  *    per-trace frame index lets decoders work on different traces at
  *    once.
  *
- * Phases per shape (in this order, because ru_maxrss is a monotonic
- * high-water mark — the candidates run first so their growth is not
- * masked by the baseline's):
+ * Phases per shape (each measures its own peak RSS: the VmHWM mark
+ * is reset before every phase, see bench/pipeline/peak_rss.hh):
  *  1. v2 + mmap + 4 decoders + worker pool   (the pipeline)
  *  2. v2 + mmap + 2 decoders + worker pool   (scaling point)
  *  3. v2 + mmap + 1 decoder  + worker pool   (overlap only)
@@ -21,19 +20,20 @@
  *     affinity resolves to pinned decoder→worker placement here)
  *  5. same, affinity forced to shared        (placement comparison)
  *  6. v2 split across 3 files + 4 decoders   (multi-file path)
- *  7. v1 + stream loader + serial engine     (the baseline)
+ *  7. v2 + decode loop + one inline engine   (the serial baseline)
  *
  * Every phase produces a canonicalized Report; verdict_match asserts
  * every configuration's merged report is byte-identical to the
  * serial one — the determinism contract of the TraceSource pipeline.
+ * File ids are normalised first: the multi-file phase stamps each
+ * part's findings with that part's id, the others with 0. The exit
+ * status is 1 on any mismatch.
  *
  * Flags:
  *  --smoke        tiny workload; CI uses this to validate the harness
  *                 and capture the JSON.
  *  --json=PATH    where to write the JSON (default BENCH_ingest.json).
  */
-
-#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "bench/pipeline/peak_rss.hh"
 #include "core/engine.hh"
 #include "core/engine_pool.hh"
 #include "core/trace_ingest.hh"
@@ -57,13 +58,30 @@ namespace
 using namespace pmtest;
 using namespace pmtest::core;
 
-/** Current peak RSS in KiB (monotonic high-water mark). */
+/** Start a phase's peak-RSS window. @return its starting RSS (KiB). */
 size_t
-peakRssKb()
+startPhaseRss()
 {
-    struct rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    return static_cast<size_t>(usage.ru_maxrss);
+    bench::resetPeakRss();
+    return bench::peakRssKb();
+}
+
+/**
+ * The comparable verdict of a canonical report: counts plus every
+ * finding with its file id zeroed. Trace ids are unique across the
+ * part files, so the canonical order is the same with or without the
+ * split.
+ */
+std::string
+verdictOf(const Report &report)
+{
+    std::string out = std::to_string(report.failCount()) + " FAIL, " +
+                      std::to_string(report.warnCount()) + " WARN\n";
+    for (Finding finding : report.findings()) {
+        finding.fileId = 0;
+        out += finding.str() + "\n";
+    }
+    return out;
 }
 
 /**
@@ -101,7 +119,7 @@ struct Phase
     std::string name;
     double seconds = 0;
     size_t rssGrowthKb = 0;
-    std::string verdict; ///< canonicalized Report::str()
+    std::string verdict; ///< verdictOf() the canonical report
     size_t failCount = 0;
 };
 
@@ -133,8 +151,8 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     merged.canonicalize();
 
     phase.seconds = timer.elapsedSec();
-    phase.rssGrowthKb = peakRssKb() - rss_before;
-    phase.verdict = merged.str();
+    phase.rssGrowthKb = bench::peakRssKb() - rss_before;
+    phase.verdict = verdictOf(merged);
     phase.failCount = merged.failCount();
     return phase;
 }
@@ -152,7 +170,7 @@ runPipeline(const std::string &path, size_t decoders, size_t workers,
         name += "_pin";
     else if (affinity == IngestOptions::Affinity::Shared)
         name += "_shr";
-    const size_t rss_before = peakRssKb();
+    const size_t rss_before = startPhaseRss();
     Timer timer;
 
     std::string error;
@@ -186,7 +204,7 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
 {
     std::string name = "v2_multi" + std::to_string(paths.size()) +
                        "_" + std::to_string(decoders) + "dec";
-    const size_t rss_before = peakRssKb();
+    const size_t rss_before = startPhaseRss();
     Timer timer;
 
     std::vector<std::unique_ptr<TraceSource>> children;
@@ -209,30 +227,37 @@ runMultiFile(const std::vector<std::string> &paths, size_t decoders,
                      workers, timer, rss_before);
 }
 
-/** v1 file → sequential stream loader → one inline engine. */
+/** v2 file → decode loop → one inline engine, in file order. */
 Phase
 runSerialBaseline(const std::string &path)
 {
     Phase phase;
-    phase.name = "v1_stream_serial";
-    const size_t rss_before = peakRssKb();
+    phase.name = "v2_serial";
+    const size_t rss_before = startPhaseRss();
     Timer timer;
 
-    bool ok = false;
-    auto bundle = loadTracesFromFile(path, &ok);
-    if (!ok) {
-        std::fprintf(stderr, "cannot load %s\n", path.c_str());
+    std::string error;
+    auto reader = TraceFileReader::open(path, IngestMode::Auto, &error);
+    if (!reader) {
+        std::fprintf(stderr, "%s\n", error.c_str());
         std::exit(1);
     }
     Engine engine(ModelKind::X86);
     Report merged;
-    for (const auto &trace : bundle.traces)
-        merged.merge(engine.check(trace));
+    for (size_t i = 0; i < reader->traceCount(); i++) {
+        DecodedTrace decoded;
+        if (!reader->decode(i, &decoded)) {
+            std::fprintf(stderr, "%s: trace #%zu: decode failed\n",
+                         path.c_str(), i);
+            std::exit(1);
+        }
+        merged.merge(engine.check(decoded.trace));
+    }
     merged.canonicalize();
 
     phase.seconds = timer.elapsedSec();
-    phase.rssGrowthKb = peakRssKb() - rss_before;
-    phase.verdict = merged.str();
+    phase.rssGrowthKb = bench::peakRssKb() - rss_before;
+    phase.verdict = verdictOf(merged);
     phase.failCount = merged.failCount();
     return phase;
 }
@@ -270,9 +295,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
         "/tmp/pmtest_bench_ingest_" + std::to_string(getpid()) + "_" +
         name;
     const std::string v2_path = base + ".v2.trace";
-    const std::string v1_path = base + ".v1.trace";
-    if (!saveTracesToFile(v2_path, traces, TraceFormat::V2) ||
-        !saveTracesToFile(v1_path, traces, TraceFormat::V1)) {
+    if (!saveTracesToFile(v2_path, traces)) {
         std::fprintf(stderr, "cannot write trace files under /tmp\n");
         std::exit(1);
     }
@@ -291,7 +314,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
             at += take;
             const std::string path =
                 base + ".part" + std::to_string(p) + ".trace";
-            if (!saveTracesToFile(path, part, TraceFormat::V2)) {
+            if (!saveTracesToFile(path, part)) {
                 std::fprintf(stderr,
                              "cannot write trace files under /tmp\n");
                 std::exit(1);
@@ -312,9 +335,6 @@ runShape(const std::string &name, size_t count, size_t rounds,
         shape.fileBytesV2 = reader->sizeBytes();
     }
 
-    // Candidate phases first: ru_maxrss only ever rises, so later
-    // phases would otherwise report zero growth no matter what they
-    // allocate.
     shape.phases.push_back(runPipeline(v2_path, 4, workers));
     shape.phases.push_back(runPipeline(v2_path, 2, workers));
     shape.phases.push_back(runPipeline(v2_path, 1, workers));
@@ -322,7 +342,7 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(runPipeline(v2_path, 4, workers, 4,
                                        IngestOptions::Affinity::Shared));
     shape.phases.push_back(runMultiFile(part_paths, 4, workers));
-    shape.phases.push_back(runSerialBaseline(v1_path));
+    shape.phases.push_back(runSerialBaseline(v2_path));
 
     shape.verdictMatch = true;
     for (const auto &phase : shape.phases) {
@@ -333,7 +353,6 @@ runShape(const std::string &name, size_t count, size_t rounds,
     }
 
     std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
     for (const auto &path : part_paths)
         std::remove(path.c_str());
     return shape;
@@ -350,7 +369,7 @@ printShape(const Shape &shape)
                     phase.name.c_str(), phase.seconds,
                     phase.rssGrowthKb, phase.failCount);
     }
-    std::printf("  speedup (v1 serial / v2 mmap 4dec): %.2fx, "
+    std::printf("  speedup (v2 serial / v2 mmap 4dec): %.2fx, "
                 "verdict %s\n",
                 shape.speedup(),
                 shape.verdictMatch ? "identical" : "MISMATCH");
@@ -416,8 +435,8 @@ main(int argc, char **argv)
         obs::Telemetry::instance().enableSpans();
 
     pmtest::bench::banner("Ingest",
-                          "v2 mmap-parallel pipeline vs v1 stream "
-                          "serial, load->verdict");
+                          "v2 mmap-parallel pipeline vs serial "
+                          "decode, load->verdict");
 
     const size_t s = pmtest::bench::scale();
     const size_t workers = 4;

@@ -7,15 +7,13 @@
  *  - storage: chunked IntervalMap vs the flat sorted-vector layout it
  *    replaced, on hot (4 KiB / 64 KiB), sparse never-retouched
  *    (1 MiB / 8 MiB) and mixed hot+sparse shapes — the sparse shapes
- *    are the flat layout's O(n)-memmove cliff — plus one chunked vs
- *    node-std::map section for continuity with the older trend line.
+ *    are the flat layout's O(n)-memmove cliff.
  *  - batch: assignBatch (sort once, walk chunks once) vs a per-op
  *    assign loop over identical sorted disjoint ranges.
  *  - state: one reused engine (capacity-retaining reset) vs a fresh
  *    engine per trace.
- *  - dispatch: model-templated kernel vs per-op virtual dispatch,
- *    and the batched write-run kernel vs the same templated kernel
- *    with batching off (Dispatch::TemplatedPerOp).
+ *  - write runs: the batched write-run kernel vs the same kernel
+ *    with batching off (Dispatch::PerOp).
  *
  * Flags:
  *  --smoke        tiny workload (seconds -> milliseconds); CI uses
@@ -36,7 +34,6 @@
 
 #include "bench/bench_util.hh"
 #include "bench/flat_interval_map.hh"
-#include "bench/node_interval_map.hh"
 #include "core/engine.hh"
 #include "core/interval_map.hh"
 #include "obs/metrics_service.hh"
@@ -66,7 +63,7 @@ struct Section
 
 using pmtest::bestOfSeconds;
 
-// --- storage: chunked vs flat (and node) interval map --------------
+// --- storage: chunked vs flat interval map -------------------------
 
 struct IntervalOp
 {
@@ -176,11 +173,10 @@ runIntervalStream(MapT &map, const std::vector<IntervalOp> &ops)
     return acc;
 }
 
-/** Chunked IntervalMap vs @p BaselineT on one prebuilt op stream. */
-template <typename BaselineT>
+/** Chunked IntervalMap vs the flat layout on one prebuilt op stream. */
 Section
 measureStorage(const std::vector<IntervalOp> &ops, int passes,
-               const char *tag, const char *baseline_name)
+               const char *tag)
 {
     volatile uint64_t sink = 0;
 
@@ -190,7 +186,7 @@ measureStorage(const std::vector<IntervalOp> &ops, int passes,
             sink += runIntervalStream(chunked, ops);
     });
 
-    BaselineT baseline;
+    pmtest::bench::FlatIntervalMap<uint64_t> baseline;
     const double baseline_sec = bestOfSeconds(3, [&] {
         for (int p = 0; p < passes; p++)
             sink += runIntervalStream(baseline, ops);
@@ -199,7 +195,7 @@ measureStorage(const std::vector<IntervalOp> &ops, int passes,
     const double total = static_cast<double>(ops.size()) * passes;
     Section s;
     s.name = std::string("interval_map_storage_") + tag;
-    s.baseline = baseline_name;
+    s.baseline = "flat_vector";
     s.candidate = "chunked";
     s.baselineMops = total / baseline_sec * 1e-6;
     s.candidateMops = total / chunked_sec * 1e-6;
@@ -313,38 +309,7 @@ measureStateReuse(size_t traces_n, size_t rounds)
     return s;
 }
 
-// --- dispatch: templated vs virtual --------------------------------
-
-Section
-measureDispatch(size_t rounds, int passes)
-{
-    const auto traces = makeTraces(1, rounds, 11);
-    const Trace &trace = traces.front();
-    volatile uint64_t sink = 0;
-
-    Engine templated(ModelKind::X86, Engine::Dispatch::Templated);
-    const double fast_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += templated.check(trace).failCount();
-    });
-
-    Engine virtualised(ModelKind::X86, Engine::Dispatch::Virtual);
-    const double slow_sec = bestOfSeconds(3, [&] {
-        for (int p = 0; p < passes; p++)
-            sink += virtualised.check(trace).failCount();
-    });
-
-    const double total = static_cast<double>(trace.size()) * passes;
-    Section s;
-    s.name = "model_dispatch";
-    s.baseline = "virtual";
-    s.candidate = "templated";
-    s.baselineMops = total / slow_sec * 1e-6;
-    s.candidateMops = total / fast_sec * 1e-6;
-    return s;
-}
-
-// --- dispatch: batched write runs vs per-op templated --------------
+// --- write runs: batched vs per-op ---------------------------------
 
 /**
  * Table-1-shaped traces: each round writes 8 distinct lines back to
@@ -381,13 +346,13 @@ measureEngineBatch(size_t traces_n, size_t rounds)
         total_ops += t.size();
     volatile uint64_t sink = 0;
 
-    Engine batched(ModelKind::X86, Engine::Dispatch::Templated);
+    Engine batched(ModelKind::X86);
     const double batched_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
             sink += batched.check(t).failCount();
     });
 
-    Engine per_op(ModelKind::X86, Engine::Dispatch::TemplatedPerOp);
+    Engine per_op(ModelKind::X86, Engine::Dispatch::PerOp);
     const double perop_sec = bestOfSeconds(3, [&] {
         for (const auto &t : traces)
             sink += per_op.check(t).failCount();
@@ -395,8 +360,8 @@ measureEngineBatch(size_t traces_n, size_t rounds)
 
     Section s;
     s.name = "engine_batched_writes";
-    s.baseline = "templated_per_op";
-    s.candidate = "templated_batched";
+    s.baseline = "per_op";
+    s.candidate = "batched";
     s.baselineMops =
         static_cast<double>(total_ops) / perop_sec * 1e-6;
     s.candidateMops =
@@ -487,10 +452,8 @@ main(int argc, char **argv)
 
     pmtest::bench::banner("Kernel ablation",
                           "chunked storage, batched splices, state "
-                          "reuse, devirtualised dispatch");
+                          "reuse, batched write runs");
 
-    using Flat = pmtest::bench::FlatIntervalMap<uint64_t>;
-    using Node = pmtest::bench::NodeIntervalMap<uint64_t>;
     const size_t s = pmtest::bench::scale();
     const int sp = static_cast<int>(s); // int passes
     std::vector<Section> sections;
@@ -498,49 +461,32 @@ main(int argc, char **argv)
         // Small enough for CI, large enough that each timed rep is
         // milliseconds — the speedup ratios gate regressions
         // (bench/check_kernel_regression.py), so they must be stable.
-        sections.push_back(measureStorage<Flat>(
-            makeIntervalStream(2048, 4 << 10, 42), 8, "hot4k",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeIntervalStream(2048, 64 << 10, 42), 8, "64k",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeSparseStream(1 << 20, 512, 13), 2, "sparse1m",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeSparseStream(8 << 20, 2048, 17), 1, "sparse8m",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeMixedStream(2048, 23), 8, "mixed", "flat_vector"));
-        sections.push_back(measureStorage<Node>(
-            makeIntervalStream(2048, 4 << 10, 42), 8, "node_hot4k",
-            "node_std_map"));
+        sections.push_back(measureStorage(
+            makeIntervalStream(2048, 4 << 10, 42), 8, "hot4k"));
+        sections.push_back(measureStorage(
+            makeIntervalStream(2048, 64 << 10, 42), 8, "64k"));
+        sections.push_back(measureStorage(
+            makeSparseStream(1 << 20, 512, 13), 2, "sparse1m"));
+        sections.push_back(measureStorage(
+            makeSparseStream(8 << 20, 2048, 17), 1, "sparse8m"));
+        sections.push_back(measureStorage(
+            makeMixedStream(2048, 23), 8, "mixed"));
         sections.push_back(measureBatchAssign(128, 16, 6));
         sections.push_back(measureStateReuse(64, 32));
-        sections.push_back(measureDispatch(512, 8));
         sections.push_back(measureEngineBatch(32, 32));
     } else {
-        sections.push_back(measureStorage<Flat>(
-            makeIntervalStream(8192, 4 << 10, 42), 50 * sp, "hot4k",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeIntervalStream(8192, 64 << 10, 42), 50 * sp, "64k",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeSparseStream(1 << 20, 128, 13), 2 * sp, "sparse1m",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeSparseStream(8 << 20, 512, 17), 1, "sparse8m",
-            "flat_vector"));
-        sections.push_back(measureStorage<Flat>(
-            makeMixedStream(8192, 23), 10 * sp, "mixed",
-            "flat_vector"));
-        sections.push_back(measureStorage<Node>(
-            makeIntervalStream(8192, 4 << 10, 42), 50 * sp,
-            "node_hot4k", "node_std_map"));
+        sections.push_back(measureStorage(
+            makeIntervalStream(8192, 4 << 10, 42), 50 * sp, "hot4k"));
+        sections.push_back(measureStorage(
+            makeIntervalStream(8192, 64 << 10, 42), 50 * sp, "64k"));
+        sections.push_back(measureStorage(
+            makeSparseStream(1 << 20, 128, 13), 2 * sp, "sparse1m"));
+        sections.push_back(measureStorage(
+            makeSparseStream(8 << 20, 512, 17), 1, "sparse8m"));
+        sections.push_back(measureStorage(
+            makeMixedStream(8192, 23), 10 * sp, "mixed"));
         sections.push_back(measureBatchAssign(512, 16, 10 * sp));
         sections.push_back(measureStateReuse(512 * s, 64));
-        sections.push_back(measureDispatch(4096, 100 * sp));
         sections.push_back(measureEngineBatch(256 * s, 64));
     }
 

@@ -2,10 +2,10 @@
  * @file
  * The single flat sorted-vector interval map this repository shipped
  * before the chunked rewrite, preserved verbatim as the "before" side
- * of the storage-layout ablation. Benchmarks pit it against
- * core::IntervalMap (chunked) and NodeIntervalMap (std::map) on the
- * same op streams; nothing outside bench/ and tests/ may include this
- * header.
+ * of the storage-layout ablation and the differential reference for
+ * the chunked layout. Benchmarks pit it against core::IntervalMap
+ * (chunked) on the same op streams; nothing outside bench/ and tests/
+ * may include this header.
  *
  * Strengths and the known cliff: lookups binary-search one contiguous
  * array (great cache behavior while the map is small), but every

@@ -27,7 +27,6 @@ poolOptions(const Config &config)
     options.model = config.model;
     options.workers = config.workers;
     options.queueCapacity = config.queueCapacity;
-    options.workStealing = config.workStealing;
     return options;
 }
 

@@ -48,8 +48,6 @@ struct Config
      * locking for workloads that seal many small traces. 1 disables.
      */
     size_t traceBatch = 1;
-    /** Idle engine workers steal queued traces from loaded peers. */
-    bool workStealing = true;
 };
 
 /** @{ Framework lifecycle (paper: PMTest_INIT / PMTest_EXIT). */

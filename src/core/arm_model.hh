@@ -17,13 +17,7 @@
 namespace pmtest::core
 {
 
-/**
- * Checking rules for the ARMv8.2 persistency model.
- *
- * apply() is defined inline and the class is final so the engine's
- * model-templated kernel devirtualizes and inlines the per-op switch;
- * the DC CVAP WARN reporting (cold path) stays out of line.
- */
+/** Checking rules for the ARMv8.2 persistency model. */
 class ArmModel final : public PersistencyModel
 {
   public:

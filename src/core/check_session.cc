@@ -108,6 +108,46 @@ resolveThreads(const CheckPlan &plan, size_t *workers,
 }
 
 /**
+ * Open input files first, first + step, ... as one source, each file
+ * stamped with its input index as fileId; several files compose into
+ * a MultiTraceSource. The selection must not be empty.
+ * @return nullptr with *error ("path: reason") set on failure.
+ */
+std::unique_ptr<TraceSource>
+openInputFiles(const CheckPlan &plan, size_t first, size_t step,
+               std::string *error)
+{
+    std::vector<std::unique_ptr<TraceSource>> children;
+    for (size_t j = first; j < plan.inputs.size(); j += step) {
+        auto child = openTraceSource(plan.inputs[j], IngestMode::Auto,
+                                     static_cast<uint32_t>(j), error);
+        if (!child)
+            return nullptr;
+        children.push_back(std::move(child));
+    }
+    if (children.size() == 1)
+        return std::move(children[0]);
+    return std::make_unique<MultiTraceSource>(std::move(children));
+}
+
+/**
+ * The byte-balanced index slices of the single input file (see
+ * shardTraceSource). @return no slices, with *error set, when the
+ * file cannot be opened.
+ */
+std::vector<std::unique_ptr<TraceSource>>
+shardSingleInput(const CheckPlan &plan, size_t shards,
+                 std::string *error)
+{
+    std::shared_ptr<const TraceFileReader> reader =
+        TraceFileReader::open(plan.inputs[0], IngestMode::Auto, error);
+    if (!reader)
+        return {};
+    return shardTraceSource(std::move(reader), plan.inputs[0], 0,
+                            shards);
+}
+
+/**
  * Build the trace source a plain (non-worker) run checks: one source
  * per input file (fileId = input order), or the byte-balanced shards
  * of a single v2 file. Also the re-open path of the fix-hints replay
@@ -116,32 +156,12 @@ resolveThreads(const CheckPlan &plan, size_t *workers,
 std::unique_ptr<TraceSource>
 buildPlainSource(const CheckPlan &plan, std::string *error)
 {
-    if (plan.shards > 1) {
-        std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(plan.inputs[0], plan.ingestMode,
-                                  error);
-        if (!reader) {
-            if (error->rfind(plan.inputs[0], 0) != 0)
-                *error = plan.inputs[0] + ": " + *error;
-            return nullptr;
-        }
-        return std::make_unique<MultiTraceSource>(shardTraceSource(
-            std::move(reader), plan.inputs[0], 0, plan.shards));
-    }
-    if (plan.inputs.size() == 1)
-        return openTraceSource(plan.inputs[0], plan.ingestMode, 0,
-                               error);
-    std::vector<std::unique_ptr<TraceSource>> children;
-    children.reserve(plan.inputs.size());
-    for (size_t i = 0; i < plan.inputs.size(); i++) {
-        auto child =
-            openTraceSource(plan.inputs[i], plan.ingestMode,
-                            static_cast<uint32_t>(i), error);
-        if (!child)
-            return nullptr;
-        children.push_back(std::move(child));
-    }
-    return std::make_unique<MultiTraceSource>(std::move(children));
+    if (plan.shards <= 1)
+        return openInputFiles(plan, 0, 1, error);
+    auto shards = shardSingleInput(plan, plan.shards, error);
+    if (shards.empty())
+        return nullptr;
+    return std::make_unique<MultiTraceSource>(std::move(shards));
 }
 
 /**
@@ -159,41 +179,22 @@ buildWorkerSource(const CheckPlan &plan, bool *empty,
                   std::string *error)
 {
     *empty = false;
-    if (plan.inputs.size() == 1) {
-        std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(plan.inputs[0], plan.ingestMode,
-                                  error);
-        if (!reader) {
-            if (error->rfind(plan.inputs[0], 0) != 0)
-                *error = plan.inputs[0] + ": " + *error;
-            return nullptr;
-        }
-        auto slices = shardTraceSource(std::move(reader),
-                                       plan.inputs[0], 0,
-                                       plan.workerCount);
-        if (plan.workerIndex >= slices.size()) {
+    if (plan.inputs.size() > 1) {
+        if (plan.workerIndex >= plan.inputs.size()) {
             *empty = true;
             return nullptr;
         }
-        return std::move(slices[plan.workerIndex]);
+        return openInputFiles(plan, plan.workerIndex, plan.workerCount,
+                              error);
     }
-    std::vector<std::unique_ptr<TraceSource>> children;
-    for (size_t j = plan.workerIndex; j < plan.inputs.size();
-         j += plan.workerCount) {
-        auto child =
-            openTraceSource(plan.inputs[j], plan.ingestMode,
-                            static_cast<uint32_t>(j), error);
-        if (!child)
-            return nullptr;
-        children.push_back(std::move(child));
-    }
-    if (children.empty()) {
+    auto slices = shardSingleInput(plan, plan.workerCount, error);
+    if (slices.empty())
+        return nullptr;
+    if (plan.workerIndex >= slices.size()) {
         *empty = true;
         return nullptr;
     }
-    if (children.size() == 1)
-        return std::move(children[0]);
-    return std::make_unique<MultiTraceSource>(std::move(children));
+    return std::move(slices[plan.workerIndex]);
 }
 
 /** One "  source NAME: ..." line per leaf source. */
@@ -302,10 +303,19 @@ emitFindingEvents(obs::EventLog &log, const Report &merged)
     }
 }
 
+/** What a run checked, as the stdout header and metrics doc report it. */
+struct RunTotals
+{
+    size_t traces = 0;
+    size_t ops = 0;
+    size_t workers = 0;
+    size_t sources = 0;
+};
+
 /** The stdout report: header line plus summary or finding list. */
 void
-printReportStdout(const CheckPlan &plan, size_t traces, size_t ops,
-                  size_t workers, const Report &merged)
+printReportStdout(const CheckPlan &plan, const RunTotals &totals,
+                  const Report &merged)
 {
     if (plan.quiet)
         return;
@@ -315,8 +325,8 @@ printReportStdout(const CheckPlan &plan, size_t traces, size_t ops,
             : std::to_string(plan.inputs.size()) + " files";
     std::printf("%s: %zu traces, %zu PM operations, model=%s, "
                 "%zu workers\n",
-                display.c_str(), traces, ops,
-                makeModel(plan.model)->name(), workers);
+                display.c_str(), totals.traces, totals.ops,
+                makeModel(plan.model)->name(), totals.workers);
     if (plan.summary) {
         std::printf("%s", merged.summaryStr().c_str());
         return;
@@ -342,9 +352,8 @@ printReportStdout(const CheckPlan &plan, size_t traces, size_t ops,
  * "distribute": N).
  */
 bool
-writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
-                size_t workers, size_t sources, const Report &merged,
-                const PoolStats &stats)
+writeMetricsDoc(const CheckPlan &plan, const RunTotals &totals,
+                const Report &merged, const PoolStats &stats)
 {
     std::string joined;
     for (const auto &input : plan.inputs) {
@@ -358,10 +367,10 @@ writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
     w.member("tool", plan.tool.c_str());
     w.member("trace_file", joined);
     w.member("model", makeModel(plan.model)->name());
-    w.member("traces", traces);
-    w.member("ops", ops);
-    w.member("workers", workers);
-    w.member("sources", sources);
+    w.member("traces", totals.traces);
+    w.member("ops", totals.ops);
+    w.member("workers", totals.workers);
+    w.member("sources", totals.sources);
     if (plan.workerCount > 0)
         w.member("worker", std::to_string(plan.workerIndex) + "/" +
                                std::to_string(plan.workerCount));
@@ -385,6 +394,57 @@ writeMetricsDoc(const CheckPlan &plan, size_t traces, size_t ops,
         return false;
     }
     return true;
+}
+
+/**
+ * The tail every run shape shares: the stdout report (not for a
+ * worker, whose stdout belongs to the coordinator) with --stats, the
+ * metrics doc, the trace-event timeline, then the finding events and
+ * run_stop that close the audit trail.
+ * @return the verdict exit code (0/1), or 2 when an output file could
+ *         not be written (run_stop then carries 2).
+ */
+int
+finishRun(const CheckPlan &plan, SessionServices &services,
+          const Report &merged, const RunTotals &totals,
+          const PoolStats &stats, const TraceSource *source)
+{
+    if (plan.workerCount == 0) {
+        printReportStdout(plan, totals, merged);
+        // An explicit --stats request wins over --quiet.
+        if (plan.showStats) {
+            if (source && source->sourceCount() > 1)
+                printSourceStats(*source);
+            std::printf("%s", stats.str().c_str());
+            printOracleStats();
+        }
+    }
+    // The machine-readable outputs are files; they are written
+    // whatever the stdout flags say.
+    if (!plan.metricsJsonPath.empty() &&
+        !writeMetricsDoc(plan, totals, merged, stats)) {
+        services.emitRunStop(2);
+        return 2;
+    }
+    if (!plan.traceEventsPath.empty()) {
+        std::string error;
+        if (!obs::Telemetry::instance().writeTraceEventsFile(
+                plan.traceEventsPath, &error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            services.emitRunStop(2);
+            return 2;
+        }
+    }
+
+    const int exit_code = merged.failCount() == 0 ? 0 : 1;
+    emitFindingEvents(services.eventLog(), merged);
+    services.emitRunStop(exit_code, [&](JsonWriter &w) {
+        w.member("traces", totals.traces);
+        w.member("ops", totals.ops);
+        w.member("fail", merged.failCount());
+        w.member("warn", merged.warnCount());
+    });
+    return exit_code;
 }
 
 volatile std::sig_atomic_t g_linger_stop = 0;
@@ -446,9 +506,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
         return usage_error("--shards needs exactly one input file "
                            "(got " +
                            std::to_string(inputs.size()) + ")");
-    if (shards > 1 && ingestMode == IngestMode::Stream)
-        return usage_error("--shards needs an indexed (v2) input; "
-                           "remove --ingest=stream");
 
     if (workerCount > 0 && distribute > 0)
         return usage_error(
@@ -544,10 +601,12 @@ CheckSession::run()
     size_t workers = 0, decoders = 0;
     resolveThreads(plan, &workers, &decoders);
 
-    const size_t trace_count = source ? source->traceCount() : 0;
-    const size_t total_ops =
-        source ? static_cast<size_t>(source->totalOps()) : 0;
-    const size_t source_count = source ? source->sourceCount() : 0;
+    RunTotals totals;
+    if (source) {
+        totals.traces = source->traceCount();
+        totals.ops = static_cast<size_t>(source->totalOps());
+        totals.sources = source->sourceCount();
+    }
 
     PoolOptions options;
     options.model = plan.model;
@@ -556,7 +615,6 @@ CheckSession::run()
 
     Report merged;
     PoolStats stats;
-    size_t pool_workers = 0;
     bool ingest_ok = true;
     SourceError ingest_error;
     SessionServices services; ///< outlives the pool (linger)
@@ -608,7 +666,7 @@ CheckSession::run()
             stats = pool.stats();
             stats.ingest = ingest_stats;
         }
-        pool_workers = pool.workerCount();
+        totals.workers = pool.workerCount();
 
         // Final sample + sampler detach before the pool dies; the
         // scrape server keeps serving the frozen sample.
@@ -663,9 +721,9 @@ CheckSession::run()
         ReportMeta meta;
         meta.workerIndex = plan.workerIndex;
         meta.workerCount = plan.workerCount;
-        meta.traceCount = trace_count;
-        meta.totalOps = total_ops;
-        meta.sourceCount = source_count;
+        meta.traceCount = totals.traces;
+        meta.totalOps = totals.ops;
+        meta.sourceCount = totals.sources;
         meta.model = plan.model;
         std::string error;
         if (!saveReportFile(plan.reportOutPath, merged, meta,
@@ -675,47 +733,11 @@ CheckSession::run()
         }
     }
 
-    if (!worker_mode) {
-        printReportStdout(plan, trace_count, total_ops, pool_workers,
-                          merged);
-        // An explicit --stats request wins over --quiet.
-        if (plan.showStats) {
-            if (source && source->sourceCount() > 1)
-                printSourceStats(*source);
-            std::printf("%s", stats.str().c_str());
-            printOracleStats();
-        }
-    }
-    // The machine-readable outputs are files; they are written
-    // whatever the stdout flags say.
-    if (!plan.metricsJsonPath.empty()) {
-        if (!writeMetricsDoc(plan, trace_count, total_ops,
-                             pool_workers, source_count, merged,
-                             stats))
-            return 2;
-    }
-    if (!plan.traceEventsPath.empty()) {
-        std::string error;
-        if (!obs::Telemetry::instance().writeTraceEventsFile(
-                plan.traceEventsPath, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 2;
-        }
-    }
-
-    const int exit_code = merged.failCount() == 0 ? 0 : 1;
-
     // Findings go out after the fix-hints replay so hint_verified is
-    // final; run_stop closes the audit trail.
-    emitFindingEvents(services.eventLog(), merged);
-    services.emitRunStop(exit_code, [&](JsonWriter &w) {
-        w.member("traces", trace_count);
-        w.member("ops", total_ops);
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-    });
-
-    if (plan.metricsLinger)
+    // final.
+    const int exit_code =
+        finishRun(plan, services, merged, totals, stats, source.get());
+    if (exit_code != 2 && plan.metricsLinger)
         lingerUntilSignalled(services.service());
     services.stop();
     return exit_code;
@@ -882,14 +904,19 @@ runDistributedCheck(const CheckPlan &plan)
             failures.push_back(std::move(what));
         }
     }
-    if (!failures.empty()) {
-        for (const auto &what : failures)
-            std::fprintf(stderr, "distributed check failed: %s\n",
-                         what.c_str());
+    // Every failure after the services started closes the audit trail
+    // with run_stop(2) before tearing down.
+    const auto fail = [&] {
         services.emitRunStop(2);
         cleanup();
         services.stop();
         return 2;
+    };
+    if (!failures.empty()) {
+        for (const auto &what : failures)
+            std::fprintf(stderr, "distributed check failed: %s\n",
+                         what.c_str());
+        return fail();
     }
 
     std::vector<WorkerReport> parts(n);
@@ -898,49 +925,28 @@ runDistributedCheck(const CheckPlan &plan)
         if (!loadReportFile(report_paths[i], &parts[i].report,
                             &parts[i].meta, &error)) {
             std::fprintf(stderr, "%s\n", error.c_str());
-            services.emitRunStop(2);
-            cleanup();
-            services.stop();
-            return 2;
+            return fail();
         }
     }
     Report merged;
-    ReportMeta totals;
-    mergeReports(std::move(parts), &merged, &totals);
+    ReportMeta meta;
+    mergeReports(std::move(parts), &merged, &meta);
     if (keep_reports) {
         std::string error;
-        if (!saveReportFile(plan.reportOutPath, merged, totals,
-                            &error)) {
+        if (!saveReportFile(plan.reportOutPath, merged, meta, &error)) {
             std::fprintf(stderr, "%s\n", error.c_str());
-            services.emitRunStop(2);
-            services.stop();
-            return 2;
+            return fail();
         }
     }
     cleanup();
 
-    const size_t traces =
-        static_cast<size_t>(totals.traceCount);
-    const size_t ops = static_cast<size_t>(totals.totalOps);
-    printReportStdout(plan, traces, ops, workers, merged);
-    if (!plan.metricsJsonPath.empty()) {
-        if (!writeMetricsDoc(plan, traces, ops, workers,
-                             plan.inputs.size(), merged,
-                             PoolStats{})) {
-            services.emitRunStop(2);
-            services.stop();
-            return 2;
-        }
-    }
-
-    const int exit_code = merged.failCount() == 0 ? 0 : 1;
-    emitFindingEvents(services.eventLog(), merged);
-    services.emitRunStop(exit_code, [&](JsonWriter &w) {
-        w.member("traces", traces);
-        w.member("ops", ops);
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-    });
+    RunTotals totals;
+    totals.traces = static_cast<size_t>(meta.traceCount);
+    totals.ops = static_cast<size_t>(meta.totalOps);
+    totals.workers = workers;
+    totals.sources = plan.inputs.size();
+    const int exit_code = finishRun(plan, services, merged, totals,
+                                    PoolStats{}, nullptr);
     services.stop();
     return exit_code;
 }

@@ -71,7 +71,6 @@ struct CheckPlan
     size_t decoders = 0;
     size_t shards = 1;
     IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto;
-    IngestMode ingestMode = IngestMode::Auto;
 
     // Output surfaces.
     std::string metricsJsonPath;

@@ -1,11 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <type_traits>
 
-#include "core/arm_model.hh"
-#include "core/hops_model.hh"
-#include "core/x86_model.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -24,7 +20,7 @@ Engine::TraceState::reset()
 }
 
 Engine::Engine(ModelKind kind, Dispatch dispatch)
-    : kind_(kind), dispatch_(dispatch), model_(makeModel(kind))
+    : dispatch_(dispatch), model_(makeModel(kind))
 {
     if (!model_)
         fatal("Engine: unknown persistency model");
@@ -41,27 +37,7 @@ Engine::check(const Trace &trace)
 
     Report report(trace.id(), trace.fileId());
     state_.reset();
-
-    // Select the model rules once per trace. The templated kernels
-    // call through a concretely-typed reference to a final class, so
-    // the per-op apply() devirtualizes and inlines; the Virtual mode
-    // instantiates the same kernel against the base class, retaining
-    // the classic one-virtual-call-per-op path for the ablation.
-    if (dispatch_ == Dispatch::Virtual) {
-        runTrace(*model_, trace, report);
-    } else {
-        switch (kind_) {
-          case ModelKind::X86:
-            runTrace(static_cast<X86Model &>(*model_), trace, report);
-            break;
-          case ModelKind::Hops:
-            runTrace(static_cast<HopsModel &>(*model_), trace, report);
-            break;
-          case ModelKind::Arm:
-            runTrace(static_cast<ArmModel &>(*model_), trace, report);
-            break;
-        }
-    }
+    runTrace(trace, report);
 
     if (state_.txDepth > 0) {
         Finding f;
@@ -86,26 +62,24 @@ Engine::check(const Trace &trace)
     return report;
 }
 
-template <typename M>
 void
-Engine::runTrace(M &model, const Trace &trace, Report &report)
+Engine::runTrace(const Trace &trace, Report &report)
 {
     const auto &ops = trace.ops();
 
-    // Batched write runs are valid precisely because every concrete
-    // model applies OpType::Write as shadow.recordWrite(range) and
-    // nothing else; the polymorphic baseline keeps the pure per-op
-    // loop so Dispatch::Virtual remains the oracle the batched path
-    // is verified against (tests/core/kernel_equivalence_test.cc).
-    if (dispatch_ == Dispatch::Templated &&
-        !std::is_same_v<M, PersistencyModel>) {
+    // Batched write runs are valid precisely because every model
+    // applies OpType::Write as shadow.recordWrite(range) and nothing
+    // else (the PersistencyModel::apply contract); Dispatch::PerOp
+    // keeps the pure per-op loop as the oracle the batched path is
+    // verified against (tests/core/kernel_equivalence_test.cc).
+    if (dispatch_ == Dispatch::Batched) {
         size_t i = 0;
         while (i < ops.size()) {
             if (ops[i].type == OpType::Write) {
                 i = runWriteRun(trace, i, state_, report);
                 continue;
             }
-            handleOp(model, ops[i], i, state_, report);
+            handleOp(ops[i], i, state_, report);
             opsProcessed_++;
             i++;
         }
@@ -113,7 +87,7 @@ Engine::runTrace(M &model, const Trace &trace, Report &report)
     }
 
     for (size_t i = 0; i < ops.size(); i++) {
-        handleOp(model, ops[i], i, state_, report);
+        handleOp(ops[i], i, state_, report);
         opsProcessed_++;
     }
 }
@@ -217,10 +191,9 @@ Engine::excluded(const TraceState &state, const AddrRange &range)
     return state.exclusions.covers(range);
 }
 
-template <typename M>
 void
-Engine::handleOp(M &model, const PmOp &op, size_t index,
-                 TraceState &state, Report &report)
+Engine::handleOp(const PmOp &op, size_t index, TraceState &state,
+                 Report &report)
 {
     switch (op.type) {
       case OpType::Exclude:
@@ -240,7 +213,7 @@ Engine::handleOp(M &model, const PmOp &op, size_t index,
       case OpType::CheckIsOrderedBefore:
       case OpType::TxCheckStart:
       case OpType::TxCheckEnd:
-        handleChecker(model, op, index, state, report);
+        handleChecker(op, index, state, report);
         return;
 
       default:
@@ -260,7 +233,7 @@ Engine::handleOp(M &model, const PmOp &op, size_t index,
     if (op.type == OpType::Write)
         preWriteChecks(op, range, index, state, report);
 
-    model.apply(op, state.shadow, report, index);
+    model_->apply(op, state.shadow, report, index);
 }
 
 void
@@ -331,11 +304,11 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
     }
 }
 
-template <typename M>
 void
-Engine::handleChecker(const M &model, const PmOp &op, size_t index,
-                      TraceState &state, Report &report)
+Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
+                      Report &report)
 {
+    const PersistencyModel &model = *model_;
     switch (op.type) {
       case OpType::CheckIsPersist: {
         const AddrRange range(op.addr, op.size);
@@ -433,18 +406,5 @@ Engine::handleChecker(const M &model, const PmOp &op, size_t index,
         panic("handleChecker: unexpected op");
     }
 }
-
-// Instantiate the kernel for the built-in models and for the
-// polymorphic baseline (Dispatch::Virtual). check() selects among
-// these once per trace.
-template void Engine::runTrace<X86Model>(X86Model &, const Trace &,
-                                         Report &);
-template void Engine::runTrace<HopsModel>(HopsModel &, const Trace &,
-                                          Report &);
-template void Engine::runTrace<ArmModel>(ArmModel &, const Trace &,
-                                         Report &);
-template void Engine::runTrace<PersistencyModel>(PersistencyModel &,
-                                                 const Trace &,
-                                                 Report &);
 
 } // namespace pmtest::core

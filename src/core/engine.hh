@@ -13,12 +13,11 @@
  *    tree, TX-checker write list) lives in the engine and is reset —
  *    clearing contents but retaining capacity — rather than rebuilt,
  *    so steady-state checking allocates nothing per trace.
- *  - The per-op loop is a kernel templated on the concrete
- *    persistency model (the model classes are final and define
- *    apply() inline), so model dispatch is selected once per trace by
- *    ModelKind and the per-op switch inlines instead of paying a
- *    virtual call per operation. Dispatch::Virtual retains the
- *    classic one-virtual-call-per-op path as an ablation baseline.
+ *  - The per-op loop calls the model through the PersistencyModel
+ *    interface, so a new model needs no engine change. Runs of
+ *    consecutive writes are batched into one sorted shadow update;
+ *    Dispatch::PerOp keeps the plain per-op loop as the oracle the
+ *    batched path is verified against.
  */
 
 #ifndef PMTEST_CORE_ENGINE_HH
@@ -50,16 +49,12 @@ class Engine
     /** How the per-op model rules are invoked. */
     enum class Dispatch
     {
-        Templated,      ///< model-specialized kernel with batched
-                        ///< write runs (default; inlined)
-        TemplatedPerOp, ///< model-specialized kernel, batching off
-                        ///< (ablation baseline for the batch win)
-        Virtual,        ///< one virtual call per op (the classic
-                        ///< per-op oracle; ablation baseline)
+        Batched, ///< batched write runs (default)
+        PerOp,   ///< one model call per op (the equivalence oracle)
     };
 
     explicit Engine(ModelKind kind,
-                    Dispatch dispatch = Dispatch::Templated);
+                    Dispatch dispatch = Dispatch::Batched);
 
     /** Check one trace and produce its report. */
     Report check(const Trace &trace);
@@ -99,12 +94,11 @@ class Engine
         void reset();
     };
 
-    /** The per-trace loop, templated on the concrete model type. */
-    template <typename M>
-    void runTrace(M &model, const Trace &trace, Report &report);
+    /** The per-trace loop. */
+    void runTrace(const Trace &trace, Report &report);
 
     /**
-     * Batched write runs (Dispatch::Templated only): consume the
+     * Batched write runs (Dispatch::Batched only): consume the
      * maximal run of consecutive Write ops starting at @p i, applying
      * the per-op transaction checks immediately but deferring the
      * shadow updates into writeBatch_, flushed in one sorted batched
@@ -128,12 +122,10 @@ class Engine
                         size_t index, TraceState &state,
                         Report &report);
 
-    template <typename M>
-    void handleOp(M &model, const PmOp &op, size_t index,
-                  TraceState &state, Report &report);
-    template <typename M>
-    void handleChecker(const M &model, const PmOp &op, size_t index,
-                       TraceState &state, Report &report);
+    void handleOp(const PmOp &op, size_t index, TraceState &state,
+                  Report &report);
+    void handleChecker(const PmOp &op, size_t index, TraceState &state,
+                       Report &report);
     void handleTxEvent(const PmOp &op, size_t index, TraceState &state,
                        Report &report);
 
@@ -143,7 +135,6 @@ class Engine
     /** Writes batched per flush (bounds the overlap scan). */
     static constexpr size_t kWriteBatchMax = 32;
 
-    ModelKind kind_;
     Dispatch dispatch_;
     std::unique_ptr<PersistencyModel> model_;
     TraceState state_;

@@ -60,7 +60,7 @@ PoolStats::str() const
         << static_cast<double>(producerStallNanos) * 1e-6 << " ms"
         << " (capacity "
         << (queueCapacity ? std::to_string(queueCapacity) : "unbounded")
-        << ", stealing " << (workStealing ? "on" : "off") << ")\n";
+        << ")\n";
     if (ingest.active) {
         out << "ingest: " << ingest.bytesMapped << " bytes "
             << (ingest.mmapBacked ? "mmapped" : "buffered")
@@ -85,8 +85,7 @@ PoolStats::str() const
 EnginePool::EnginePool(const PoolOptions &options)
     : kind_(options.model),
       queueCapacity_(
-          resolveQueueCapacity(options.queueCapacity, options.workers)),
-      stealing_(options.workStealing)
+          resolveQueueCapacity(options.queueCapacity, options.workers))
 {
     if (options.workers == 0) {
         inlineEngine_ = std::make_unique<Engine>(kind_);
@@ -147,12 +146,10 @@ EnginePool::notifyWork(size_t items)
     // either it sees the new item during its predicate check, or it
     // is already waiting and receives the notify.
     { std::lock_guard<std::mutex> lock(workMutex_); }
-    // With stealing, any worker can serve any queue, so one new trace
+    // Any worker can serve any queue (stealing), so one new trace
     // needs exactly one wakeup; waking the whole pool per submit is a
-    // thundering herd on the producer's critical path. Without
-    // stealing only the owning worker's predicate passes, so everyone
-    // must be woken to guarantee the owner is.
-    if (stealing_ && items == 1)
+    // thundering herd on the producer's critical path.
+    if (items == 1)
         workCv_.notify_one();
     else
         workCv_.notify_all();
@@ -185,7 +182,7 @@ EnginePool::workerLoop(Worker &worker)
     std::vector<Trace> stolen;
     for (;;) {
         std::optional<Trace> trace = worker.queue.tryPop();
-        if (!trace && stealing_) {
+        if (!trace) {
             stolen.clear();
             obs::SpanScope scan_span(obs::Stage::StealScan);
             if (const size_t got = stealFrom(worker, stolen)) {
@@ -218,14 +215,9 @@ EnginePool::workerLoop(Worker &worker)
             continue;
         }
         std::unique_lock<std::mutex> lock(workMutex_);
-        workCv_.wait(lock, [&] {
-            return stopping_ ||
-                   (stealing_ ? anyQueued() : !worker.queue.empty());
-        });
-        if (stopping_ &&
-            (stealing_ ? !anyQueued() : worker.queue.empty())) {
+        workCv_.wait(lock, [&] { return stopping_ || anyQueued(); });
+        if (stopping_ && !anyQueued())
             return; // all pending work drained
-        }
     }
 }
 
@@ -437,7 +429,6 @@ EnginePool::stats() const
 {
     PoolStats stats;
     stats.queueCapacity = queueCapacity_;
-    stats.workStealing = stealing_;
     stats.batchesSubmitted = batches_.load(std::memory_order_relaxed);
     stats.producerStallNanos =
         stallNanos_.load(std::memory_order_relaxed);

@@ -64,12 +64,6 @@ struct PoolOptions
      * kUnboundedQueue requests no bound at all.
      */
     size_t queueCapacity = 0;
-    /**
-     * Allow idle workers to steal queued traces from loaded peers.
-     * Disabled reproduces the original pinned round-robin dispatch
-     * (kept for the dispatch ablation).
-     */
-    bool workStealing = true;
 };
 
 /** Point-in-time dispatch statistics for one worker. */
@@ -116,7 +110,6 @@ struct PoolStats
     uint64_t producerStallNanos = 0;///< time producers blocked on
                                     ///< full queues (backpressure)
     size_t queueCapacity = 0;       ///< per-worker bound (0 = none)
-    bool workStealing = true;       ///< stealing enabled
 
     /** Sum of current queue depths. */
     size_t queuedTraces() const;
@@ -244,7 +237,6 @@ class EnginePool
 
     ModelKind kind_;
     size_t queueCapacity_ = 0;
-    bool stealing_ = true;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::unique_ptr<Engine> inlineEngine_; ///< used when workers_ empty
     std::atomic<size_t> nextWorker_{0};    ///< round-robin cursor

@@ -14,12 +14,7 @@
 namespace pmtest::core
 {
 
-/**
- * Checking rules for the HOPS relaxed persistency model.
- *
- * apply() is defined inline and the class is final so the engine's
- * model-templated kernel devirtualizes and inlines the per-op switch.
- */
+/** Checking rules for the HOPS relaxed persistency model. */
 class HopsModel final : public PersistencyModel
 {
   public:

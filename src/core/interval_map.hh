@@ -17,8 +17,8 @@
  * that made a single flat vector quadratic, without paying std::map's
  * per-entry heap node and pointer chase on the small maps engine
  * traces produce (see bench_ablation_shadow and the storage sections
- * of bench_kernel; the previous layouts are preserved in
- * bench/flat_interval_map.hh and bench/node_interval_map.hh).
+ * of bench_kernel; the previous flat layout is preserved in
+ * bench/flat_interval_map.hh).
  *
  * Retired chunk buffers park on an internal free-list, and clear()
  * recycles every chunk there, so a reused map (one shadow memory per

@@ -41,7 +41,9 @@ class PersistencyModel
     /**
      * Apply one hardware PM operation to the shadow memory,
      * emitting WARN findings (performance bugs) or Malformed findings
-     * (operations the model does not define) into @p report.
+     * (operations the model does not define) into @p report. A Write
+     * must apply as shadow.recordWrite(range) and nothing else: the
+     * engine batches runs of writes without calling apply().
      */
     virtual void apply(const PmOp &op, ShadowMemory &shadow,
                        Report &report, size_t op_index) = 0;

@@ -32,7 +32,6 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
     w.member("producer_stall_ms",
              static_cast<double>(stats.producerStallNanos) * 1e-6, 3);
     w.member("queue_capacity", stats.queueCapacity);
-    w.member("work_stealing", stats.workStealing);
     w.member("queued_traces", stats.queuedTraces());
     if (stats.ingest.active) {
         w.key("ingest");

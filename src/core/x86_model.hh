@@ -3,11 +3,6 @@
  * The x86 persistency model (paper §4.4): writes open persist
  * intervals, clwb/clflushopt/clflush open flush intervals, sfence
  * advances the epoch and closes the intervals of fenced writebacks.
- *
- * apply() — the per-operation hot path — is defined inline so the
- * engine's model-templated checking kernel inlines the whole per-op
- * switch (the class is final, so calls through a concretely-typed
- * reference devirtualize). The cold checker rules stay in the .cc.
  */
 
 #ifndef PMTEST_CORE_X86_MODEL_HH

@@ -64,7 +64,6 @@ main(int argc, char **argv)
     int model = static_cast<int>(core::ModelKind::X86);
     int affinity =
         static_cast<int>(core::IngestOptions::Affinity::Auto);
-    int ingest = static_cast<int>(IngestMode::Auto);
     size_t metrics_port = static_cast<size_t>(-1);
     std::string worker_spec;
 
@@ -86,12 +85,6 @@ main(int argc, char **argv)
                 "per-worker queue bound (0 = default)");
     cli.addSize("--batch", &plan.batch,
                 "traces submitted to the pool at a time", 1);
-    cli.addChoice("--ingest", &ingest,
-                  {{"auto", static_cast<int>(IngestMode::Auto)},
-                   {"mmap", static_cast<int>(IngestMode::Mmap)},
-                   {"stream", static_cast<int>(IngestMode::Stream)}},
-                  "reader selection (default auto: v2 index when "
-                  "present)");
     cli.addSize("--decoders", &plan.decoders,
                 "decoder threads feeding the pool", 1);
     cli.addSize("--shards", &plan.shards,
@@ -143,7 +136,6 @@ main(int argc, char **argv)
     plan.model = static_cast<core::ModelKind>(model);
     plan.affinity =
         static_cast<core::IngestOptions::Affinity>(affinity);
-    plan.ingestMode = static_cast<IngestMode>(ingest);
     if (metrics_port != static_cast<size_t>(-1))
         plan.metricsPort = static_cast<int32_t>(metrics_port);
     if (!worker_spec.empty() && !parseWorkerSpec(worker_spec, &plan))

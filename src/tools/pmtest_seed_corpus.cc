@@ -43,7 +43,7 @@ main(int argc, char **argv)
     for (SeedTrace &seed : corpus)
         traces.push_back(std::move(seed.trace));
 
-    if (!saveTracesToFile(out_path, traces, TraceFormat::V2)) {
+    if (!saveTracesToFile(out_path, traces)) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 2;
     }

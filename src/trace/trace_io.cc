@@ -20,14 +20,6 @@ put(std::ostream &out, T value)
 }
 
 template <typename T>
-bool
-get(std::istream &in, T *value)
-{
-    in.read(reinterpret_cast<char *>(value), sizeof(*value));
-    return in.good();
-}
-
-template <typename T>
 void
 putBuf(std::string *buf, T value)
 {
@@ -72,58 +64,8 @@ class BodyCursor
     size_t pos_ = 0;
 };
 
-/** Sanity cap on interned file-name length (matches the v1 loader). */
+/** Sanity cap on interned file-name length. */
 constexpr uint32_t kMaxNameLen = 1u << 20;
-
-/** Read one v1/v2 trace body from a stream (the v1 sequential path). */
-bool
-readBodyStream(std::istream &in, Trace *out,
-               std::deque<std::string> *arena)
-{
-    uint64_t id;
-    uint32_t thread_id, op_count, string_count;
-    if (!get(in, &id) || !get(in, &thread_id) || !get(in, &op_count) ||
-        !get(in, &string_count)) {
-        return false;
-    }
-
-    std::vector<const char *> files;
-    for (uint32_t s = 0; s < string_count; s++) {
-        uint32_t len;
-        if (!get(in, &len) || len > kMaxNameLen)
-            return false;
-        std::string name(len, 0);
-        in.read(name.data(), len);
-        if (!in.good() && len > 0)
-            return false;
-        // The deque never moves existing strings, so the const char*
-        // handed to SourceLocation stays valid for the arena's
-        // lifetime.
-        arena->push_back(std::move(name));
-        files.push_back(arena->back().c_str());
-    }
-
-    Trace trace(id, thread_id);
-    trace.reserve(op_count);
-    for (uint32_t i = 0; i < op_count; i++) {
-        uint8_t type;
-        uint32_t file_idx, line;
-        PmOp op;
-        if (!get(in, &type) || !get(in, &file_idx) || !get(in, &line) ||
-            !get(in, &op.addr) || !get(in, &op.size) ||
-            !get(in, &op.addrB) || !get(in, &op.sizeB)) {
-            return false;
-        }
-        op.type = static_cast<OpType>(type);
-        if (file_idx >= files.size())
-            return false;
-        if (line != 0)
-            op.loc = SourceLocation(files[file_idx], line);
-        trace.append(op);
-    }
-    *out = std::move(trace);
-    return true;
-}
 
 } // namespace
 
@@ -242,26 +184,14 @@ decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
 }
 
 size_t
-saveTraces(std::ostream &out, const std::vector<Trace> &traces,
-           TraceFormat format)
+saveTraces(std::ostream &out, const std::vector<Trace> &traces)
 {
     const auto start = out.tellp();
     put(out, TraceWire::kMagic);
-    put(out, static_cast<uint32_t>(format));
+    put(out, TraceWire::kVersion);
     put(out, static_cast<uint32_t>(traces.size()));
 
-    if (format == TraceFormat::V1) {
-        std::string body;
-        for (const auto &trace : traces) {
-            body.clear();
-            encodeTraceBody(trace, &body);
-            out.write(body.data(),
-                      static_cast<std::streamsize>(body.size()));
-        }
-        return static_cast<size_t>(out.tellp() - start);
-    }
-
-    // v2: length-framed bodies, then the index footer. Offsets are
+    // Length-framed bodies, then the index footer. Offsets are
     // relative to the start of this blob, so a file that begins with
     // the header can be mapped and indexed by TraceFileReader.
     struct Entry
@@ -303,94 +233,15 @@ saveTraces(std::ostream &out, const std::vector<Trace> &traces,
     return static_cast<size_t>(out.tellp() - start);
 }
 
-LoadedTraces
-loadTraces(std::istream &in, bool *ok)
-{
-    LoadedTraces bundle;
-    bundle.strings = std::make_shared<std::deque<std::string>>();
-    if (ok)
-        *ok = false;
-
-    uint64_t magic = 0;
-    uint32_t version = 0, trace_count = 0;
-    if (!get(in, &magic) || magic != TraceWire::kMagic ||
-        !get(in, &version) ||
-        (version != static_cast<uint32_t>(TraceFormat::V1) &&
-         version != static_cast<uint32_t>(TraceFormat::V2)) ||
-        !get(in, &trace_count)) {
-        return bundle;
-    }
-
-    const bool framed = version == static_cast<uint32_t>(TraceFormat::V2);
-    std::vector<uint8_t> frame;
-    for (uint32_t t = 0; t < trace_count; t++) {
-        Trace trace;
-        if (framed) {
-            // v2 sequential path: read one framed body at a time.
-            // (The index footer exists for random access; a stream
-            // reader simply walks the frames and ignores it.)
-            uint64_t frame_len = 0;
-            if (!get(in, &frame_len))
-                return bundle;
-            // Reject frames longer than the remaining stream before
-            // allocating: a corrupt length field must fail closed,
-            // not trigger a multi-gigabyte resize.
-            const std::streampos pos = in.tellg();
-            if (pos != std::streampos(-1)) {
-                in.seekg(0, std::ios::end);
-                const std::streampos end = in.tellg();
-                in.seekg(pos);
-                if (end == std::streampos(-1) ||
-                    frame_len > static_cast<uint64_t>(end - pos)) {
-                    return bundle;
-                }
-            } else if (frame_len > (uint64_t{1} << 30)) {
-                // Unseekable stream: cap at 1 GiB per frame.
-                return bundle;
-            }
-            frame.resize(frame_len);
-            in.read(reinterpret_cast<char *>(frame.data()),
-                    static_cast<std::streamsize>(frame_len));
-            if ((!in.good() && frame_len > 0) ||
-                !decodeTraceBody(frame.data(), frame_len, &trace,
-                                 bundle.strings.get())) {
-                return bundle;
-            }
-        } else if (!readBodyStream(in, &trace, bundle.strings.get())) {
-            return bundle;
-        }
-        // Every loaded trace co-owns the bundle's string arena, so
-        // reports derived from it can outlive the bundle itself.
-        trace.setArena(bundle.strings);
-        bundle.traces.push_back(std::move(trace));
-    }
-
-    if (ok)
-        *ok = true;
-    return bundle;
-}
-
 bool
 saveTracesToFile(const std::string &path,
-                 const std::vector<Trace> &traces, TraceFormat format)
+                 const std::vector<Trace> &traces)
 {
     std::ofstream out(path, std::ios::binary);
     if (!out)
         return false;
-    saveTraces(out, traces, format);
+    saveTraces(out, traces);
     return out.good();
-}
-
-LoadedTraces
-loadTracesFromFile(const std::string &path, bool *ok)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (ok)
-            *ok = false;
-        return LoadedTraces{};
-    }
-    return loadTraces(in, ok);
 }
 
 } // namespace pmtest

@@ -1,18 +1,13 @@
 /**
  * @file
  * Trace serialization: save recorded traces to a compact binary
- * stream and load them back. This enables the record-once/check-
- * offline workflow — capture a production run's PM operations with
- * tracking enabled, then replay the traces through the checking
- * engine (or a baseline tool) without re-running the program.
+ * file; TraceFileReader (trace_reader.hh) loads them back. This
+ * enables the record-once/check-offline workflow — capture a
+ * production run's PM operations with tracking enabled, then replay
+ * the traces through the checking engine (or a baseline tool)
+ * without re-running the program.
  *
- * Two wire formats (little-endian, versioned):
- *
- * v1 (legacy, read-only):
- *   file   := magic u64, version u32 (=1), trace_count u32, body*
- *   body   := id u64, thread_id u32, op_count u32, string_table, op*
- *
- * v2 (current; what saveTraces writes):
+ * Wire format v2 (little-endian, versioned):
  *   file   := magic u64, version u32 (=2), trace_count u32,
  *             frame*, index, tail
  *   frame  := frame_len u64, body[frame_len]
@@ -20,21 +15,19 @@
  *             (offset = absolute position of the frame_len field)
  *   tail   := index_offset u64, index_crc32 u32, trace_count u32,
  *             footer_magic u64
- *
- * Shared body encoding (v1 and v2):
  *   body   := id u64, thread_id u32, op_count u32, string_table, op*
  *   string_table := count u32, (len u32, bytes)*   (file names)
  *   op     := type u8, file_idx u32, line u32, addr u64, size u64,
  *             addrB u64, sizeB u64
  *
- * The v2 additions make each trace independently locatable: the
- * byte-length framing turns one trace into a self-contained decode
- * unit, and the index footer (validated by magic + CRC32 + exact
- * size accounting) lets `TraceFileReader` (trace_reader.hh) map the
- * file and decode traces in parallel without scanning. `loadTraces`
- * reads both versions, so existing v1 files keep working.
+ * Each trace is independently locatable: the byte-length framing
+ * turns one trace into a self-contained decode unit, and the index
+ * footer (validated by magic + CRC32 + exact size accounting) lets
+ * `TraceFileReader` map the file and decode traces in parallel
+ * without scanning. The v1 format (no framing, no index) is no
+ * longer read: such files fail closed and must be re-recorded.
  *
- * File-name strings are interned per trace; loaded traces own their
+ * File-name strings are interned per trace; decoded traces own their
  * file names via a shared arena so SourceLocation's const char*
  * contract holds.
  */
@@ -45,7 +38,6 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -54,18 +46,13 @@
 namespace pmtest
 {
 
-/** Trace file wire-format versions. */
-enum class TraceFormat : uint32_t
-{
-    V1 = 1, ///< legacy sequential stream (no framing, no index)
-    V2 = 2, ///< framed traces + CRC-protected index footer
-};
-
 /** Wire-format constants shared by the writer and the indexed reader. */
 struct TraceWire
 {
     /** Leading file magic ("PMTESTT"). */
     static constexpr uint64_t kMagic = 0x504d5445535454ULL;
+    /** The one format version written and read (framed + indexed). */
+    static constexpr uint32_t kVersion = 2;
     /** v2 footer magic ("PMT2IDX"). */
     static constexpr uint64_t kFooterMagic = 0x58444932544d50ULL;
     /** magic u64 + version u32 + trace_count u32. */
@@ -96,39 +83,12 @@ void encodeTraceBody(const Trace &trace, std::string *buf);
 bool decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
                      std::deque<std::string> *arena);
 
-/**
- * Serialize traces to a binary stream in the requested format
- * (defaults to v2). @return bytes written.
- */
-size_t saveTraces(std::ostream &out, const std::vector<Trace> &traces,
-                  TraceFormat format = TraceFormat::V2);
+/** Serialize traces to a binary stream. @return bytes written. */
+size_t saveTraces(std::ostream &out, const std::vector<Trace> &traces);
 
-/**
- * The result of loading a trace file: the traces plus the string
- * arena their SourceLocations point into. Keep the bundle alive as
- * long as the traces are used.
- */
-struct LoadedTraces
-{
-    std::vector<Trace> traces;
-    /** Owns the file-name strings referenced by op locations
-     *  (deque: stable addresses under growth). */
-    std::shared_ptr<std::deque<std::string>> strings;
-};
-
-/**
- * Deserialize traces from a binary stream; accepts v1 and v2 files.
- * @throws nothing; returns an empty bundle on malformed input and
- *         sets *ok to false (when provided).
- */
-LoadedTraces loadTraces(std::istream &in, bool *ok = nullptr);
-
-/** Convenience: save to / load from a file path. */
+/** Convenience: save to a file path. */
 bool saveTracesToFile(const std::string &path,
-                      const std::vector<Trace> &traces,
-                      TraceFormat format = TraceFormat::V2);
-LoadedTraces loadTracesFromFile(const std::string &path,
-                                bool *ok = nullptr);
+                      const std::vector<Trace> &traces);
 
 } // namespace pmtest
 

@@ -1,7 +1,7 @@
 #include "trace/trace_reader.hh"
 
+#include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -39,55 +39,63 @@ TraceFileReader::open(const std::string &path, IngestMode mode,
 {
     std::unique_ptr<TraceFileReader> reader(new TraceFileReader());
 
-    if (mode != IngestMode::Stream) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd >= 0) {
-            struct stat st{};
-            if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-                void *map = ::mmap(nullptr,
-                                   static_cast<size_t>(st.st_size),
-                                   PROT_READ, MAP_PRIVATE, fd, 0);
-                if (map != MAP_FAILED) {
-                    reader->data_ = static_cast<const uint8_t *>(map);
-                    reader->size_ = static_cast<size_t>(st.st_size);
-                    reader->mmapped_ = true;
-                }
-            }
-            ::close(fd);
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+        setError(error, path + (mode == IngestMode::Mmap
+                                    ? ": cannot mmap"
+                                    : ": cannot open"));
+        return nullptr;
+    }
+    struct stat st{};
+    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+        void *map = ::mmap(nullptr, static_cast<size_t>(st.st_size),
+                           PROT_READ, MAP_PRIVATE, fd, 0);
+        if (map != MAP_FAILED) {
+            reader->data_ = static_cast<const uint8_t *>(map);
+            reader->size_ = static_cast<size_t>(st.st_size);
+            reader->mmapped_ = true;
         }
-        if (!reader->mmapped_ && mode == IngestMode::Mmap) {
-            setError(error, path + ": cannot mmap");
-            return nullptr;
-        }
+    }
+    if (!reader->mmapped_ && mode == IngestMode::Mmap) {
+        ::close(fd);
+        setError(error, path + ": cannot mmap");
+        return nullptr;
     }
 
     if (!reader->mmapped_) {
-        // read() fallback: one buffered copy of the file. Slower and
-        // not zero-copy, but the index/decode machinery is identical.
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-            setError(error, path + ": cannot open");
-            return nullptr;
+        // read() fallback: one buffered copy, read to EOF from the
+        // descriptor already open, so unseekable inputs (pipes, FIFOs)
+        // work too. Slower and not zero-copy, but the index/decode
+        // machinery is identical.
+        constexpr size_t kChunk = 1 << 16;
+        std::vector<uint8_t> &buf = reader->buffer_;
+        size_t used = 0;
+        for (;;) {
+            buf.resize(used + kChunk);
+            const ssize_t got = ::read(fd, buf.data() + used, kChunk);
+            if (got < 0 && errno == EINTR)
+                continue;
+            if (got < 0) {
+                ::close(fd);
+                setError(error, path + ": short read");
+                return nullptr;
+            }
+            if (got == 0)
+                break;
+            used += static_cast<size_t>(got);
         }
-        in.seekg(0, std::ios::end);
-        const std::streamoff len = in.tellg();
-        in.seekg(0);
-        if (len < 0) {
-            setError(error, path + ": cannot size");
-            return nullptr;
-        }
-        reader->buffer_.resize(static_cast<size_t>(len));
-        in.read(reinterpret_cast<char *>(reader->buffer_.data()), len);
-        if (!in.good() && len > 0) {
-            setError(error, path + ": short read");
-            return nullptr;
-        }
-        reader->data_ = reader->buffer_.data();
-        reader->size_ = reader->buffer_.size();
+        buf.resize(used);
+        buf.shrink_to_fit();
+        reader->data_ = buf.data();
+        reader->size_ = buf.size();
     }
+    ::close(fd);
 
-    if (!reader->validate(error))
+    if (!reader->validate(error)) {
+        if (error)
+            *error = path + ": " + *error;
         return nullptr;
+    }
     return reader;
 }
 
@@ -104,7 +112,7 @@ TraceFileReader::validate(std::string *error)
     constexpr size_t footer = TraceWire::kFooterBytes;
     constexpr size_t entry = TraceWire::kIndexEntryBytes;
 
-    if (size_ < header + footer) {
+    if (size_ < header) {
         setError(error, "not a v2 trace file (too small)");
         return false;
     }
@@ -113,14 +121,18 @@ TraceFileReader::validate(std::string *error)
         return false;
     }
     const uint32_t version = load<uint32_t>(data_, 8);
-    if (version == static_cast<uint32_t>(TraceFormat::V1)) {
-        setError(error, "v1 trace file: no index footer "
-                        "(use the sequential stream loader)");
+    if (version == 1) {
+        setError(error, "v1 trace file: format v1 is no longer "
+                        "supported; re-record it as v2");
         return false;
     }
-    if (version != static_cast<uint32_t>(TraceFormat::V2)) {
+    if (version != TraceWire::kVersion) {
         setError(error, "unsupported trace format version " +
                             std::to_string(version));
+        return false;
+    }
+    if (size_ < header + footer) {
+        setError(error, "not a v2 trace file (too small)");
         return false;
     }
     const uint32_t count = load<uint32_t>(data_, 12);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Indexed, zero-copy access to a v2 trace file (trace_io.hh): the
- * reader maps the file with mmap (or, as a fallback, reads it into
- * one buffer), validates the index footer once — magic, CRC32,
+ * reader maps the file with mmap (or, as a fallback for inputs that
+ * cannot be mapped, such as pipes, reads it to EOF into one buffer),
+ * validates the index footer once — magic, CRC32,
  * exact size accounting, frame chaining — and then decodes *one
  * trace per call* straight from its framed slice.
  *
@@ -10,7 +11,7 @@
  * offline checking: a decoder thread team can fan the calls out and
  * feed the engine pool while later traces are still being decoded,
  * so peak memory is the in-flight window rather than the whole file
- * (pmtest_check --ingest=mmap --decoders=N; see core/trace_ingest.hh).
+ * (pmtest_check --decoders=N; see core/trace_ingest.hh).
  *
  * Safety contract: open() fails closed on any structural damage
  * (truncation, corrupt footer, CRC mismatch, frame lengths that do
@@ -37,9 +38,8 @@ namespace pmtest
 /** How a trace file is brought into memory. */
 enum class IngestMode
 {
-    Auto,   ///< mmap if possible, else read()
-    Mmap,   ///< require mmap
-    Stream, ///< read() the file into a buffer (no mmap)
+    Auto, ///< mmap if possible, else read() to EOF
+    Mmap, ///< require mmap
 };
 
 /**
@@ -60,10 +60,10 @@ class TraceFileReader
   public:
     /**
      * Open and validate @p path.
-     * @return the reader, or nullptr (with *error describing why)
-     *         when the file is missing, not a v2 trace file, or
-     *         structurally damaged. v1 files are reported as such so
-     *         callers can fall back to the sequential loadTraces path.
+     * @return the reader, or nullptr (with *error set to
+     *         "path: reason") when the file is missing, not a v2 trace
+     *         file (v1 files are reported as unsupported), or
+     *         structurally damaged.
      */
     static std::unique_ptr<TraceFileReader>
     open(const std::string &path, IngestMode mode = IngestMode::Auto,

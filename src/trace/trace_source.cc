@@ -1,7 +1,6 @@
 #include "trace/trace_source.hh"
 
 #include <algorithm>
-#include <fstream>
 
 #include "obs/telemetry.hh"
 
@@ -95,56 +94,6 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
     consumedTraces_.fetch_add(last - first, std::memory_order_relaxed);
     consumedBytes_.fetch_add(pulled_bytes, std::memory_order_relaxed);
     return Pull::Items;
-}
-
-// ---------------------------------------------------------------------------
-// StreamTraceSource
-// ---------------------------------------------------------------------------
-
-StreamTraceSource::StreamTraceSource(std::string path,
-                                     uint32_t file_id,
-                                     LoadedTraces loaded,
-                                     uint64_t file_bytes)
-    : name_(std::move(path)), traces_(std::move(loaded.traces)),
-      fileBytes_(file_bytes)
-{
-    for (auto &trace : traces_) {
-        totalOps_ += trace.size();
-        trace.setFileId(file_id);
-    }
-}
-
-TraceSource::Pull
-StreamTraceSource::pull(size_t max, std::vector<Trace> *out,
-                        SourceError *)
-{
-    if (max == 0)
-        return Pull::Items;
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (cursor_ >= traces_.size())
-        return Pull::End;
-    const size_t last = std::min(traces_.size(), cursor_ + max);
-    for (; cursor_ < last; cursor_++)
-        out->push_back(std::move(traces_[cursor_]));
-    return Pull::Items;
-}
-
-uint64_t
-StreamTraceSource::consumedTraces() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cursor_;
-}
-
-uint64_t
-StreamTraceSource::consumedBytes() const
-{
-    // Decode happened up front, so attribute file bytes pro rata to
-    // the traces handed out — good enough for a progress gauge.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (traces_.empty())
-        return cursor_ ? fileBytes_ : 0;
-    return fileBytes_ * cursor_ / traces_.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -321,49 +270,12 @@ openTraceSource(const std::string &path, IngestMode mode,
 {
     obs::SpanScope span(obs::Stage::SourceOpen);
 
-    if (mode != IngestMode::Stream) {
-        std::string reader_error;
-        auto reader =
-            TraceFileReader::open(path, mode, &reader_error);
-        if (reader) {
-            return std::make_unique<V2FileSource>(
-                std::shared_ptr<const TraceFileReader>(
-                    std::move(reader)),
-                path, file_id);
-        }
-        if (mode == IngestMode::Mmap) {
-            // Validation errors come without the path; I/O errors
-            // from open() already carry it.
-            if (error) {
-                *error = reader_error.rfind(path, 0) == 0
-                             ? reader_error
-                             : path + ": " + reader_error;
-            }
-            return nullptr;
-        }
-        // Auto: v1 files and unmappable streams fall through to the
-        // sequential loader without complaint.
-    }
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = path + ": cannot open";
+    auto reader = TraceFileReader::open(path, mode, error);
+    if (!reader)
         return nullptr;
-    }
-    in.seekg(0, std::ios::end);
-    const std::streamoff len = in.tellg();
-    in.seekg(0);
-    bool ok = false;
-    LoadedTraces loaded = loadTraces(in, &ok);
-    if (!ok) {
-        if (error)
-            *error = path + ": not a readable PMTest trace file";
-        return nullptr;
-    }
-    return std::make_unique<StreamTraceSource>(
-        path, file_id, std::move(loaded),
-        len > 0 ? static_cast<uint64_t>(len) : 0);
+    return std::make_unique<V2FileSource>(
+        std::shared_ptr<const TraceFileReader>(std::move(reader)), path,
+        file_id);
 }
 
 std::vector<std::unique_ptr<TraceSource>>

@@ -2,11 +2,9 @@
  * @file
  * TraceSource: the one abstraction every ingest path feeds through.
  *
- * The offline/online checking pipeline used to have three hand-wired
- * entry paths — the v1 sequential stream loader, the v2 mmap reader
- * with its private decoder team, and the in-process capture sink —
- * each with its own arena-lifetime and backpressure plumbing. A
- * TraceSource turns all of them into one shape: a thread-safe
+ * The offline/online checking pipeline has two entry paths — the v2
+ * indexed file reader and the in-process capture sink. A TraceSource
+ * turns both into one shape: a thread-safe
  * provider that yields batches of decoded, identity-stamped traces,
  * so `core::ingest(TraceSource&, EnginePool&, …)` is the *only*
  * decoder-team/backpressure implementation in the repo.
@@ -24,8 +22,6 @@
  *                      ([begin, end) slice of the index footer);
  *                      decode happens on the *pulling* thread, so N
  *                      pullers decode N traces concurrently.
- *  - StreamTraceSource pre-loaded traces from the sequential loader
- *                      (the only reader of legacy v1 files).
  *  - CaptureTraceSource the in-process capture sink: the program
  *                      under test pushes sealed traces, the ingest
  *                      pulls them — the online path rides the same
@@ -116,8 +112,8 @@ class TraceSource
 
     /**
      * Input bytes behind the yielded traces (frame bytes for indexed
-     * files, a pro-rata estimate for pre-decoded streams, 0 where
-     * byte accounting is meaningless, e.g. in-process capture).
+     * files, 0 where byte accounting is meaningless, e.g. in-process
+     * capture).
      */
     virtual uint64_t consumedBytes() const { return 0; }
 
@@ -188,44 +184,6 @@ class V2FileSource final : public TraceSource
     std::atomic<size_t> cursor_;
     std::atomic<uint64_t> consumedTraces_{0};
     std::atomic<uint64_t> consumedBytes_{0};
-};
-
-/**
- * Pre-loaded traces from the sequential stream loader — the adapter
- * that keeps legacy v1 files (and unmappable streams) on the unified
- * ingest path. Decode happened at construction; pull() just hands
- * out disjoint runs under a lock.
- */
-class StreamTraceSource final : public TraceSource
-{
-  public:
-    /**
-     * Takes ownership of @p loaded (traces + their shared arena) as
-     * produced by loadTracesFromFile. @p file_bytes is the on-disk
-     * size, for stats.
-     */
-    StreamTraceSource(std::string path, uint32_t file_id,
-                      LoadedTraces loaded, uint64_t file_bytes);
-
-    const std::string &name() const override { return name_; }
-    size_t traceCount() const override { return traces_.size(); }
-    uint64_t totalOps() const override { return totalOps_; }
-    uint64_t sizeBytes() const override { return fileBytes_; }
-    bool mmapBacked() const override { return false; }
-
-    Pull pull(size_t max, std::vector<Trace> *out,
-              SourceError *error) override;
-
-    uint64_t consumedTraces() const override;
-    uint64_t consumedBytes() const override;
-
-  private:
-    std::string name_;
-    std::vector<Trace> traces_;
-    uint64_t totalOps_ = 0;
-    uint64_t fileBytes_ = 0;
-    mutable std::mutex mutex_;
-    size_t cursor_ = 0; ///< guarded by mutex_
 };
 
 /**
@@ -322,14 +280,11 @@ class MultiTraceSource final : public TraceSource
 };
 
 /**
- * Open one trace file as a source, stamping its traces with
- * @p file_id:
- *  - IngestMode::Mmap   — require the v2 indexed reader (error on v1
- *    or unmappable files);
- *  - IngestMode::Stream — force the sequential loader (v1 and v2);
- *  - IngestMode::Auto   — indexed reader when the file has a v2
- *    index, silent fallback to the stream loader otherwise.
- * @return nullptr with *error set when the file cannot be read.
+ * Open one v2 trace file as a source, stamping its traces with
+ * @p file_id. IngestMode::Mmap requires the file to be mmap-able;
+ * IngestMode::Auto falls back to reading it to EOF (pipes, FIFOs).
+ * @return nullptr with *error ("path: reason") set when the file
+ *         cannot be read or is not a valid v2 trace file.
  */
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path, IngestMode mode,

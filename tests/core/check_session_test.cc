@@ -35,7 +35,7 @@ corpusFile(const char *name)
     std::vector<Trace> traces;
     for (SeedTrace &seed : corpus)
         traces.push_back(std::move(seed.trace));
-    EXPECT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    EXPECT_TRUE(saveTracesToFile(path, traces));
     return path;
 }
 

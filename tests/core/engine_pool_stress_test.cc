@@ -130,9 +130,9 @@ TEST(EnginePoolStressTest, TakeResultsLosesNothingUnderConcurrentSubmit)
 
 TEST(EnginePoolStressTest, WorkStealingRescuesSkewedTraceSizes)
 {
-    // One giant trace pins a worker; without stealing the small
-    // traces round-robined behind it would wait. With stealing every
-    // trace is checked and idle workers record steals.
+    // One giant trace pins a worker; the small traces round-robined
+    // behind it must not wait for it: every trace is checked and idle
+    // workers record steals.
     EnginePool pool(ModelKind::X86, 2);
 
     Trace giant(0, 0);

@@ -142,7 +142,6 @@ TEST(EnginePoolTest, StatsCountersAreConsistent)
     EXPECT_EQ(stats.tracesSubmitted, 30u);
     EXPECT_EQ(stats.tracesCompleted, 30u);
     EXPECT_EQ(stats.queueCapacity, 128u);
-    EXPECT_TRUE(stats.workStealing);
     EXPECT_EQ(stats.queuedTraces(), 0u); // drained
 
     uint64_t checked = 0, ops = 0;
@@ -164,20 +163,6 @@ TEST(EnginePoolTest, InlineModeStatsReportOnePseudoWorker)
     EXPECT_EQ(stats.workers[0].tracesChecked, 1u);
     EXPECT_EQ(stats.tracesSubmitted, 1u);
     EXPECT_EQ(stats.tracesCompleted, 1u);
-}
-
-TEST(EnginePoolTest, StealingDisabledStillChecksEverything)
-{
-    PoolOptions options;
-    options.workers = 4;
-    options.workStealing = false;
-    EnginePool pool(options);
-    for (uint64_t i = 0; i < 40; i++)
-        pool.submit(buggyTrace(i));
-    const Report report = pool.results();
-    EXPECT_EQ(report.failCount(), 40u);
-    EXPECT_FALSE(pool.stats().workStealing);
-    EXPECT_EQ(pool.stats().steals, 0u);
 }
 
 TEST(EnginePoolTest, QueueCapacityFromEnvironment)

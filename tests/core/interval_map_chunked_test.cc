@@ -1,11 +1,11 @@
 /**
  * @file
  * Chunk-layout validation of the IntervalMap backing store: fuzzed
- * equivalence of the chunked map against both retired layouts (flat
- * sorted vector, node std::map) under mixed assign/erase/covers/
- * overlap/batch sequences, entry-for-entry — the fragmentation a
- * given op sequence produces is observable engine behavior, so all
- * three layouts must store literally identical entries. Plus
+ * equivalence of the chunked map against the retired flat sorted
+ * vector under mixed assign/erase/covers/overlap/batch sequences,
+ * entry-for-entry — the fragmentation a given op sequence produces
+ * is observable engine behavior, so both layouts must store
+ * literally identical entries. Plus
  * deterministic units for the seams the fuzz can't aim at reliably:
  * an exactly-full chunk splitting, a near-empty chunk merging, and
  * range ops spanning multiple chunks.
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "bench/flat_interval_map.hh"
-#include "bench/node_interval_map.hh"
 #include "util/random.hh"
 
 namespace pmtest::core
@@ -47,16 +46,6 @@ dump(const bench::FlatIntervalMap<uint64_t> &map)
 {
     Entries out;
     map.forEach([&](const auto &e) {
-        out.emplace_back(e.start, e.end, e.value);
-    });
-    return out;
-}
-
-Entries
-dump(const bench::NodeIntervalMap<uint64_t> &map)
-{
-    Entries out;
-    map.forEachOverlap(AddrRange(0, ~uint64_t{0}), [&](const auto &e) {
         out.emplace_back(e.start, e.end, e.value);
     });
     return out;
@@ -94,7 +83,6 @@ TEST(IntervalMapChunkedTest, FuzzedEquivalenceWithRetiredLayouts)
         Rng rng(seed * 0x1234567);
         IntervalMap<uint64_t> chunked;
         bench::FlatIntervalMap<uint64_t> flat;
-        bench::NodeIntervalMap<uint64_t> node;
 
         for (int step = 0; step < 2500; step++) {
             const uint64_t span = 64 << 10;
@@ -108,13 +96,11 @@ TEST(IntervalMapChunkedTest, FuzzedEquivalenceWithRetiredLayouts)
               case 3:
                 chunked.assign(range, value);
                 flat.assign(range, value);
-                node.assign(range, value);
                 break;
               case 4:
               case 5:
                 chunked.erase(range);
                 flat.erase(range);
-                node.erase(range);
                 break;
               case 6:
                 ASSERT_EQ(chunked.covers(range), flat.covers(range))
@@ -139,15 +125,13 @@ TEST(IntervalMapChunkedTest, FuzzedEquivalenceWithRetiredLayouts)
               }
               case 9: {
                 // Batched assign on the chunked map vs the same
-                // ranges applied one by one to the baselines.
+                // ranges applied one by one to the baseline.
                 const auto batch =
                     randomDisjointRanges(rng, 40, span);
                 chunked.assignBatch(batch.data(), batch.size(),
                                     value);
-                for (const AddrRange &r : batch) {
+                for (const AddrRange &r : batch)
                     flat.assign(r, value);
-                    node.assign(r, value);
-                }
                 break;
               }
               case 10: {
@@ -172,7 +156,6 @@ TEST(IntervalMapChunkedTest, FuzzedEquivalenceWithRetiredLayouts)
                 if (rng.below(40) == 0) {
                     chunked.clear();
                     flat.clear();
-                    node.clear();
                 }
                 break;
             }
@@ -182,14 +165,10 @@ TEST(IntervalMapChunkedTest, FuzzedEquivalenceWithRetiredLayouts)
                 const Entries expected = dump(flat);
                 ASSERT_EQ(dump(chunked), expected)
                     << "seed " << seed << " step " << step;
-                ASSERT_EQ(dump(node), expected)
-                    << "seed " << seed << " step " << step;
             }
         }
-        // Final full-state check for every layout.
-        const Entries expected = dump(flat);
-        ASSERT_EQ(dump(chunked), expected) << "seed " << seed;
-        ASSERT_EQ(dump(node), expected) << "seed " << seed;
+        // Final full-state check.
+        ASSERT_EQ(dump(chunked), dump(flat)) << "seed " << seed;
     }
 }
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Equivalence guarantees for the devirtualised checking kernel: the
- * model-templated fast path (which batches write runs into sorted
- * shadow splices), the same kernel with batching off
- * (Dispatch::TemplatedPerOp), the virtual-dispatch per-op oracle,
- * and a reused (state-retaining) engine must all emit byte-identical
- * reports — (kind, opIndex, message) — on random traces, on the
- * Table 1 data-structure workloads, and on the seeded-bug corpus.
- * Dispatch, batching and state reuse are performance features, never
- * semantic ones.
+ * Equivalence guarantees for the checking kernel: the batched path
+ * (which coalesces write runs into sorted shadow splices), the per-op
+ * oracle (Dispatch::PerOp), and a reused (state-retaining) engine
+ * must all emit byte-identical reports — (kind, opIndex, message) —
+ * on random traces, on the Table 1 data-structure workloads, and on
+ * the seeded-bug corpus, for every model. Batching and state reuse
+ * are performance features, never semantic ones.
  */
 
 #include <gtest/gtest.h>
@@ -106,25 +104,21 @@ class KernelEquivalenceTest : public ::testing::TestWithParam<ModelKind>
 {
 };
 
-TEST_P(KernelEquivalenceTest, TemplatedMatchesVirtualDispatch)
+TEST_P(KernelEquivalenceTest, BatchedMatchesPerOpDispatch)
 {
     const ModelKind kind = GetParam();
     Rng rng(0xbeef + static_cast<uint64_t>(kind));
 
-    Engine templated(kind);
-    Engine per_op(kind, Engine::Dispatch::TemplatedPerOp);
-    Engine virtualised(kind, Engine::Dispatch::Virtual);
-    ASSERT_EQ(templated.dispatch(), Engine::Dispatch::Templated);
-    ASSERT_EQ(per_op.dispatch(), Engine::Dispatch::TemplatedPerOp);
-    ASSERT_EQ(virtualised.dispatch(), Engine::Dispatch::Virtual);
+    Engine batched(kind);
+    Engine per_op(kind, Engine::Dispatch::PerOp);
+    ASSERT_EQ(batched.dispatch(), Engine::Dispatch::Batched);
+    ASSERT_EQ(per_op.dispatch(), Engine::Dispatch::PerOp);
 
     for (int round = 0; round < 60; round++) {
         const Trace trace = randomTrace(rng, round, kind);
-        const auto fast = signature(templated.check(trace));
-        const auto unbatched = signature(per_op.check(trace));
-        const auto slow = signature(virtualised.check(trace));
-        ASSERT_EQ(fast, slow) << "round " << round;
-        ASSERT_EQ(unbatched, slow) << "round " << round;
+        ASSERT_EQ(signature(batched.check(trace)),
+                  signature(per_op.check(trace)))
+            << "round " << round;
     }
 }
 
@@ -138,9 +132,8 @@ TEST_P(KernelEquivalenceTest, WriteRunBatchingMatchesOracle)
     const ModelKind kind = GetParam();
     Rng rng(0xfeed + static_cast<uint64_t>(kind));
 
-    Engine templated(kind);
-    Engine per_op(kind, Engine::Dispatch::TemplatedPerOp);
-    Engine virtualised(kind, Engine::Dispatch::Virtual);
+    Engine batched(kind);
+    Engine per_op(kind, Engine::Dispatch::PerOp);
 
     for (int round = 0; round < 40; round++) {
         Trace trace(round, 0);
@@ -180,10 +173,8 @@ TEST_P(KernelEquivalenceTest, WriteRunBatchingMatchesOracle)
                     op.type = OpType::DcCvap;
             }
         }
-        const auto oracle = signature(virtualised.check(trace));
-        ASSERT_EQ(signature(templated.check(trace)), oracle)
-            << "round " << round;
-        ASSERT_EQ(signature(per_op.check(trace)), oracle)
+        ASSERT_EQ(signature(batched.check(trace)),
+                  signature(per_op.check(trace)))
             << "round " << round;
     }
 }
@@ -262,8 +253,8 @@ TEST(KernelEquivalenceTable1Test, WorkloadReportsAreIdentical)
 {
     // The Table 1 structures drive the kernel through the real op mix
     // (TX events, flushes, checkers). Reports from the rewritten
-    // kernel must match the virtual-dispatch baseline finding for
-    // finding, message for message.
+    // kernel must match the per-op oracle finding for finding,
+    // message for message.
     const pmds::MapKind kinds[] = {
         pmds::MapKind::Ctree,
         pmds::MapKind::Btree,
@@ -277,16 +268,12 @@ TEST(KernelEquivalenceTable1Test, WorkloadReportsAreIdentical)
         ASSERT_FALSE(traces.empty());
 
         Engine reused(ModelKind::X86);
-        Engine per_op(ModelKind::X86,
-                      Engine::Dispatch::TemplatedPerOp);
         size_t ops = 0;
         for (const auto &trace : traces) {
             ops += trace.size();
-            Engine baseline(ModelKind::X86, Engine::Dispatch::Virtual);
-            const auto oracle = signature(baseline.check(trace));
-            ASSERT_EQ(signature(reused.check(trace)), oracle)
-                << "map kind " << static_cast<int>(kind);
-            ASSERT_EQ(signature(per_op.check(trace)), oracle)
+            Engine oracle(ModelKind::X86, Engine::Dispatch::PerOp);
+            ASSERT_EQ(signature(reused.check(trace)),
+                      signature(oracle.check(trace)))
                 << "map kind " << static_cast<int>(kind);
         }
         EXPECT_GT(ops, 0u);
@@ -296,22 +283,24 @@ TEST(KernelEquivalenceTable1Test, WorkloadReportsAreIdentical)
 TEST(KernelEquivalenceCorpusTest, SeededBugVerdictsAreIdentical)
 {
     // The seeded-bug corpus is the repair loop's regression anchor:
-    // every dispatch mode must report each planted bug identically,
-    // finding for finding, message for message — and actually find
-    // something in every case.
+    // both dispatch modes must report each planted bug identically
+    // under every model, finding for finding, message for message —
+    // and the x86 run must actually find something in every case.
     const std::vector<SeedTrace> corpus = seedCorpusTraces();
     ASSERT_FALSE(corpus.empty());
 
-    Engine templated(ModelKind::X86);
-    Engine per_op(ModelKind::X86, Engine::Dispatch::TemplatedPerOp);
-    for (const SeedTrace &seed : corpus) {
-        Engine oracle(ModelKind::X86, Engine::Dispatch::Virtual);
-        const auto expected = signature(oracle.check(seed.trace));
-        EXPECT_FALSE(expected.empty()) << seed.name;
-        ASSERT_EQ(signature(templated.check(seed.trace)), expected)
-            << seed.name;
-        ASSERT_EQ(signature(per_op.check(seed.trace)), expected)
-            << seed.name;
+    for (const ModelKind model :
+         {ModelKind::X86, ModelKind::Hops, ModelKind::Arm}) {
+        Engine batched(model);
+        for (const SeedTrace &seed : corpus) {
+            Engine oracle(model, Engine::Dispatch::PerOp);
+            const auto expected = signature(oracle.check(seed.trace));
+            if (model == ModelKind::X86) {
+                EXPECT_FALSE(expected.empty()) << seed.name;
+            }
+            ASSERT_EQ(signature(batched.check(seed.trace)), expected)
+                << seed.name << " model " << static_cast<int>(model);
+        }
     }
 }
 

@@ -51,7 +51,7 @@ TEST(TraceIngestTest, ReportOutlivesEveryPipelineObject)
         std::vector<Trace> traces;
         for (uint64_t i = 0; i < 4; i++)
             traces.push_back(buggyTrace(i));
-        ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+        ASSERT_TRUE(saveTracesToFile(path, traces));
     }
 
     // Everything that could own the decoded file-name strings —
@@ -92,7 +92,7 @@ TEST(TraceIngestTest, MergePropagatesHeldArenas)
     const std::string path = tmpPath("merge_arenas");
     {
         std::vector<Trace> traces{buggyTrace(0)};
-        ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+        ASSERT_TRUE(saveTracesToFile(path, traces));
     }
 
     Report outer;
@@ -121,12 +121,9 @@ TEST(TraceIngestTest, MergePropagatesHeldArenas)
 TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
 {
     const std::string path_a = tmpPath("multi_a");
-    const std::string path_b = tmpPath("multi_b");
     {
         std::vector<Trace> a{buggyTrace(0), buggyTrace(1)};
-        std::vector<Trace> b{buggyTrace(0)};
-        ASSERT_TRUE(saveTracesToFile(path_a, a, TraceFormat::V2));
-        ASSERT_TRUE(saveTracesToFile(path_b, b, TraceFormat::V1));
+        ASSERT_TRUE(saveTracesToFile(path_a, a));
     }
 
     std::string error;
@@ -134,9 +131,12 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     children.push_back(
         openTraceSource(path_a, IngestMode::Auto, 0, &error));
     ASSERT_TRUE(children.back()) << error;
-    children.push_back(
-        openTraceSource(path_b, IngestMode::Auto, 1, &error));
-    ASSERT_TRUE(children.back()) << error;
+    // A closed capture source as the second child (fileId 1): its
+    // traces live in memory, not in a mapping.
+    auto capture = std::make_unique<CaptureTraceSource>("<capture>", 1);
+    capture->push(buggyTrace(0));
+    capture->close();
+    children.push_back(std::move(capture));
     MultiTraceSource combined(std::move(children));
 
     EnginePool pool(PoolOptions{});
@@ -148,8 +148,8 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     EXPECT_TRUE(stats.active);
     EXPECT_EQ(stats.sources, 2u);
     EXPECT_EQ(stats.tracesDecoded, 3u);
-    // The v1 child is buffer-backed, so the composite is not fully
-    // mmap-backed.
+    // The capture child is not mmap-backed, so neither is the
+    // composite.
     EXPECT_FALSE(stats.mmapBacked);
 
     Report merged = pool.results();
@@ -167,7 +167,6 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     EXPECT_EQ(merged.findings()[2].traceId, 0u);
 
     std::remove(path_a.c_str());
-    std::remove(path_b.c_str());
 }
 
 } // namespace

@@ -348,7 +348,7 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
 
     const std::string path = "/tmp/pmtest_obs_pipeline_" +
                              std::to_string(getpid()) + ".trace";
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     {
         std::string error;

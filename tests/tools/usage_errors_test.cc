@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <string>
 
 #include "tests/tools/tool_driver.hh"
+#include "trace/trace_io.hh"
 
 namespace
 {
@@ -67,6 +70,34 @@ TEST(UsageErrorsTest, CheckRejectsBadValues)
     expectUsageError(bin, "--quiet=1 x.trace",
                      "--quiet takes no value");
     expectUsageError(bin, "", "usage:"); // missing positional
+}
+
+TEST(UsageErrorsTest, CheckRejectsV1InputsAndTheIngestFlag)
+{
+    const std::string bin = PMTEST_CHECK_BIN;
+    // A bare v1 header (magic, version 1, zero traces): an input
+    // error, so exit 2 with the path named and no usage text.
+    std::string bytes(pmtest::TraceWire::kHeaderBytes, '\0');
+    const uint32_t version = 1;
+    std::memcpy(&bytes[0], &pmtest::TraceWire::kMagic, sizeof(uint64_t));
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    const std::string path =
+        testing::TempDir() + "usage_v1_" + std::to_string(getpid()) +
+        ".trace";
+    std::ofstream(path, std::ios::binary) << bytes;
+
+    const RunResult r = run(bin + " " + path);
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.stderrText.find(path + ": v1 trace file"),
+              std::string::npos)
+        << r.stderrText;
+    EXPECT_EQ(r.stderrText.find("usage:"), std::string::npos);
+    std::remove(path.c_str());
+
+    // The reader-selection flag is gone: every input opens through
+    // the indexed reader.
+    expectUsageError(bin, "--ingest=stream x.trace",
+                     "unknown option '--ingest");
 }
 
 TEST(UsageErrorsTest, CheckRejectsBadDistributedSpecs)

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
+
+#include "trace/trace_reader.hh"
 
 namespace pmtest
 {
@@ -23,6 +29,40 @@ sampleTrace(uint64_t id)
     return t;
 }
 
+/** Per-process scratch path, so parallel test runs do not collide. */
+std::string
+scratchPath()
+{
+    return "/tmp/pmtest_trace_io_test_" + std::to_string(getpid()) +
+           ".bin";
+}
+
+/**
+ * Write @p bytes to a scratch file and decode every trace through the
+ * indexed reader. @return false when the reader rejects the file.
+ */
+bool
+loadBytes(const std::string &bytes, std::vector<Trace> *out)
+{
+    const std::string path = scratchPath();
+    {
+        std::ofstream file(path, std::ios::binary);
+        file.write(bytes.data(),
+                   static_cast<std::streamsize>(bytes.size()));
+    }
+    auto reader = TraceFileReader::open(path);
+    std::remove(path.c_str());
+    if (!reader)
+        return false;
+    for (size_t i = 0; i < reader->traceCount(); i++) {
+        DecodedTrace decoded;
+        if (!reader->decode(i, &decoded))
+            return false;
+        out->push_back(std::move(decoded.trace));
+    }
+    return true;
+}
+
 TEST(TraceIoTest, RoundTripPreservesEverything)
 {
     std::vector<Trace> traces{sampleTrace(7), sampleTrace(8)};
@@ -30,14 +70,13 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
     const size_t bytes = saveTraces(stream, traces);
     EXPECT_GT(bytes, 0u);
 
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 2u);
+    std::vector<Trace> loaded;
+    ASSERT_TRUE(loadBytes(stream.str(), &loaded));
+    ASSERT_EQ(loaded.size(), 2u);
 
     for (size_t t = 0; t < 2; t++) {
         const Trace &orig = traces[t];
-        const Trace &got = loaded.traces[t];
+        const Trace &got = loaded[t];
         EXPECT_EQ(got.id(), orig.id());
         EXPECT_EQ(got.threadId(), orig.threadId());
         ASSERT_EQ(got.size(), orig.size());
@@ -57,26 +96,16 @@ TEST(TraceIoTest, RoundTripPreservesEverything)
     }
 }
 
-TEST(TraceIoTest, ExplicitV1FormatRoundTrips)
-{
-    std::vector<Trace> traces{sampleTrace(5)};
-    std::stringstream stream;
-    EXPECT_GT(saveTraces(stream, traces, TraceFormat::V1), 0u);
-
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 1u);
-    EXPECT_EQ(loaded.traces[0].id(), 5u);
-    EXPECT_EQ(loaded.traces[0].size(), traces[0].size());
-}
-
 TEST(TraceIoTest, DefaultFormatIsIndexedV2)
 {
     std::stringstream stream;
     saveTraces(stream, {sampleTrace(1)});
     const std::string bytes = stream.str();
     ASSERT_GT(bytes.size(), TraceWire::kFooterBytes);
+    uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + sizeof(uint64_t),
+                sizeof(version));
+    EXPECT_EQ(version, TraceWire::kVersion);
     uint64_t footer_magic = 0;
     std::memcpy(&footer_magic,
                 bytes.data() + bytes.size() - sizeof(uint64_t),
@@ -88,19 +117,16 @@ TEST(TraceIoTest, EmptyTraceListRoundTrips)
 {
     std::stringstream stream;
     saveTraces(stream, {});
-    bool ok = false;
-    const auto loaded = loadTraces(stream, &ok);
-    EXPECT_TRUE(ok);
-    EXPECT_TRUE(loaded.traces.empty());
+    std::vector<Trace> loaded;
+    EXPECT_TRUE(loadBytes(stream.str(), &loaded));
+    EXPECT_TRUE(loaded.empty());
 }
 
 TEST(TraceIoTest, GarbageInputRejected)
 {
-    std::stringstream stream("this is not a trace file at all");
-    bool ok = true;
-    const auto loaded = loadTraces(stream, &ok);
-    EXPECT_FALSE(ok);
-    EXPECT_TRUE(loaded.traces.empty());
+    std::vector<Trace> loaded;
+    EXPECT_FALSE(loadBytes("this is not a trace file at all", &loaded));
+    EXPECT_TRUE(loaded.empty());
 }
 
 TEST(TraceIoTest, TruncatedInputRejected)
@@ -108,29 +134,30 @@ TEST(TraceIoTest, TruncatedInputRejected)
     std::stringstream full;
     saveTraces(full, {sampleTrace(1)});
     const std::string bytes = full.str();
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    bool ok = true;
-    loadTraces(truncated, &ok);
-    EXPECT_FALSE(ok);
+    std::vector<Trace> loaded;
+    EXPECT_FALSE(loadBytes(bytes.substr(0, bytes.size() / 2), &loaded));
 }
 
 TEST(TraceIoTest, FileRoundTrip)
 {
-    const std::string path = "/tmp/pmtest_trace_io_test.bin";
+    const std::string path = scratchPath();
     ASSERT_TRUE(saveTracesToFile(path, {sampleTrace(42)}));
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(path, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), 1u);
-    EXPECT_EQ(loaded.traces[0].id(), 42u);
+    auto reader = TraceFileReader::open(path);
+    ASSERT_TRUE(reader);
+    ASSERT_EQ(reader->traceCount(), 1u);
+    DecodedTrace decoded;
+    ASSERT_TRUE(reader->decode(0, &decoded));
+    EXPECT_EQ(decoded.trace.id(), 42u);
     std::remove(path.c_str());
 }
 
 TEST(TraceIoTest, MissingFileReported)
 {
-    bool ok = true;
-    loadTracesFromFile("/nonexistent/nowhere.bin", &ok);
-    EXPECT_FALSE(ok);
+    std::string error;
+    EXPECT_FALSE(
+        TraceFileReader::open("/nonexistent/nowhere.bin",
+                              IngestMode::Auto, &error));
+    EXPECT_EQ(error, "/nonexistent/nowhere.bin: cannot open");
 }
 
 } // namespace

@@ -1,19 +1,24 @@
 /**
  * @file
  * TraceFileReader (mmap-backed indexed v2 reader) tests: round-trips
- * in both backing modes, v1 rejection, fail-closed behaviour on every
- * truncation point and footer/index/frame corruption, and the
- * determinism contract of the parallel ingest pipeline against the
- * serial v1 loader.
+ * through mmap and through the read() fallback (a FIFO), v1
+ * rejection, fail-closed behaviour on every truncation point and
+ * footer/index/frame corruption, and the determinism contract of the
+ * parallel ingest pipeline against a serial decode-and-check loop.
  */
 
 #include "trace/trace_reader.hh"
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.hh"
@@ -29,8 +34,8 @@ namespace
 std::string
 tmpPath(const char *tag)
 {
-    return std::string("/tmp/pmtest_trace_reader_test_") + tag +
-           ".bin";
+    return std::string("/tmp/pmtest_trace_reader_test_") + tag + "_" +
+           std::to_string(getpid()) + ".bin";
 }
 
 Trace
@@ -99,47 +104,94 @@ expectTracesEqual(const Trace &a, const Trace &b)
     }
 }
 
-void
-roundTripIn(IngestMode mode, bool expect_mmap)
+/**
+ * Serial reference check: decode every trace of @p reader in file
+ * order and check it on one engine. @return the canonical report.
+ */
+core::Report
+checkSerially(const TraceFileReader &reader)
 {
-    const auto traces = sampleTraces(5, 4);
-    const std::string path = tmpPath("roundtrip");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    core::Report report;
+    core::Engine engine(core::ModelKind::X86);
+    for (size_t i = 0; i < reader.traceCount(); i++) {
+        DecodedTrace decoded;
+        EXPECT_TRUE(reader.decode(i, &decoded)) << "trace " << i;
+        report.merge(engine.check(decoded.trace));
+    }
+    report.canonicalize();
+    return report;
+}
 
-    std::string error;
-    auto reader = TraceFileReader::open(path, mode, &error);
-    ASSERT_TRUE(reader) << error;
-    EXPECT_EQ(reader->mmapBacked(), expect_mmap);
-    ASSERT_EQ(reader->traceCount(), traces.size());
+void
+expectRoundTrip(const TraceFileReader &reader,
+                const std::vector<Trace> &traces)
+{
+    ASSERT_EQ(reader.traceCount(), traces.size());
 
     uint64_t total = 0;
     for (size_t i = 0; i < traces.size(); i++) {
-        EXPECT_EQ(reader->opCount(i), traces[i].size());
-        EXPECT_EQ(reader->threadId(i), traces[i].threadId());
+        EXPECT_EQ(reader.opCount(i), traces[i].size());
+        EXPECT_EQ(reader.threadId(i), traces[i].threadId());
         total += traces[i].size();
 
         DecodedTrace decoded;
-        ASSERT_TRUE(reader->decode(i, &decoded));
+        ASSERT_TRUE(reader.decode(i, &decoded));
         expectTracesEqual(traces[i], decoded.trace);
     }
-    EXPECT_EQ(reader->totalOps(), total);
-    std::remove(path.c_str());
+    EXPECT_EQ(reader.totalOps(), total);
 }
 
 TEST(TraceReaderTest, RoundTripMmap)
 {
-    roundTripIn(IngestMode::Mmap, true);
+    const auto traces = sampleTraces(5, 4);
+    const std::string path = tmpPath("roundtrip");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+
+    std::string error;
+    auto reader = TraceFileReader::open(path, IngestMode::Mmap, &error);
+    ASSERT_TRUE(reader) << error;
+    EXPECT_TRUE(reader->mmapBacked());
+    expectRoundTrip(*reader, traces);
+    std::remove(path.c_str());
 }
 
 TEST(TraceReaderTest, RoundTripStreamFallback)
 {
-    roundTripIn(IngestMode::Stream, false);
+    // A FIFO cannot be mapped or seek-sized: Auto mode must read it to
+    // EOF from the descriptor and check it byte-identically to the
+    // mmap'd file.
+    const auto traces = sampleTraces(5, 4);
+    const std::string path = tmpPath("fifo_src");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+    const std::string bytes = readFile(path);
+
+    const std::string fifo = tmpPath("fifo");
+    std::remove(fifo.c_str());
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0) << std::strerror(errno);
+    std::thread writer([&] { writeFile(fifo, bytes); });
+
+    std::string error;
+    auto piped = TraceFileReader::open(fifo, IngestMode::Auto, &error);
+    writer.join();
+    ASSERT_TRUE(piped) << error;
+    EXPECT_FALSE(piped->mmapBacked());
+    EXPECT_EQ(piped->sizeBytes(), bytes.size());
+    expectRoundTrip(*piped, traces);
+
+    auto mapped = TraceFileReader::open(path, IngestMode::Mmap, &error);
+    ASSERT_TRUE(mapped) << error;
+    const core::Report expected = checkSerially(*mapped);
+    ASSERT_GT(expected.failCount(), 0u);
+    EXPECT_EQ(checkSerially(*piped).str(), expected.str());
+
+    std::remove(fifo.c_str());
+    std::remove(path.c_str());
 }
 
 TEST(TraceReaderTest, EmptyFileRoundTrips)
 {
     const std::string path = tmpPath("empty");
-    ASSERT_TRUE(saveTracesToFile(path, {}, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, {}));
     std::string error;
     auto reader = TraceFileReader::open(path, IngestMode::Auto,
                                         &error);
@@ -149,26 +201,29 @@ TEST(TraceReaderTest, EmptyFileRoundTrips)
     std::remove(path.c_str());
 }
 
-TEST(TraceReaderTest, V1FileRejectedButStreamLoaderReadsIt)
+TEST(TraceReaderTest, V1FileRejected)
 {
+    // A v1 file: the shared header with version 1, then unframed
+    // bodies and no index footer. The reader must refuse it, naming
+    // the format, in every mode.
     const auto traces = sampleTraces(3, 2);
+    std::string bytes(TraceWire::kHeaderBytes, '\0');
+    const uint32_t version = 1;
+    const uint32_t count = static_cast<uint32_t>(traces.size());
+    std::memcpy(&bytes[0], &TraceWire::kMagic, sizeof(uint64_t));
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    std::memcpy(&bytes[12], &count, sizeof(count));
+    for (const auto &trace : traces)
+        encodeTraceBody(trace, &bytes);
     const std::string path = tmpPath("v1");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V1));
+    writeFile(path, bytes);
 
-    // No index footer: the reader must refuse, not guess.
-    std::string error;
-    auto reader = TraceFileReader::open(path, IngestMode::Auto,
-                                        &error);
-    EXPECT_FALSE(reader);
-    EXPECT_FALSE(error.empty());
-
-    // The sequential loader still understands the v1 format.
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(path, &ok);
-    ASSERT_TRUE(ok);
-    ASSERT_EQ(loaded.traces.size(), traces.size());
-    for (size_t i = 0; i < traces.size(); i++)
-        expectTracesEqual(traces[i], loaded.traces[i]);
+    for (const IngestMode mode : {IngestMode::Auto, IngestMode::Mmap}) {
+        std::string error;
+        EXPECT_FALSE(TraceFileReader::open(path, mode, &error));
+        EXPECT_EQ(error.rfind(path + ": v1 trace file", 0), 0u) << error;
+        EXPECT_NE(error.find("re-record"), std::string::npos) << error;
+    }
     std::remove(path.c_str());
 }
 
@@ -185,7 +240,7 @@ TEST(TraceReaderTest, EveryTruncationFailsClosed)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("full");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     const std::string bytes = readFile(path);
     std::remove(path.c_str());
     ASSERT_GT(bytes.size(), TraceWire::kFooterBytes);
@@ -207,7 +262,7 @@ TEST(TraceReaderTest, CorruptFooterBytesRejected)
 {
     const auto traces = sampleTraces(2, 3);
     const std::string path = tmpPath("footer");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     const std::string bytes = readFile(path);
 
     const std::string flip_path = tmpPath("footer_flip");
@@ -231,7 +286,7 @@ TEST(TraceReaderTest, CorruptIndexCaughtByCrc)
 {
     const auto traces = sampleTraces(4, 2);
     const std::string path = tmpPath("index");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     std::string bytes = readFile(path);
 
     // The index sits right before the footer.
@@ -261,7 +316,7 @@ TEST(TraceReaderTest, CorruptFrameLengthRejected)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("framelen");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
     std::string bytes = readFile(path);
 
     // First frame_len lives right after the 16-byte header. The
@@ -281,22 +336,15 @@ TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
 {
     const auto traces = sampleTraces(40, 6);
     const std::string v2_path = tmpPath("det_v2");
-    const std::string v1_path = tmpPath("det_v1");
-    ASSERT_TRUE(saveTracesToFile(v2_path, traces, TraceFormat::V2));
-    ASSERT_TRUE(saveTracesToFile(v1_path, traces, TraceFormat::V1));
+    ASSERT_TRUE(saveTracesToFile(v2_path, traces));
 
-    // Serial reference: v1 stream loader + one engine, in file order.
-    // The bundle owns the source-path strings the findings point at,
-    // so it must stay alive until the last serial.str() below.
+    // Serial reference: decode loop + one engine, in file order. The
+    // reports own the trace arenas, so the reader may go away.
     core::Report serial;
-    bool ok = false;
-    const auto loaded = loadTracesFromFile(v1_path, &ok);
-    ASSERT_TRUE(ok);
     {
-        core::Engine engine(core::ModelKind::X86);
-        for (const auto &trace : loaded.traces)
-            serial.merge(engine.check(trace));
-        serial.canonicalize();
+        auto reader = TraceFileReader::open(v2_path);
+        ASSERT_TRUE(reader);
+        serial = checkSerially(*reader);
     }
     ASSERT_GT(serial.failCount(), 0u)
         << "workload must produce findings for the comparison to "
@@ -334,7 +382,6 @@ TEST(TraceReaderTest, ParallelIngestMatchesSerialByteForByte)
     EXPECT_EQ(serial.str(), parallel.str());
 
     std::remove(v2_path.c_str());
-    std::remove(v1_path.c_str());
 }
 
 } // namespace

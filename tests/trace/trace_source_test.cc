@@ -1,11 +1,11 @@
 /**
  * @file
  * TraceSource tests: identity stamping and arena attachment across
- * every source kind, byte-balanced shard partitioning, the v1 stream
- * fallback, the blocking capture source, the multi-source composite,
+ * every source kind, byte-balanced shard partitioning, v1 rejection,
+ * the blocking capture source, the multi-source composite,
  * decode-error attribution (file + trace index), and the byte-
  * identity of sharded / multi-file ingest against the single-source
- * run — including a mixed v1+v2 input set against checking each file
+ * run — including a two-file set against checking each file
  * separately and merging.
  */
 
@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -102,7 +103,7 @@ TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
 {
     const auto traces = sampleTraces(6, 3);
     const std::string path = tmpPath("v2_identity");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     auto source = openTraceSource(path, IngestMode::Auto, 7, &error);
@@ -123,32 +124,27 @@ TEST(TraceSourceTest, V2FileSourceStampsIdentityAndArena)
     std::remove(path.c_str());
 }
 
-TEST(TraceSourceTest, StreamFallbackReadsV1Files)
+TEST(TraceSourceTest, V1FilesAreRejected)
 {
-    const auto traces = sampleTraces(4, 2);
-    const std::string path = tmpPath("v1_fallback");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V1));
+    // A bare v1 header (magic, version 1, zero traces): v1 is no
+    // longer read, so both modes fail closed with a path-qualified
+    // error that names the format.
+    std::string bytes(TraceWire::kHeaderBytes, '\0');
+    const uint32_t version = 1;
+    std::memcpy(&bytes[0], &TraceWire::kMagic, sizeof(uint64_t));
+    std::memcpy(&bytes[8], &version, sizeof(version));
+    const std::string path = tmpPath("v1_header");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(bytes.data(),
+                  static_cast<std::streamsize>(bytes.size()));
+    }
 
-    std::string error;
-    auto source = openTraceSource(path, IngestMode::Auto, 3, &error);
-    ASSERT_TRUE(source) << error;
-    EXPECT_FALSE(source->mmapBacked());
-    EXPECT_EQ(source->traceCount(), traces.size());
-    EXPECT_GT(source->sizeBytes(), 0u);
-
-    std::vector<Trace> out;
-    drain(*source, &out);
-    ASSERT_EQ(out.size(), traces.size());
-    for (const auto &trace : out)
-        EXPECT_EQ(trace.fileId(), 3u);
-
-    // Mmap mode must reject the same v1 file with a path-qualified
-    // error instead of silently falling back.
-    error.clear();
-    auto strict = openTraceSource(path, IngestMode::Mmap, 0, &error);
-    EXPECT_FALSE(strict);
-    EXPECT_NE(error.find(path), std::string::npos) << error;
-
+    for (const IngestMode mode : {IngestMode::Auto, IngestMode::Mmap}) {
+        std::string error;
+        EXPECT_FALSE(openTraceSource(path, mode, 0, &error));
+        EXPECT_EQ(error.rfind(path + ": v1 trace file", 0), 0u) << error;
+    }
     std::remove(path.c_str());
 }
 
@@ -156,7 +152,7 @@ TEST(TraceSourceTest, ShardsPartitionTheIndexExactly)
 {
     const auto traces = sampleTraces(11, 3);
     const std::string path = tmpPath("shard_partition");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     std::shared_ptr<const TraceFileReader> reader =
@@ -195,7 +191,7 @@ TEST(TraceSourceTest, ShardNamesCarryTheSlice)
 {
     const auto traces = sampleTraces(4, 2);
     const std::string path = tmpPath("shard_names");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     std::shared_ptr<const TraceFileReader> reader =
@@ -212,7 +208,7 @@ TEST(TraceSourceTest, ShardedIngestMatchesWholeFileByteForByte)
 {
     const auto traces = sampleTraces(23, 5);
     const std::string path = tmpPath("shard_verdict");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     std::string error;
     auto whole = openTraceSource(path, IngestMode::Auto, 0, &error);
@@ -233,23 +229,23 @@ TEST(TraceSourceTest, ShardedIngestMatchesWholeFileByteForByte)
     std::remove(path.c_str());
 }
 
-TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
+TEST(TraceSourceTest, MultiFileSetMatchesPerFileCheckAndMerge)
 {
     // Both files reuse trace ids 0..N-1, so the canonical order of
     // the combined run genuinely depends on the fileId tiebreak.
     const auto first = sampleTraces(7, 4);
     const auto second = sampleTraces(5, 3);
-    const std::string v1_path = tmpPath("mixed_v1");
-    const std::string v2_path = tmpPath("mixed_v2");
-    ASSERT_TRUE(saveTracesToFile(v1_path, first, TraceFormat::V1));
-    ASSERT_TRUE(saveTracesToFile(v2_path, second, TraceFormat::V2));
+    const std::string a_path = tmpPath("multi_a");
+    const std::string b_path = tmpPath("multi_b");
+    ASSERT_TRUE(saveTracesToFile(a_path, first));
+    ASSERT_TRUE(saveTracesToFile(b_path, second));
 
     // Reference: check each file separately (with its input-order
     // fileId) and merge the reports.
     std::string error;
     core::Report reference;
     {
-        auto a = openTraceSource(v1_path, IngestMode::Auto, 0,
+        auto a = openTraceSource(a_path, IngestMode::Auto, 0,
                                  &error);
         ASSERT_TRUE(a) << error;
         core::EnginePool pool(core::PoolOptions{});
@@ -260,7 +256,7 @@ TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
         reference.merge(pool.results());
     }
     {
-        auto b = openTraceSource(v2_path, IngestMode::Auto, 1,
+        auto b = openTraceSource(b_path, IngestMode::Auto, 1,
                                  &error);
         ASSERT_TRUE(b) << error;
         core::EnginePool pool(core::PoolOptions{});
@@ -277,18 +273,18 @@ TEST(TraceSourceTest, MixedV1V2SetMatchesPerFileCheckAndMerge)
     // decoders and workers.
     std::vector<std::unique_ptr<TraceSource>> children;
     children.push_back(
-        openTraceSource(v1_path, IngestMode::Auto, 0, &error));
+        openTraceSource(a_path, IngestMode::Auto, 0, &error));
     ASSERT_TRUE(children.back()) << error;
     children.push_back(
-        openTraceSource(v2_path, IngestMode::Auto, 1, &error));
+        openTraceSource(b_path, IngestMode::Auto, 1, &error));
     ASSERT_TRUE(children.back()) << error;
     MultiTraceSource combined(std::move(children));
     EXPECT_EQ(combined.sourceCount(), 2u);
     EXPECT_EQ(combined.traceCount(), first.size() + second.size());
     EXPECT_EQ(checkVerdict(combined, 3, 4), reference.str());
 
-    std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
+    std::remove(a_path.c_str());
+    std::remove(b_path.c_str());
 }
 
 TEST(TraceSourceTest, CaptureSourceBlocksUntilPushOrClose)
@@ -342,7 +338,7 @@ TEST(TraceSourceTest, DecodeErrorNamesFileAndTraceIndex)
 {
     const auto traces = sampleTraces(3, 2);
     const std::string path = tmpPath("decode_error");
-    ASSERT_TRUE(saveTracesToFile(path, traces, TraceFormat::V2));
+    ASSERT_TRUE(saveTracesToFile(path, traces));
 
     // Corrupt the first body's op_count (body offset 12, after the
     // 8-byte frame length): frame chaining and the index CRC still
