@@ -147,7 +147,7 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
                      error.str().c_str());
         std::exit(1);
     }
-    Report merged = pool.results();
+    Report merged = pool.takeResults();
     merged.canonicalize();
 
     phase.seconds = timer.elapsedSec();

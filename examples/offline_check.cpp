@@ -98,7 +98,7 @@ checkSource(TraceSource &source)
                      error.str().c_str());
         std::exit(1);
     }
-    core::Report merged = pool.results();
+    core::Report merged = pool.takeResults();
     merged.canonicalize();
     return merged;
 }

@@ -662,7 +662,7 @@ CheckSession::run()
             IngestStats ingest_stats;
             ingest_ok = ingest(*source, pool, ingest_options,
                                &ingest_stats, &ingest_error);
-            merged = pool.results();
+            merged = pool.takeResults();
             stats = pool.stats();
             stats.ingest = ingest_stats;
         }

@@ -240,7 +240,7 @@ EnginePool::recordResult(Report report)
     {
         std::lock_guard<std::mutex> lock(resultMutex_);
         obs::SpanScope span(obs::Stage::ReportMerge);
-        aggregate_.merge(report);
+        aggregate_.merge(std::move(report));
         completed_++;
         // The drain predicate can only turn true at the moment the
         // counters meet; notifying on every completion wakes blocked

@@ -176,7 +176,8 @@ class EnginePool
      * Merged findings of all traces checked so far. Implies drain();
      * the wait and the snapshot happen in one critical section, so
      * the returned report is exactly the drained state even when
-     * other threads keep submitting.
+     * other threads keep submitting. This copies the aggregate; a
+     * caller that reads the results once should use takeResults().
      */
     Report results();
 

@@ -1,6 +1,7 @@
 #include "core/report.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <tuple>
 
@@ -91,6 +92,22 @@ Report::merge(const Report &other)
 }
 
 void
+Report::merge(Report &&other)
+{
+    if (findings_.empty()) {
+        findings_ = std::move(other.findings_);
+    } else {
+        findings_.insert(findings_.end(),
+                         std::make_move_iterator(other.findings_.begin()),
+                         std::make_move_iterator(other.findings_.end()));
+    }
+    for (auto &arena : other.arenas_)
+        holdArena(std::move(arena));
+    other.findings_.clear();
+    other.arenas_.clear();
+}
+
+void
 Report::stampIdentity()
 {
     for (auto &f : findings_) {
@@ -116,14 +133,54 @@ void
 Report::canonicalize()
 {
     obs::SpanScope span(obs::Stage::ReportCanonicalize);
-    std::stable_sort(findings_.begin(), findings_.end(),
-                     [](const Finding &a, const Finding &b) {
-                         if (a.fileId != b.fileId)
-                             return a.fileId < b.fileId;
-                         if (a.traceId != b.traceId)
-                             return a.traceId < b.traceId;
-                         return a.opIndex < b.opIndex;
-                     });
+    // Sorting ~136-byte findings moves each one many times; sorting
+    // 32-byte keys and moving each finding once is several times
+    // cheaper. The position tiebreak makes std::sort reproduce the
+    // stable order exactly.
+    struct Key
+    {
+        uint32_t fileId;
+        uint64_t traceId;
+        size_t opIndex;
+        size_t pos;
+
+        bool
+        operator<(const Key &o) const
+        {
+            return std::tie(fileId, traceId, opIndex, pos) <
+                   std::tie(o.fileId, o.traceId, o.opIndex, o.pos);
+        }
+    };
+    std::vector<Key> keys;
+    keys.reserve(findings_.size());
+    for (size_t i = 0; i < findings_.size(); i++) {
+        const Finding &f = findings_[i];
+        keys.push_back({f.fileId, f.traceId, f.opIndex, i});
+    }
+    // Serial runs merge in submission order: already canonical.
+    if (std::is_sorted(keys.begin(), keys.end()))
+        return;
+    std::sort(keys.begin(), keys.end());
+
+    // Apply the permutation in place, one cycle at a time: slot i
+    // receives findings_[keys[i].pos]. A finished slot is marked by
+    // pointing its key at itself.
+    for (size_t i = 0; i < keys.size(); i++) {
+        if (keys[i].pos == i)
+            continue;
+        Finding held = std::move(findings_[i]);
+        size_t dst = i;
+        for (;;) {
+            const size_t src = keys[dst].pos;
+            keys[dst].pos = dst;
+            if (src == i) {
+                findings_[dst] = std::move(held);
+                break;
+            }
+            findings_[dst] = std::move(findings_[src]);
+            dst = src;
+        }
+    }
 }
 
 std::string

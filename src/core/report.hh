@@ -114,6 +114,12 @@ class Report
     void merge(const Report &other);
 
     /**
+     * Merge by moving @p other's findings and arenas in; @p other is
+     * left empty. Same result as the copying merge.
+     */
+    void merge(Report &&other);
+
+    /**
      * Set every finding's (fileId, traceId) to this report's
      * identity. The checking kernels only record opIndex (they do
      * not know the trace identity); the engine stamps it once per
@@ -135,7 +141,9 @@ class Report
 
     /**
      * Reorder findings into the canonical order: stable sort by
-     * (fileId, traceId, opIndex). Per-trace findings stay in
+     * (fileId, traceId, opIndex), done as a sort of compact keys with
+     * the current position as the last tiebreak, then one in-place
+     * move-permutation of the findings. Per-trace findings stay in
      * detection order (each trace is checked whole by one engine), so
      * a report merged from parallel workers over any shard/source
      * assignment canonicalizes to the exact byte sequence the serial,

@@ -1,13 +1,16 @@
 #include "core/report_io.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 
 #include "trace/trace_io.hh"
+#include "util/logging.hh"
 
 namespace pmtest::core
 {
@@ -30,32 +33,33 @@ constexpr uint8_t kMaxFixAction =
 constexpr uint8_t kMaxOpType = static_cast<uint8_t>(OpType::Include);
 constexpr uint32_t kMaxModel = static_cast<uint32_t>(ModelKind::Arm);
 
-void
-putU8(std::string *out, uint8_t v)
-{
-    out->push_back(static_cast<char>(v));
-}
+static_assert(std::endian::native == std::endian::little,
+              "the encoder stores fields with memcpy; port it to a "
+              "big-endian host with byte swaps");
 
-void
-putU16(std::string *out, uint16_t v)
+/**
+ * Unchecked little-endian writer into a buffer the caller sized
+ * exactly (encodeReport computes the frame size up front).
+ */
+struct Writer
 {
-    for (int i = 0; i < 2; i++)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+    char *p;
 
-void
-putU32(std::string *out, uint32_t v)
-{
-    for (int i = 0; i < 4; i++)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+    template <typename T>
+    void
+    put(T v)
+    {
+        std::memcpy(p, &v, sizeof v);
+        p += sizeof v;
+    }
 
-void
-putU64(std::string *out, uint64_t v)
-{
-    for (int i = 0; i < 8; i++)
-        out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
+    void
+    bytes(std::string_view s)
+    {
+        std::memcpy(p, s.data(), s.size());
+        p += s.size();
+    }
+};
 
 /** Bounds-checked little-endian reader over the report body. */
 struct Reader
@@ -143,68 +147,83 @@ void
 encodeReport(const Report &report, const ReportMeta &meta,
              std::string *out)
 {
+    const std::vector<Finding> &findings = report.findings();
+
     // Intern every message and source-file name up front so the
     // string table precedes the findings in the body.
     StringTable table;
+    table.index.reserve(findings.size());
     std::vector<uint32_t> msg_idx, file_idx;
-    msg_idx.reserve(report.findings().size());
-    file_idx.reserve(report.findings().size());
-    for (const Finding &f : report.findings()) {
-        msg_idx.push_back(f.message.empty()
-                              ? ReportWire::kNoString
-                              : table.intern(f.message));
+    msg_idx.reserve(findings.size());
+    file_idx.reserve(findings.size());
+    for (const Finding &f : findings) {
+        msg_idx.push_back(f.message.empty() ? ReportWire::kNoString
+                                            : table.intern(f.message));
         const bool has_file = f.loc.file && f.loc.file[0] != '\0';
         file_idx.push_back(has_file ? table.intern(f.loc.file)
                                     : ReportWire::kNoString);
     }
 
-    std::string body;
-    putU32(&body, meta.workerIndex);
-    putU32(&body, meta.workerCount);
-    putU64(&body, meta.traceCount);
-    putU64(&body, meta.totalOps);
-    putU64(&body, meta.sourceCount);
-    putU32(&body, static_cast<uint32_t>(meta.model));
-    putU32(&body, 0); // reserved
+    // The exact frame size, so every field is written once, in place.
+    size_t string_bytes = 0;
+    for (const std::string_view s : table.entries)
+        string_bytes += 4 + s.size();
+    const size_t body_len =
+        kMetaBytes + 4 + string_bytes + 8 + findings.size() * kFindingBytes;
+    const size_t start = out->size();
+    out->resize(start + ReportWire::kHeaderBytes + body_len +
+                ReportWire::kFooterBytes);
+    Writer w{out->data() + start};
 
-    putU32(&body, static_cast<uint32_t>(table.entries.size()));
+    w.put(ReportWire::kMagic);
+    w.put(ReportWire::kVersion);
+    w.put(uint32_t{0}); // reserved
+    w.put(uint64_t{body_len});
+    char *const body = w.p;
+
+    w.put(meta.workerIndex);
+    w.put(meta.workerCount);
+    w.put(meta.traceCount);
+    w.put(meta.totalOps);
+    w.put(meta.sourceCount);
+    w.put(static_cast<uint32_t>(meta.model));
+    w.put(uint32_t{0}); // reserved
+
+    w.put(static_cast<uint32_t>(table.entries.size()));
     for (const std::string_view s : table.entries) {
-        putU32(&body, static_cast<uint32_t>(s.size()));
-        body.append(s.data(), s.size());
+        w.put(static_cast<uint32_t>(s.size()));
+        w.bytes(s);
     }
 
-    putU64(&body, report.findings().size());
-    for (size_t i = 0; i < report.findings().size(); i++) {
-        const Finding &f = report.findings()[i];
-        putU8(&body, static_cast<uint8_t>(f.severity));
-        putU8(&body, static_cast<uint8_t>(f.kind));
-        putU8(&body, static_cast<uint8_t>(f.hint.action));
-        putU8(&body, (f.hint.withFlush ? kHintWithFlush : 0) |
-                         (f.hint.verified ? kHintVerified : 0));
-        putU32(&body, msg_idx[i]);
-        putU32(&body, file_idx[i]);
-        putU32(&body, f.loc.line);
-        putU32(&body, f.fileId);
-        putU64(&body, f.traceId);
-        putU64(&body, f.opIndex);
-        putU64(&body, f.hint.addr);
-        putU64(&body, f.hint.size);
-        putU64(&body, f.hint.addrB);
-        putU64(&body, f.hint.sizeB);
-        putU64(&body, f.hint.opIndex);
-        putU8(&body, static_cast<uint8_t>(f.hint.flushOp));
-        putU8(&body, static_cast<uint8_t>(f.hint.fenceOp));
-        putU16(&body, 0); // reserved
-        putU32(&body, f.hint.count);
+    w.put(uint64_t{findings.size()});
+    for (size_t i = 0; i < findings.size(); i++) {
+        const Finding &f = findings[i];
+        w.put(static_cast<uint8_t>(f.severity));
+        w.put(static_cast<uint8_t>(f.kind));
+        w.put(static_cast<uint8_t>(f.hint.action));
+        w.put(static_cast<uint8_t>((f.hint.withFlush ? kHintWithFlush : 0) |
+                                   (f.hint.verified ? kHintVerified : 0)));
+        w.put(msg_idx[i]);
+        w.put(file_idx[i]);
+        w.put(f.loc.line);
+        w.put(f.fileId);
+        w.put(f.traceId);
+        w.put(uint64_t{f.opIndex});
+        w.put(f.hint.addr);
+        w.put(f.hint.size);
+        w.put(f.hint.addrB);
+        w.put(f.hint.sizeB);
+        w.put(f.hint.opIndex);
+        w.put(static_cast<uint8_t>(f.hint.flushOp));
+        w.put(static_cast<uint8_t>(f.hint.fenceOp));
+        w.put(uint16_t{0}); // reserved
+        w.put(f.hint.count);
     }
 
-    putU64(out, ReportWire::kMagic);
-    putU32(out, ReportWire::kVersion);
-    putU32(out, 0); // reserved
-    putU64(out, body.size());
-    out->append(body);
-    putU32(out, crc32(body.data(), body.size()));
-    putU64(out, ReportWire::kFooterMagic);
+    if (w.p != body + body_len)
+        panic("report encoder size accounting is wrong");
+    w.put(crc32(body, body_len));
+    w.put(ReportWire::kFooterMagic);
 }
 
 bool
@@ -409,7 +428,7 @@ mergeReports(std::vector<WorkerReport> parts, Report *merged,
     ReportMeta totals;
     totals.workerCount = static_cast<uint32_t>(parts.size());
     for (WorkerReport &part : parts) {
-        out.merge(part.report);
+        out.merge(std::move(part.report));
         totals.traceCount += part.meta.traceCount;
         totals.totalOps += part.meta.totalOps;
         totals.sourceCount += part.meta.sourceCount;

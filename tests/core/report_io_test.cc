@@ -152,6 +152,29 @@ TEST(ReportIoTest, RoundTripEveryKindAndHint)
     EXPECT_EQ(decoded_meta.model, meta.model);
 }
 
+TEST(ReportIoTest, EncoderReproducesGoldenBytes)
+{
+    // Round trips alone cannot catch an encoder and decoder that drift
+    // together; these bytes pin the wire format itself.
+    static const unsigned char kGolden[] = {
+#include "report_v1_golden.inc"
+    };
+    ASSERT_EQ(ReportWire::kVersion, 1u);
+    std::string wire;
+    encodeReport(sampleReport(), sampleMeta(), &wire);
+    EXPECT_EQ(wire, std::string(reinterpret_cast<const char *>(kGolden),
+                                sizeof kGolden));
+}
+
+TEST(ReportIoTest, EncodeAppendsAfterExistingBytes)
+{
+    std::string alone;
+    encodeReport(sampleReport(), sampleMeta(), &alone);
+    std::string wire = "prefix";
+    encodeReport(sampleReport(), sampleMeta(), &wire);
+    EXPECT_EQ(wire, "prefix" + alone);
+}
+
 TEST(ReportIoTest, DecodedReportIsSelfContained)
 {
     std::string wire;

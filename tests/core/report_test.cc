@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
+#include <tuple>
+
 namespace pmtest::core
 {
 namespace
@@ -46,6 +51,123 @@ TEST(ReportTest, MergeAppends)
     b.add(finding(Severity::Warn, FindingKind::DuplicateLog, "b", 2));
     a.merge(b);
     EXPECT_EQ(a.findings().size(), 2u);
+}
+
+/** Finding at identity (file_id, trace_id, op_index), tagged @p tag. */
+Finding
+at(uint32_t file_id, uint64_t trace_id, size_t op_index,
+   const std::string &tag)
+{
+    Finding f = finding(Severity::Fail, FindingKind::NotPersisted, "c.cc",
+                        1, tag);
+    f.fileId = file_id;
+    f.traceId = trace_id;
+    f.opIndex = op_index;
+    return f;
+}
+
+/** Messages in order: each finding's tag names its input position. */
+std::vector<std::string>
+tags(const std::vector<Finding> &findings)
+{
+    std::vector<std::string> out;
+    for (const Finding &f : findings)
+        out.push_back(f.message);
+    return out;
+}
+
+/** The pre-key-sort canonical order: stable sort of whole findings. */
+std::vector<Finding>
+stableReference(std::vector<Finding> findings)
+{
+    std::stable_sort(findings.begin(), findings.end(),
+                     [](const Finding &a, const Finding &b) {
+                         return std::tie(a.fileId, a.traceId, a.opIndex) <
+                                std::tie(b.fileId, b.traceId, b.opIndex);
+                     });
+    return findings;
+}
+
+TEST(ReportTest, CanonicalizeMatchesStableSortOnRandomReports)
+{
+    std::mt19937_64 rng(7);
+    for (int round = 0; round < 200; round++) {
+        // Blocks of findings, one block per checked trace, gathered in
+        // a random order as parallel workers deliver them. Identities
+        // come from small ranges so (fileId, traceId) repeats across
+        // blocks and opIndex repeats within them: the position
+        // tiebreak decides many comparisons.
+        Report r;
+        const size_t blocks = rng() % 12;
+        size_t tag = 0;
+        for (size_t b = 0; b < blocks; b++) {
+            const uint32_t file_id = static_cast<uint32_t>(rng() % 3);
+            const uint64_t trace_id = rng() % 4;
+            const size_t n = rng() % 9;
+            for (size_t i = 0; i < n; i++)
+                r.add(at(file_id, trace_id, rng() % 5,
+                         std::to_string(tag++)));
+        }
+        const auto want = tags(stableReference(r.findings()));
+        r.canonicalize();
+        ASSERT_EQ(tags(r.findings()), want) << "round " << round;
+    }
+}
+
+TEST(ReportTest, CanonicalizeKeepsEqualKeysInArrivalOrder)
+{
+    // Two blocks with the same trace id (e.g. the same trace id in two
+    // shards of one file) interleaved with another trace's block.
+    Report r;
+    r.add(at(0, 5, 2, "a"));
+    r.add(at(0, 5, 0, "b"));
+    r.add(at(0, 3, 1, "c"));
+    r.add(at(0, 5, 2, "d"));
+    r.add(at(0, 5, 0, "e"));
+    r.canonicalize();
+    EXPECT_EQ(tags(r.findings()),
+              (std::vector<std::string>{"c", "b", "e", "a", "d"}));
+    // Canonical input is left as it is.
+    r.canonicalize();
+    EXPECT_EQ(tags(r.findings()),
+              (std::vector<std::string>{"c", "b", "e", "a", "d"}));
+}
+
+TEST(ReportTest, MoveMergeMatchesCopyMerge)
+{
+    using Arena = Report::Arena;
+    const Arena arena1 = std::make_shared<std::deque<std::string>>(
+        std::deque<std::string>{"one.cc"});
+    const Arena arena2 = std::make_shared<std::deque<std::string>>(
+        std::deque<std::string>{"two.cc"});
+    const auto part = [&](uint64_t trace_id, const Arena &arena) {
+        Report r(trace_id);
+        for (size_t op = 0; op < 3; op++) {
+            std::string msg = "a message longer than the SSO buffer, t";
+            msg += std::to_string(trace_id);
+            msg += " op";
+            msg += std::to_string(op);
+            r.add(at(1, trace_id, op, msg));
+        }
+        r.holdArena(arena);
+        return r;
+    };
+    const std::vector<Report> parts{part(1, arena1), part(2, arena1),
+                                    part(3, arena2)};
+
+    Report copied, moved;
+    for (const Report &p : parts)
+        copied.merge(p);
+    for (Report p : parts) {
+        moved.merge(std::move(p));
+        EXPECT_TRUE(p.clean());
+        EXPECT_TRUE(p.arenas().empty());
+    }
+    ASSERT_EQ(moved.findings().size(), copied.findings().size());
+    for (size_t i = 0; i < copied.findings().size(); i++)
+        EXPECT_EQ(moved.findings()[i].str(), copied.findings()[i].str());
+    EXPECT_EQ(moved.arenas(), copied.arenas());
+    EXPECT_EQ(moved.arenas(), (std::vector<Arena>{arena1, arena2}));
 }
 
 TEST(ReportTest, SummaryDeduplicatesBySite)

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "trace/trace_reader.hh"
 
@@ -158,6 +159,53 @@ TEST(TraceIoTest, MissingFileReported)
         TraceFileReader::open("/nonexistent/nowhere.bin",
                               IngestMode::Auto, &error));
     EXPECT_EQ(error, "/nonexistent/nowhere.bin: cannot open");
+}
+
+/** Bytewise-table IEEE 802.3 reflected CRC32, the textbook form. */
+uint32_t
+referenceCrc32(const uint8_t *data, size_t len)
+{
+    static const std::vector<uint32_t> table = [] {
+        std::vector<uint32_t> t(256);
+        for (uint32_t i = 0; i < 256; i++) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; k++)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < len; i++)
+        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Covers every tail length after the 8-byte steps and every start
+    // alignment of those steps.
+    constexpr size_t kMaxLen = 4096;
+    constexpr size_t kMaxOffset = 7;
+    std::vector<uint8_t> buf(kMaxLen + kMaxOffset);
+    uint32_t x = 0x12345678u;
+    for (uint8_t &b : buf) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<uint8_t>(x >> 24);
+    }
+    for (size_t offset = 0; offset <= kMaxOffset; offset++) {
+        for (size_t len = 0; len <= kMaxLen; len++) {
+            ASSERT_EQ(crc32(buf.data() + offset, len),
+                      referenceCrc32(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
 }
 
 } // namespace
