@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "core/stats_json.hh"
+#include "obs/metrics_doc.hh"
 #include "util/clock.hh"
 #include "workloads/clients.hh"
 #include "workloads/memcached_lite.hh"
@@ -169,9 +169,9 @@ writeJson(const std::string &path, const std::vector<Point> &points)
         w.member("memslap_slowdown", p.memslap.slowdown, 3);
         w.member("ycsb_slowdown", p.ycsb.slowdown, 3);
         w.key("memslap_dispatch");
-        core::writePoolStatsJson(w, p.memslap.stats);
+        obs::writePoolStatsJson(w, p.memslap.stats);
         w.key("ycsb_dispatch");
-        core::writePoolStatsJson(w, p.ycsb.stats);
+        obs::writePoolStatsJson(w, p.ycsb.stats);
         w.endObject();
     }
     w.endArray();

@@ -424,7 +424,7 @@ main(int argc, char **argv)
     cli.addString("--json", &json_path,
                   "result document path (default BENCH_ingest.json)");
     cli.addString("--metrics-json", &metrics_path,
-                  "write the pmtest-metrics-v1 snapshot");
+                  "write the pmtest-metrics-v2 snapshot");
     cli.addString("--trace-events", &trace_events_path,
                   "write a Chrome trace-event timeline");
     cli.positionalCount(0, 0);
@@ -462,8 +462,9 @@ main(int argc, char **argv)
         return 1;
     std::printf("\nwrote %s\n", json_path.c_str());
     if (!metrics_path.empty() &&
-        !pmtest::bench::writeBenchMetricsJson(metrics_path,
-                                              "bench_ingest"))
+        !pmtest::bench::writeMetricsSnapshot(
+            metrics_path, "bench_ingest",
+            [&](JsonWriter &w) { w.member("match", all_match); }))
         return 1;
     if (!trace_events_path.empty()) {
         std::string error;

@@ -19,8 +19,9 @@
  *  --smoke        tiny workload (seconds -> milliseconds); CI uses
  *                 this to validate the harness and capture the JSON.
  *  --json=PATH    where to write the JSON (default BENCH_kernel.json).
- *  --metrics-json=PATH  telemetry snapshot (counters + stage latency
- *                 histograms) of the run.
+ *  --metrics-json=PATH  pmtest-metrics-v2 document of the run:
+ *                 telemetry counters + stage latency histograms, no
+ *                 gauges, the scale in "run".
  *  --trace-events=PATH  Chrome trace-event / Perfetto timeline of the
  *                 run's engine.check spans.
  *  --metrics-port=N  serve live /metrics and /metrics.json on
@@ -420,7 +421,7 @@ main(int argc, char **argv)
     cli.addString("--json", &json_path,
                   "result document path (default BENCH_kernel.json)");
     cli.addString("--metrics-json", &metrics_path,
-                  "write the pmtest-metrics-v1 snapshot");
+                  "write the pmtest-metrics-v2 snapshot");
     cli.addString("--trace-events", &trace_events_path,
                   "write a Chrome trace-event timeline");
     cli.addSize("--metrics-port", &metrics_port,
@@ -497,8 +498,8 @@ main(int argc, char **argv)
         return 1;
     std::printf("\nwrote %s\n", json_path.c_str());
     if (!metrics_path.empty() &&
-        !pmtest::bench::writeBenchMetricsJson(metrics_path,
-                                              "bench_kernel"))
+        !pmtest::bench::writeMetricsSnapshot(metrics_path,
+                                             "bench_kernel"))
         return 1;
     if (!trace_events_path.empty()) {
         std::string error;

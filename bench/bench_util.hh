@@ -11,8 +11,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <utility>
 
+#include "obs/metrics_doc.hh"
 #include "obs/telemetry.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
@@ -67,20 +70,22 @@ writeJsonFile(const std::string &path, const JsonWriter &w)
 }
 
 /**
- * Write the standard bench telemetry snapshot (counters + per-stage
- * latency histograms) for harness @p bench to @p path.
+ * Write the metrics document of harness @p bench to @p path: an
+ * empty-gauge sample of the telemetry registry (counters + per-stage
+ * latency histograms) with the scale in "run" and @p verdict's
+ * members (none when null) in "verdict".
  */
 inline bool
-writeBenchMetricsJson(const std::string &path, const char *bench)
+writeMetricsSnapshot(const std::string &path, const char *bench,
+                     std::function<void(JsonWriter &)> verdict = nullptr)
 {
+    obs::GaugeSample sample;
+    sample.metrics = obs::Telemetry::instance().metrics();
+    obs::ExitBlocks exit;
+    exit.run = [](JsonWriter &w) { w.member("scale", scale()); };
+    exit.verdict = std::move(verdict);
     JsonWriter w;
-    w.beginObject();
-    w.member("schema", "pmtest-metrics-v1");
-    w.member("tool", bench);
-    w.member("scale", scale());
-    w.key("telemetry");
-    obs::Telemetry::instance().writeMetricsJson(w);
-    w.endObject();
+    obs::renderMetricsJson(w, sample, bench, &exit);
     return pmtest::bench::writeJsonFile(path, w);
 }
 

@@ -6,8 +6,10 @@ Three modes, one per output format:
   --prom FILE    Prometheus text exposition scraped from /metrics:
                  every line must parse, and the gauge/rate families
                  the dashboard depends on must be present.
-  --json FILE    pmtest-metrics-v1 document (from /metrics.json with
-                 --live, or a --metrics-json file without it).
+  --json FILE    pmtest-metrics-v2 document: from /metrics.json with
+                 --live (requires "live": true), or a --metrics-json
+                 exit document without it (requires "run" and
+                 "verdict"); both need the same gauges/rates/telemetry.
   --events FILE  structured JSONL event log from --event-log: every
                  record must carry the envelope fields, and a
                  completed run must be bracketed by run_start and
@@ -39,6 +41,17 @@ REQUIRED_PROM = [
     "pmtest_ingest_bytes_per_second",
 ]
 
+# Keys every pmtest-metrics-v2 document carries, live or exit.
+REQUIRED_JSON = {
+    "gauges.pool": ["valid", "in_flight", "queued_traces",
+                    "traces_completed", "workers"],
+    "gauges.ingest": ["valid", "traces_consumed", "bytes_consumed",
+                      "sources"],
+    "gauges.process": ["rss_bytes", "heap_bytes"],
+    "rates": ["traces_checked_per_sec", "bytes_consumed_per_sec"],
+    "telemetry": ["compiled", "counters", "stages"],
+}
+
 EVENT_ENVELOPE = ["ts_ms", "mono_ns", "severity", "type"]
 
 
@@ -66,34 +79,29 @@ def check_prom(path):
 def check_json(path, live):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "pmtest-metrics-v1":
+    if doc.get("schema") != "pmtest-metrics-v2":
         fail(f"{path}: schema is {doc.get('schema')!r}")
-    if live:
-        if doc.get("live") is not True:
-            fail(f"{path}: expected a live document")
-        if not isinstance(doc.get("snapshot_ns"), int):
-            fail(f"{path}: snapshot_ns missing or not an integer")
-        gauges = doc.get("gauges")
-        if not isinstance(gauges, dict):
-            fail(f"{path}: gauges object missing")
-        pool = gauges.get("pool", {})
-        for key in ("in_flight", "queued", "queue_depths"):
-            if key not in pool:
-                fail(f"{path}: gauges.pool.{key} missing")
-        ingest = gauges.get("ingest", {})
-        for key in ("traces_consumed", "bytes_consumed", "sources"):
-            if key not in ingest:
-                fail(f"{path}: gauges.ingest.{key} missing")
-        process = gauges.get("process", {})
-        if process.get("rss_bytes", 0) <= 0:
-            fail(f"{path}: gauges.process.rss_bytes not positive")
-        rates = doc.get("rates")
-        if not isinstance(rates, dict) or \
-                "traces_checked_per_sec" not in rates:
-            fail(f"{path}: rates.traces_checked_per_sec missing")
-        if "counters" not in doc.get("telemetry", {}):
-            fail(f"{path}: telemetry.counters missing")
-    print(f"{path}: pmtest-metrics-v1 OK" + (" (live)" if live else ""))
+    if not isinstance(doc.get("snapshot_ns"), int):
+        fail(f"{path}: snapshot_ns missing or not an integer")
+    for block, keys in REQUIRED_JSON.items():
+        obj = doc
+        for part in block.split("."):
+            obj = obj.get(part) if isinstance(obj, dict) else None
+        if not isinstance(obj, dict):
+            fail(f"{path}: {block} object missing")
+        for key in keys:
+            if key not in obj:
+                fail(f"{path}: {block}.{key} missing")
+    if doc.get("live") is not live:
+        fail(f"{path}: live is {doc.get('live')!r}, expected {live}")
+    if live and doc["gauges"]["process"]["rss_bytes"] <= 0:
+        fail(f"{path}: gauges.process.rss_bytes not positive")
+    if not live:
+        for block in ("run", "verdict"):
+            if not isinstance(doc.get(block), dict):
+                fail(f"{path}: {block} object missing")
+    print(f"{path}: pmtest-metrics-v2 OK" +
+          (" (live)" if live else " (exit)"))
 
 
 def check_events(path):
@@ -133,9 +141,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--prom", help="Prometheus exposition file")
     parser.add_argument("--json", dest="json_path",
-                        help="pmtest-metrics-v1 document")
+                        help="pmtest-metrics-v2 document")
     parser.add_argument("--live", action="store_true",
-                        help="require the live gauges in --json")
+                        help="--json is a live /metrics.json document")
     parser.add_argument("--events", help="JSONL event log")
     args = parser.parse_args()
     if not (args.prom or args.json_path or args.events):

@@ -16,7 +16,6 @@
 #include "core/fix_verify.hh"
 #include "core/live_gauges.hh"
 #include "core/report_io.hh"
-#include "core/stats_json.hh"
 #include "obs/telemetry.hh"
 #include "trace/trace_source.hh"
 #include "util/cpu.hh"
@@ -201,17 +200,14 @@ buildWorkerSource(const CheckPlan &plan, bool *empty,
 void
 printSourceStats(const TraceSource &source)
 {
-    if (const auto *multi =
-            dynamic_cast<const MultiTraceSource *>(&source)) {
-        for (const auto &child : multi->children())
-            printSourceStats(*child);
-        return;
-    }
-    std::printf("  source %s: %zu traces, %llu ops, %llu bytes %s\n",
-                source.name().c_str(), source.traceCount(),
-                static_cast<unsigned long long>(source.totalOps()),
-                static_cast<unsigned long long>(source.sizeBytes()),
-                source.mmapBacked() ? "mmapped" : "buffered");
+    for (const auto &g : sampleIngestGauges(source, nullptr).sources)
+        std::printf("  source %s: %llu traces, %llu ops, %llu bytes "
+                    "%s\n",
+                    g.label.c_str(),
+                    static_cast<unsigned long long>(g.tracesTotal),
+                    static_cast<unsigned long long>(g.opsTotal),
+                    static_cast<unsigned long long>(g.bytesTotal),
+                    g.mmapBacked ? "mmapped" : "buffered");
 }
 
 /**
@@ -243,24 +239,15 @@ printOracleStats()
 void
 emitSourceOpenEvents(obs::EventLog &log, const TraceSource &source)
 {
-    if (const auto *multi =
-            dynamic_cast<const MultiTraceSource *>(&source)) {
-        for (const auto &child : multi->children())
-            emitSourceOpenEvents(log, *child);
-        return;
-    }
-    log.emit(obs::EventSeverity::Info, "source_open",
-             [&](JsonWriter &w) {
-                 w.member("source", source.name());
-                 const size_t count = source.traceCount();
-                 const bool known =
-                     count != TraceSource::kUnknownCount;
-                 w.member("traces_total_known", known);
-                 w.member("traces_total",
-                          known ? static_cast<uint64_t>(count) : 0);
-                 w.member("bytes_total", source.sizeBytes());
-                 w.member("mmap_backed", source.mmapBacked());
-             });
+    for (const auto &g : sampleIngestGauges(source, nullptr).sources)
+        log.emit(obs::EventSeverity::Info, "source_open",
+                 [&](JsonWriter &w) {
+                     w.member("source", g.label);
+                     w.member("traces_total_known", g.tracesTotalKnown);
+                     w.member("traces_total", g.tracesTotal);
+                     w.member("bytes_total", g.bytesTotal);
+                     w.member("mmap_backed", g.mmapBacked);
+                 });
 }
 
 /**
@@ -345,62 +332,53 @@ printReportStdout(const CheckPlan &plan, const RunTotals &totals,
 }
 
 /**
- * Write the unified metrics snapshot: run identity, verdict counts,
- * the shared pool/ingest stats rendering, and the telemetry section
- * (counters, per-stage latency histograms, span accounting). Worker
- * and coordinator runs tag themselves ("worker": "i/N",
- * "distribute": N).
+ * The exit metrics document: the publisher's frozen final sample plus
+ * the run identity and verdict. The gauges froze with the pool; the
+ * registry is re-read so the report tail's stages are in it too.
  */
 bool
-writeMetricsDoc(const CheckPlan &plan, const RunTotals &totals,
-                const Report &merged, const PoolStats &stats)
+writeExitMetrics(const CheckPlan &plan, obs::MetricsService &service,
+                 const RunTotals &totals, const Report &merged)
 {
-    std::string joined;
-    for (const auto &input : plan.inputs) {
-        if (!joined.empty())
-            joined += ",";
-        joined += input;
-    }
+    obs::GaugeSample sample = service.publisher()->latest();
+    sample.metrics = obs::Telemetry::instance().metrics();
+    obs::ExitBlocks exit;
+    exit.run = [&](JsonWriter &w) {
+        std::string joined;
+        for (const auto &input : plan.inputs)
+            joined += (joined.empty() ? "" : ",") + input;
+        w.member("trace_file", joined);
+        w.member("model", makeModel(plan.model)->name());
+        w.member("traces", totals.traces);
+        w.member("ops", totals.ops);
+        w.member("workers", totals.workers);
+        w.member("sources", totals.sources);
+        if (plan.workerCount > 0)
+            w.member("worker", std::to_string(plan.workerIndex) + "/" +
+                                   std::to_string(plan.workerCount));
+        if (plan.distribute > 0)
+            w.member("distribute",
+                     static_cast<uint64_t>(plan.distribute));
+    };
+    exit.verdict = [&](JsonWriter &w) {
+        w.member("fail", merged.failCount());
+        w.member("warn", merged.warnCount());
+        w.member("findings", merged.findings().size());
+    };
     JsonWriter w;
-    w.beginObject();
-    w.member("schema", "pmtest-metrics-v1");
-    w.member("tool", plan.tool.c_str());
-    w.member("trace_file", joined);
-    w.member("model", makeModel(plan.model)->name());
-    w.member("traces", totals.traces);
-    w.member("ops", totals.ops);
-    w.member("workers", totals.workers);
-    w.member("sources", totals.sources);
-    if (plan.workerCount > 0)
-        w.member("worker", std::to_string(plan.workerIndex) + "/" +
-                               std::to_string(plan.workerCount));
-    if (plan.distribute > 0)
-        w.member("distribute",
-                 static_cast<uint64_t>(plan.distribute));
-    w.key("verdict").beginObject();
-    w.member("fail", merged.failCount());
-    w.member("warn", merged.warnCount());
-    w.member("findings", merged.findings().size());
-    w.endObject();
-    w.key("pool");
-    writePoolStatsJson(w, stats);
-    w.key("telemetry");
-    obs::Telemetry::instance().writeMetricsJson(w);
-    w.endObject();
-
+    obs::renderMetricsJson(w, sample, plan.tool, &exit);
     std::string error;
-    if (!writeJsonFile(plan.metricsJsonPath, w, &error)) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return false;
-    }
-    return true;
+    if (writeJsonFile(plan.metricsJsonPath, w, &error))
+        return true;
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
 }
 
 /**
  * The tail every run shape shares: the stdout report (not for a
  * worker, whose stdout belongs to the coordinator) with --stats, the
- * metrics doc, the trace-event timeline, then the finding events and
- * run_stop that close the audit trail.
+ * exit metrics document, the trace-event timeline, then the finding
+ * events and run_stop that close the audit trail.
  * @return the verdict exit code (0/1), or 2 when an output file could
  *         not be written (run_stop then carries 2).
  */
@@ -422,7 +400,7 @@ finishRun(const CheckPlan &plan, SessionServices &services,
     // The machine-readable outputs are files; they are written
     // whatever the stdout flags say.
     if (!plan.metricsJsonPath.empty() &&
-        !writeMetricsDoc(plan, totals, merged, stats)) {
+        !writeExitMetrics(plan, services.service(), totals, merged)) {
         services.emitRunStop(2);
         return 2;
     }
@@ -628,10 +606,12 @@ CheckSession::run()
         service_options.intervalMs = plan.metricsIntervalMs;
         service_options.progress = plan.progress;
         service_options.eventLogPath = plan.eventLogPath;
-        service_options.poolSampler = poolGaugeSampler(pool);
+        service_options.finalSample = !plan.metricsJsonPath.empty();
+        service_options.poolSampler = [&pool] { return pool.stats(); };
         if (source)
-            service_options.ingestSampler =
-                ingestGaugeSampler(*source, &ingest_progress);
+            service_options.ingestSampler = [&source, &ingest_progress] {
+                return sampleIngestGauges(*source, &ingest_progress);
+            };
         std::string service_error;
         if (!services.start(std::move(service_options),
                             &service_error)) {
@@ -659,12 +639,10 @@ CheckSession::run()
             ingest_options.batch = plan.batch;
             ingest_options.affinity = plan.affinity;
             ingest_options.progress = &ingest_progress;
-            IngestStats ingest_stats;
-            ingest_ok = ingest(*source, pool, ingest_options,
-                               &ingest_stats, &ingest_error);
+            ingest_ok = ingest(*source, pool, ingest_options, nullptr,
+                               &ingest_error);
             merged = pool.takeResults();
             stats = pool.stats();
-            stats.ingest = ingest_stats;
         }
         totals.workers = pool.workerCount();
 
@@ -836,6 +814,7 @@ runDistributedCheck(const CheckPlan &plan)
     service_options.intervalMs = plan.metricsIntervalMs;
     service_options.progress = plan.progress;
     service_options.eventLogPath = plan.eventLogPath;
+    service_options.finalSample = !plan.metricsJsonPath.empty();
     std::string service_error;
     if (!services.start(std::move(service_options),
                         &service_error)) {
@@ -945,6 +924,8 @@ runDistributedCheck(const CheckPlan &plan)
     totals.ops = static_cast<size_t>(meta.totalOps);
     totals.workers = workers;
     totals.sources = plan.inputs.size();
+    // No pool or source here: the final sample's gauges stay invalid.
+    services.freeze();
     const int exit_code = finishRun(plan, services, merged, totals,
                                     PoolStats{}, nullptr);
     services.stop();

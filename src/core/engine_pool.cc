@@ -1,7 +1,6 @@
 #include "core/engine_pool.hh"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
@@ -39,48 +38,6 @@ resolveQueueCapacity(size_t requested, size_t workers)
 }
 
 } // namespace
-
-size_t
-PoolStats::queuedTraces() const
-{
-    size_t total = 0;
-    for (const auto &w : workers)
-        total += w.queueDepth;
-    return total;
-}
-
-std::string
-PoolStats::str() const
-{
-    std::ostringstream out;
-    out << "pool: " << tracesSubmitted << " submitted, "
-        << tracesCompleted << " completed, " << batchesSubmitted
-        << " batches, " << steals << " stolen traces in " << stealScans
-        << " scans, producer stalled "
-        << static_cast<double>(producerStallNanos) * 1e-6 << " ms"
-        << " (capacity "
-        << (queueCapacity ? std::to_string(queueCapacity) : "unbounded")
-        << ")\n";
-    if (ingest.active) {
-        out << "ingest: " << ingest.bytesMapped << " bytes "
-            << (ingest.mmapBacked ? "mmapped" : "buffered")
-            << " from " << ingest.sources << " source(s), "
-            << ingest.tracesDecoded << " traces decoded on "
-            << ingest.decoders << " decoder(s), decode "
-            << static_cast<double>(ingest.decodeNanos) * 1e-6
-            << " ms, ingest stalled "
-            << static_cast<double>(ingest.stallNanos) * 1e-6
-            << " ms\n";
-    }
-    for (size_t i = 0; i < workers.size(); i++) {
-        const WorkerStats &w = workers[i];
-        out << "  worker " << i << ": " << w.tracesChecked
-            << " traces, " << w.opsProcessed << " ops, " << w.steals
-            << " stolen (" << w.stealScans << " scans), depth "
-            << w.queueDepth << "\n";
-    }
-    return out.str();
-}
 
 EnginePool::EnginePool(const PoolOptions &options)
     : kind_(options.model),
@@ -428,6 +385,7 @@ PoolStats
 EnginePool::stats() const
 {
     PoolStats stats;
+    stats.valid = true;
     stats.queueCapacity = queueCapacity_;
     stats.batchesSubmitted = batches_.load(std::memory_order_relaxed);
     stats.producerStallNanos =
@@ -436,6 +394,7 @@ EnginePool::stats() const
         std::lock_guard<std::mutex> lock(resultMutex_);
         stats.tracesSubmitted = submitted_;
         stats.tracesCompleted = completed_;
+        stats.ingest = ingest_;
     }
     if (workers_.empty()) {
         std::lock_guard<std::mutex> lock(inlineMutex_);
@@ -460,6 +419,13 @@ EnginePool::stats() const
         stats.workers.push_back(w);
     }
     return stats;
+}
+
+void
+EnginePool::recordIngest(const IngestStats &ingest)
+{
+    std::lock_guard<std::mutex> lock(resultMutex_);
+    ingest_ = ingest;
 }
 
 uint64_t

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "core/engine.hh"
+#include "obs/metrics_doc.hh"
 #include "trace/concurrent_queue.hh"
 
 namespace pmtest::core
@@ -66,57 +67,10 @@ struct PoolOptions
     size_t queueCapacity = 0;
 };
 
-/** Point-in-time dispatch statistics for one worker. */
-struct WorkerStats
-{
-    uint64_t tracesChecked = 0; ///< traces this worker completed
-    uint64_t opsProcessed = 0;  ///< PM ops this worker processed
-    uint64_t steals = 0;        ///< traces this worker stole from peers
-    uint64_t stealScans = 0;    ///< successful steal sweeps (each
-                                ///< grabs up to half a victim queue)
-    size_t queueDepth = 0;      ///< traces currently queued to it
-};
-
-/**
- * Counters for the ingest stage feeding a pool (the offline
- * pmtest_check pipeline): filled by core::ingest() and carried
- * here so one PoolStats snapshot describes the whole load→verdict
- * pipeline — how the bytes came in, how long decoding took, and how
- * long decoders stalled on the pool's backpressure.
- */
-struct IngestStats
-{
-    bool active = false;      ///< an ingest stage ran (renders stats)
-    bool mmapBacked = false;  ///< all bytes were mmap'd (vs buffers)
-    uint32_t decoders = 0;    ///< decoder threads used
-    size_t sources = 1;       ///< leaf sources (files/shards) drained
-    uint64_t bytesMapped = 0; ///< file bytes mapped/buffered
-    uint64_t tracesDecoded = 0;
-    uint64_t decodeNanos = 0; ///< summed decode time across decoders
-    uint64_t stallNanos = 0;  ///< summed time decoders were blocked
-                              ///< submitting into full pool queues
-};
-
-/** Point-in-time snapshot of the pool's dispatch behaviour. */
-struct PoolStats
-{
-    std::vector<WorkerStats> workers;
-    IngestStats ingest;             ///< offline file-ingest counters
-    uint64_t tracesSubmitted = 0;   ///< traces accepted by submit*()
-    uint64_t tracesCompleted = 0;   ///< traces fully checked
-    uint64_t batchesSubmitted = 0;  ///< submitBatch() calls
-    uint64_t steals = 0;            ///< total stolen traces
-    uint64_t stealScans = 0;        ///< total successful steal sweeps
-    uint64_t producerStallNanos = 0;///< time producers blocked on
-                                    ///< full queues (backpressure)
-    size_t queueCapacity = 0;       ///< per-worker bound (0 = none)
-
-    /** Sum of current queue depths. */
-    size_t queuedTraces() const;
-
-    /** Multi-line human-readable rendering. */
-    std::string str() const;
-};
+/** The dispatch counters live in obs, where the publisher samples them. */
+using WorkerStats = obs::WorkerStats;
+using IngestStats = obs::IngestStats;
+using PoolStats = obs::PoolStats;
 
 /** Dispatches traces to engine workers and aggregates reports. */
 class EnginePool
@@ -192,8 +146,14 @@ class EnginePool
      */
     Report takeResults();
 
-    /** Dispatch statistics snapshot. */
+    /**
+     * Dispatch statistics snapshot, carrying the counters of the last
+     * ingest() into this pool (see recordIngest).
+     */
     PoolStats stats() const;
+
+    /** Keep @p ingest for stats(); core::ingest() calls this. */
+    void recordIngest(const IngestStats &ingest);
 
     /** Number of worker threads (0 = inline mode). */
     size_t workerCount() const { return workers_.size(); }
@@ -255,6 +215,7 @@ class EnginePool
     Report aggregate_;
     uint64_t submitted_ = 0; ///< guarded by resultMutex_
     uint64_t completed_ = 0; ///< guarded by resultMutex_
+    IngestStats ingest_;     ///< guarded by resultMutex_
 };
 
 } // namespace pmtest::core

@@ -15,7 +15,9 @@ leafGauge(const TraceSource &leaf, bool ingest_done)
     const size_t count = leaf.traceCount();
     g.tracesTotalKnown = count != TraceSource::kUnknownCount;
     g.tracesTotal = g.tracesTotalKnown ? count : 0;
+    g.opsTotal = leaf.totalOps();
     g.bytesTotal = leaf.sizeBytes();
+    g.mmapBacked = leaf.mmapBacked();
     g.tracesConsumed = leaf.consumedTraces();
     g.bytesConsumed = leaf.consumedBytes();
     // A counted source is drained when every trace is out; an
@@ -41,20 +43,6 @@ collectLeaves(const TraceSource &source, bool ingest_done,
 
 } // namespace
 
-obs::PoolGauges
-samplePoolGauges(const EnginePool &pool)
-{
-    const PoolStats stats = pool.stats();
-    obs::PoolGauges g;
-    g.valid = true;
-    g.tracesSubmitted = stats.tracesSubmitted;
-    g.tracesCompleted = stats.tracesCompleted;
-    g.queueDepths.reserve(stats.workers.size());
-    for (const auto &w : stats.workers)
-        g.queueDepths.push_back(w.queueDepth);
-    return g;
-}
-
 obs::IngestGauges
 sampleIngestGauges(const TraceSource &source,
                    const IngestProgress *progress)
@@ -65,21 +53,6 @@ sampleIngestGauges(const TraceSource &source,
              progress->done.load(std::memory_order_acquire);
     collectLeaves(source, g.done, &g.sources);
     return g;
-}
-
-std::function<obs::PoolGauges()>
-poolGaugeSampler(const EnginePool &pool)
-{
-    return [&pool] { return samplePoolGauges(pool); };
-}
-
-std::function<obs::IngestGauges()>
-ingestGaugeSampler(const TraceSource &source,
-                   const IngestProgress *progress)
-{
-    return [&source, progress] {
-        return sampleIngestGauges(source, progress);
-    };
 }
 
 } // namespace pmtest::core

@@ -1,15 +1,15 @@
 /**
  * @file
- * Gauge extraction for the live metrics publisher. The obs layer
- * links below core (obs → util only), so MetricsPublisher cannot see
- * EnginePool or TraceSource; instead these factories close over them
- * and hand obs plain gauge structs. One sampler call is one
- * EnginePool::stats() snapshot / one walk of the source tree — cheap
- * enough for a 1 s tick, and thread-safe at any moment of a run
- * (stats() locks internally; consumedTraces()/consumedBytes() are
- * atomic or mutex-guarded in every source).
+ * Ingest gauge extraction. The obs layer links below core (obs → util
+ * only), so MetricsPublisher cannot see TraceSource; core hands it a
+ * closure over sampleIngestGauges instead (the pool sampler needs no
+ * helper: it is EnginePool::stats() itself). One call is one walk of
+ * the source tree — cheap enough for a 1 s tick, and thread-safe at
+ * any moment of a run (consumedTraces()/consumedBytes() are atomic or
+ * mutex-guarded in every source). It is also the one walk behind the
+ * --stats source lines and the source_open events.
  *
- * Lifetime: the returned std::functions capture raw references. Call
+ * Lifetime: sampler closures capture raw references. Call
  * MetricsService::freeze() (which final-samples and drops them)
  * before the pool/source they point at is destroyed.
  */
@@ -17,18 +17,12 @@
 #ifndef PMTEST_CORE_LIVE_GAUGES_HH
 #define PMTEST_CORE_LIVE_GAUGES_HH
 
-#include <functional>
-
-#include "core/engine_pool.hh"
 #include "core/trace_ingest.hh"
-#include "obs/metrics_publisher.hh"
+#include "obs/metrics_doc.hh"
 #include "trace/trace_source.hh"
 
 namespace pmtest::core
 {
-
-/** One-shot dispatch gauge snapshot from @p pool. */
-obs::PoolGauges samplePoolGauges(const EnginePool &pool);
 
 /**
  * One-shot ingest gauge snapshot: one SourceGauge per leaf of
@@ -39,14 +33,6 @@ obs::PoolGauges samplePoolGauges(const EnginePool &pool);
  */
 obs::IngestGauges sampleIngestGauges(const TraceSource &source,
                                      const IngestProgress *progress);
-
-/** Sampler closure over @p pool for PublisherOptions::poolSampler. */
-std::function<obs::PoolGauges()> poolGaugeSampler(
-    const EnginePool &pool);
-
-/** Sampler closure for PublisherOptions::ingestSampler. */
-std::function<obs::IngestGauges()> ingestGaugeSampler(
-    const TraceSource &source, const IngestProgress *progress);
 
 } // namespace pmtest::core
 

@@ -15,6 +15,38 @@ namespace
 {
 
 /**
+ * Close one ingest() run after its decoders joined: count the drained
+ * sources, hand the stage counters to the pool (so its stats()
+ * snapshot covers ingest) and to @p out, and flag the live progress
+ * done. @return @p ok.
+ */
+bool
+finishIngest(const TraceSource &source, EnginePool &pool,
+             const IngestOptions &options, bool ok, size_t team,
+             uint64_t decoded, uint64_t decode_nanos,
+             uint64_t stall_nanos, IngestStats *out)
+{
+    if (ok)
+        obs::count(obs::Counter::SourcesIngested,
+                   source.sourceCount());
+    IngestStats stats;
+    stats.active = true;
+    stats.mmapBacked = source.mmapBacked();
+    stats.decoders = static_cast<uint32_t>(team);
+    stats.sources = source.sourceCount();
+    stats.bytesMapped = source.sizeBytes();
+    stats.tracesDecoded = decoded;
+    stats.decodeNanos = decode_nanos;
+    stats.stallNanos = stall_nanos;
+    pool.recordIngest(stats);
+    if (out)
+        *out = stats;
+    if (options.progress)
+        options.progress->done.store(true, std::memory_order_release);
+    return ok;
+}
+
+/**
  * Pinned placement: decoder d drains child sources d, d+team,
  * d+2*team, ... to completion, submitting each child's traces to
  * worker slot (child index % workers) via submitBatchTo. One shard's
@@ -84,9 +116,6 @@ ingestPinned(MultiTraceSource &multi, EnginePool &pool,
                 break;
             const size_t done = batch.size() - before;
             decoded.fetch_add(done, std::memory_order_relaxed);
-            if (options.progress)
-                options.progress->tracesDecoded.fetch_add(
-                    done, std::memory_order_relaxed);
             obs::count(obs::Counter::ChunksDecoded);
             obs::count(obs::Counter::TracesDecoded, done);
             if (batch.size() >= batch_size)
@@ -118,27 +147,9 @@ ingestPinned(MultiTraceSource &multi, EnginePool &pool,
             t.join();
     }
 
-    const bool ok = !failed.load(std::memory_order_relaxed);
-    if (ok)
-        obs::count(obs::Counter::SourcesIngested,
-                   multi.sourceCount());
-
-    if (ingest) {
-        ingest->active = true;
-        ingest->mmapBacked = multi.mmapBacked();
-        ingest->decoders = static_cast<uint32_t>(team);
-        ingest->sources = multi.sourceCount();
-        ingest->bytesMapped = multi.sizeBytes();
-        ingest->tracesDecoded =
-            decoded.load(std::memory_order_relaxed);
-        ingest->decodeNanos =
-            decode_nanos.load(std::memory_order_relaxed);
-        ingest->stallNanos =
-            stall_nanos.load(std::memory_order_relaxed);
-    }
-    if (options.progress)
-        options.progress->done.store(true, std::memory_order_release);
-    return ok;
+    return finishIngest(multi, pool, options, !failed.load(), team,
+                        decoded.load(), decode_nanos.load(),
+                        stall_nanos.load(), ingest);
 }
 
 } // namespace
@@ -230,9 +241,6 @@ ingest(TraceSource &source, EnginePool &pool,
                 break;
             const size_t done = batch.size() - before;
             decoded.fetch_add(done, std::memory_order_relaxed);
-            if (options.progress)
-                options.progress->tracesDecoded.fetch_add(
-                    done, std::memory_order_relaxed);
             obs::count(obs::Counter::ChunksDecoded);
             obs::count(obs::Counter::TracesDecoded, done);
             if (batch.size() >= batch_size)
@@ -256,27 +264,9 @@ ingest(TraceSource &source, EnginePool &pool,
             t.join();
     }
 
-    const bool ok = !failed.load(std::memory_order_relaxed);
-    if (ok)
-        obs::count(obs::Counter::SourcesIngested,
-                   source.sourceCount());
-
-    if (ingest) {
-        ingest->active = true;
-        ingest->mmapBacked = source.mmapBacked();
-        ingest->decoders = static_cast<uint32_t>(team);
-        ingest->sources = source.sourceCount();
-        ingest->bytesMapped = source.sizeBytes();
-        ingest->tracesDecoded =
-            decoded.load(std::memory_order_relaxed);
-        ingest->decodeNanos =
-            decode_nanos.load(std::memory_order_relaxed);
-        ingest->stallNanos =
-            stall_nanos.load(std::memory_order_relaxed);
-    }
-    if (options.progress)
-        options.progress->done.store(true, std::memory_order_release);
-    return ok;
+    return finishIngest(source, pool, options, !failed.load(), team,
+                        decoded.load(), decode_nanos.load(),
+                        stall_nanos.load(), ingest);
 }
 
 } // namespace pmtest::core

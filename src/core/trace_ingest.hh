@@ -34,7 +34,6 @@ namespace pmtest::core
  */
 struct IngestProgress
 {
-    std::atomic<uint64_t> tracesDecoded{0};
     std::atomic<bool> done{false}; ///< ingest() has returned
 };
 
@@ -77,8 +76,9 @@ struct IngestOptions
 /**
  * Drain @p source on @p options.decoders threads and submit every
  * trace to @p pool. Returns once all traces are *submitted* (call
- * pool.results() to also wait for checking). Fills @p ingest with
- * decode/stall counters for the PoolStats snapshot.
+ * pool.results() to also wait for checking). Records the decode/
+ * stall counters on @p pool (its stats() carries them) and copies
+ * them to @p ingest when non-null.
  *
  * @return false when the source reports an error (the first error is
  *         copied to @p error when provided; remaining work is

@@ -7,7 +7,6 @@
 #endif
 #include <unistd.h>
 
-#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace pmtest::obs
@@ -85,73 +84,6 @@ sampleHeapBytes()
 }
 
 } // namespace
-
-uint64_t
-PoolGauges::queuedTraces() const
-{
-    uint64_t sum = 0;
-    for (uint64_t d : queueDepths)
-        sum += d;
-    return sum;
-}
-
-uint64_t
-IngestGauges::tracesTotal() const
-{
-    uint64_t sum = 0;
-    for (const auto &s : sources)
-        if (s.tracesTotalKnown)
-            sum += s.tracesTotal;
-    return sum;
-}
-
-bool
-IngestGauges::tracesTotalKnown() const
-{
-    if (sources.empty())
-        return false;
-    for (const auto &s : sources)
-        if (!s.tracesTotalKnown)
-            return false;
-    return true;
-}
-
-uint64_t
-IngestGauges::bytesTotal() const
-{
-    uint64_t sum = 0;
-    for (const auto &s : sources)
-        sum += s.bytesTotal;
-    return sum;
-}
-
-uint64_t
-IngestGauges::tracesConsumed() const
-{
-    uint64_t sum = 0;
-    for (const auto &s : sources)
-        sum += s.tracesConsumed;
-    return sum;
-}
-
-uint64_t
-IngestGauges::bytesConsumed() const
-{
-    uint64_t sum = 0;
-    for (const auto &s : sources)
-        sum += s.bytesConsumed;
-    return sum;
-}
-
-size_t
-IngestGauges::drainedSources() const
-{
-    size_t n = 0;
-    for (const auto &s : sources)
-        if (s.drained)
-            n++;
-    return n;
-}
 
 MetricsPublisher::MetricsPublisher(PublisherOptions options)
     : options_(std::move(options))
@@ -469,11 +401,11 @@ MetricsPublisher::renderPrometheus() const
                  sample.pool.tracesSubmitted);
         promLine(out, "pmtest_pool_traces_completed",
                  sample.pool.tracesCompleted);
-        for (size_t i = 0; i < sample.pool.queueDepths.size(); i++)
+        for (size_t i = 0; i < sample.pool.workers.size(); i++)
             promLine(out,
                      "pmtest_worker_queue_depth{worker=\"" +
                          std::to_string(i) + "\"}",
-                     sample.pool.queueDepths[i]);
+                     sample.pool.workers[i].queueDepth);
     }
 
     if (sample.ingest.valid) {
@@ -519,68 +451,8 @@ MetricsPublisher::renderPrometheus() const
 std::string
 MetricsPublisher::renderJson() const
 {
-    const GaugeSample sample = latest();
     JsonWriter w;
-    w.beginObject();
-    w.member("schema", "pmtest-metrics-v1");
-    w.member("tool", options_.tool);
-    w.member("live", true);
-    w.member("snapshot_ns", sample.metrics.snapshotNs);
-
-    w.key("gauges").beginObject();
-    w.key("pool").beginObject();
-    w.member("valid", sample.pool.valid);
-    w.member("in_flight", sample.pool.inFlight());
-    w.member("queued", sample.pool.queuedTraces());
-    w.member("traces_submitted", sample.pool.tracesSubmitted);
-    w.member("traces_completed", sample.pool.tracesCompleted);
-    w.key("queue_depths").beginArray();
-    for (uint64_t d : sample.pool.queueDepths)
-        w.value(d);
-    w.endArray();
-    w.endObject();
-
-    w.key("ingest").beginObject();
-    w.member("valid", sample.ingest.valid);
-    w.member("done", sample.ingest.done);
-    w.member("traces_consumed", sample.ingest.tracesConsumed());
-    w.member("traces_total", sample.ingest.tracesTotal());
-    w.member("traces_total_known", sample.ingest.tracesTotalKnown());
-    w.member("bytes_consumed", sample.ingest.bytesConsumed());
-    w.member("bytes_total", sample.ingest.bytesTotal());
-    w.member("sources_drained",
-             static_cast<uint64_t>(sample.ingest.drainedSources()));
-    w.key("sources").beginArray();
-    for (const auto &s : sample.ingest.sources) {
-        w.beginObject();
-        w.member("source", s.label);
-        w.member("traces_consumed", s.tracesConsumed);
-        w.member("traces_total", s.tracesTotal);
-        w.member("traces_total_known", s.tracesTotalKnown);
-        w.member("bytes_consumed", s.bytesConsumed);
-        w.member("bytes_total", s.bytesTotal);
-        w.member("drained", s.drained);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-
-    w.key("process").beginObject();
-    w.member("rss_bytes", sample.rssBytes);
-    w.member("heap_bytes", sample.heapBytes);
-    w.endObject();
-    w.endObject(); // gauges
-
-    w.key("rates").beginObject();
-    w.member("traces_checked_per_sec", sample.tracesCheckedPerSec);
-    w.member("ops_checked_per_sec", sample.opsCheckedPerSec);
-    w.member("traces_decoded_per_sec", sample.tracesDecodedPerSec);
-    w.member("bytes_consumed_per_sec", sample.bytesConsumedPerSec);
-    w.endObject();
-
-    w.key("telemetry");
-    Telemetry::instance().writeMetricsJson(w, sample.metrics);
-    w.endObject();
+    renderMetricsJson(w, latest(), options_.tool);
     return w.str();
 }
 

@@ -4,12 +4,13 @@
  * telemetry registry into a live signal. Every tick (default 1 s) it
  *
  *  - snapshots the registry (counters + stage histograms),
- *  - samples **gauges** the registry cannot express — per-worker
- *    queue depth and in-flight traces, ingest progress per source,
- *    process RSS and heap bytes held — through caller-supplied
- *    sampler callbacks (the obs layer links below core, so core hands
- *    in closures over `EnginePool`/`TraceSource` instead of obs
- *    including their headers; see core/live_gauges.hh),
+ *  - samples **gauges** the registry cannot express — the pool's
+ *    PoolStats (queue depths, in-flight traces), ingest progress per
+ *    source, process RSS and heap bytes held — through
+ *    caller-supplied sampler callbacks (the obs layer links below
+ *    core, so core hands in closures over `EnginePool`/`TraceSource`
+ *    instead of obs including their headers; see
+ *    core/live_gauges.hh),
  *  - computes rates from the delta to the previous tick (well-defined
  *    because MetricsSnapshot carries snapshotNs),
  *  - runs the **stall watchdog**: if the progress counters stop
@@ -28,9 +29,10 @@
  * that is what lets a tool keep its endpoint alive (--metrics-linger)
  * after the pool and sources are destroyed.
  *
- * Under -DPMTEST_TELEMETRY=OFF the tools skip constructing a
- * publisher entirely (MetricsService gates it), so none of this code
- * runs; it still compiles, reading all-zero registry snapshots.
+ * Under -DPMTEST_TELEMETRY=OFF MetricsService never starts the tick
+ * thread; it builds a publisher only to take the final sample of an
+ * exit document (--metrics-json), which then reads an all-zero
+ * registry snapshot.
  */
 
 #ifndef PMTEST_OBS_METRICS_PUBLISHER_HH
@@ -45,74 +47,11 @@
 #include <vector>
 
 #include "obs/event_log.hh"
+#include "obs/metrics_doc.hh"
 #include "obs/telemetry.hh"
 
 namespace pmtest::obs
 {
-
-/** Live progress of one leaf trace source. */
-struct SourceGauge
-{
-    std::string label;           ///< path, or "stream"/"capture"
-    uint64_t tracesTotal = 0;    ///< 0 when unknown (streams)
-    bool tracesTotalKnown = false;
-    uint64_t bytesTotal = 0;     ///< 0 when unknown
-    uint64_t tracesConsumed = 0;
-    uint64_t bytesConsumed = 0;
-    bool drained = false;        ///< source fully consumed
-};
-
-/** Live dispatch-side gauges sampled from EnginePool::stats(). */
-struct PoolGauges
-{
-    bool valid = false; ///< a pool sampler is attached and sampled
-    std::vector<uint64_t> queueDepths; ///< one per worker
-    uint64_t tracesSubmitted = 0;
-    uint64_t tracesCompleted = 0;
-
-    /** Traces submitted but not yet fully checked. */
-    uint64_t
-    inFlight() const
-    {
-        return tracesSubmitted > tracesCompleted
-                   ? tracesSubmitted - tracesCompleted
-                   : 0;
-    }
-
-    /** Sum of per-worker queue depths. */
-    uint64_t queuedTraces() const;
-};
-
-/** Live ingest-side gauges sampled from the TraceSource tree. */
-struct IngestGauges
-{
-    bool valid = false; ///< an ingest sampler is attached and sampled
-    bool done = false;  ///< core::ingest() has returned
-    std::vector<SourceGauge> sources; ///< one per leaf source
-
-    uint64_t tracesTotal() const;    ///< sum over known-total leaves
-    bool tracesTotalKnown() const;   ///< every leaf knows its total
-    uint64_t bytesTotal() const;
-    uint64_t tracesConsumed() const;
-    uint64_t bytesConsumed() const;
-    size_t drainedSources() const;
-};
-
-/** One published tick: registry snapshot + gauges + derived rates. */
-struct GaugeSample
-{
-    MetricsSnapshot metrics;
-    PoolGauges pool;
-    IngestGauges ingest;
-    uint64_t rssBytes = 0;  ///< process resident set (/proc/self/statm)
-    uint64_t heapBytes = 0; ///< malloc arena bytes held (mallinfo2)
-
-    // Rates over the window ending at this sample (0 on the first).
-    double tracesCheckedPerSec = 0;
-    double opsCheckedPerSec = 0;
-    double tracesDecodedPerSec = 0;
-    double bytesConsumedPerSec = 0;
-};
 
 /** Configuration for one publisher instance. */
 struct PublisherOptions
@@ -123,7 +62,7 @@ struct PublisherOptions
     std::string tool = "pmtest";   ///< "tool" field of exports
     bool progress = false;         ///< repaint a TTY line on stderr
     EventLog *eventLog = nullptr;  ///< optional event sink (not owned)
-    std::function<PoolGauges()> poolSampler;
+    std::function<PoolStats()> poolSampler;
     std::function<IngestGauges()> ingestSampler;
 };
 
@@ -166,7 +105,7 @@ class MetricsPublisher
     /** Prometheus text exposition of the latest sample. */
     std::string renderPrometheus() const;
 
-    /** pmtest-metrics-v1 JSON document of the latest sample. */
+    /** Live pmtest-metrics-v2 document of the latest sample. */
     std::string renderJson() const;
 
   private:
@@ -191,7 +130,6 @@ class MetricsPublisher
 
     // source_eof edge detection (tick thread only).
     std::vector<bool> sourceDrained_;
-    bool sourcesAnnounced_ = false;
 
     std::thread thread_;
     std::mutex wakeMutex_;

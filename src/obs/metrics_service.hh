@@ -22,8 +22,14 @@
  * keeping hot paths and verdicts identical to a run without flags.
  *
  * Routes served: /metrics (Prometheus text exposition) and
- * /metrics.json (pmtest-metrics-v1). Every served scrape bumps
- * Counter::MetricsScrapes.
+ * /metrics.json (the live pmtest-metrics-v2 document). Every served
+ * scrape bumps Counter::MetricsScrapes.
+ *
+ * A run that asks for an exit document (ServiceOptions::finalSample)
+ * gets a publisher even without a live surface — and in every build
+ * configuration — but no tick thread: freeze() then takes the one
+ * sample the document renders. A run that asks for neither builds no
+ * publisher and takes no sample at all.
  */
 
 #ifndef PMTEST_OBS_METRICS_SERVICE_HH
@@ -49,7 +55,9 @@ struct ServiceOptions
     uint32_t stallTicks = 3;    ///< watchdog threshold, in ticks
     bool progress = false;      ///< --progress TTY line
     std::string eventLogPath;   ///< "" = no event log; "-" = stdout
-    std::function<PoolGauges()> poolSampler;
+    /** freeze() samples for an exit document (--metrics-json). */
+    bool finalSample = false;
+    std::function<PoolStats()> poolSampler;
     std::function<IngestGauges()> ingestSampler;
 };
 
@@ -70,9 +78,6 @@ class MetricsService
      */
     bool start(ServiceOptions options, std::string *error = nullptr);
 
-    /** True when anything (event log, publisher, server) is live. */
-    bool active() const { return publisher_ || eventLog_.active(); }
-
     /** The bound scrape port; 0 when no server is running. */
     uint16_t port() const
     {
@@ -82,13 +87,17 @@ class MetricsService
     /** The event log (inactive singleton when --event-log unset). */
     EventLog &eventLog() { return eventLog_; }
 
-    /** The publisher; null without telemetry or before start(). */
+    /**
+     * The publisher; null before start() and when neither a live
+     * surface (in a telemetry build) nor a final sample was asked for.
+     */
     MetricsPublisher *publisher() { return publisher_.get(); }
 
     /**
-     * Final-sample the publisher and detach its gauge samplers; the
-     * server keeps answering scrapes with the frozen sample. Call
-     * before destroying the pool/sources the samplers capture.
+     * Take the final sample (when there is a publisher) and detach
+     * the gauge samplers; the server keeps answering scrapes with the
+     * frozen sample. Call before destroying the pool/sources the
+     * samplers capture.
      */
     void freeze();
 

@@ -307,12 +307,6 @@ Telemetry::metrics() const
 }
 
 void
-Telemetry::writeMetricsJson(JsonWriter &w) const
-{
-    writeMetricsJson(w, metrics());
-}
-
-void
 Telemetry::writeMetricsJson(JsonWriter &w,
                             const MetricsSnapshot &snap) const
 {

@@ -302,14 +302,11 @@ class Telemetry
     MetricsSnapshot metrics() const;
 
     /**
-     * Append the "telemetry" metrics object (compiled flag, capture
-     * timestamp, counters, per-stage histogram quantiles, span
-     * accounting) to @p w. The writer must be positioned where an
-     * object value is legal.
+     * Append the "telemetry" metrics object of @p snap (compiled
+     * flag, capture timestamp, counters, per-stage histogram
+     * quantiles, span accounting) to @p w. The writer must be
+     * positioned where an object value is legal.
      */
-    void writeMetricsJson(JsonWriter &w) const;
-
-    /** Same, but rendering the already-taken snapshot @p snap. */
     void writeMetricsJson(JsonWriter &w,
                           const MetricsSnapshot &snap) const;
 

@@ -101,8 +101,8 @@ main(int argc, char **argv)
     cli.addFlag("--stats", &plan.showStats,
                 "print dispatch/ingest counters (wins over --quiet)");
     cli.addString("--metrics-json", &plan.metricsJsonPath,
-                  "write the pmtest-metrics-v1 snapshot (\"-\" = "
-                  "stdout)");
+                  "write the pmtest-metrics-v2 exit document (\"-\" "
+                  "= stdout)");
     cli.addString("--trace-events", &plan.traceEventsPath,
                   "write a Chrome trace-event timeline");
     cli.addSize("--span-sample", &plan.spanSample,

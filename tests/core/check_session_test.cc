@@ -4,7 +4,9 @@
  * for flag combinations, input errors without the usage hint) and
  * the worker/sequential equivalence at the heart of distributed
  * checking — N in-process worker-shaped sessions merge to the exact
- * findings of one plain session over the seed corpus.
+ * findings of one plain session over the seed corpus — and the exit
+ * metrics document (--metrics-json), which must be the live
+ * /metrics.json document plus "run" and "verdict" blocks.
  */
 
 #include "core/check_session.hh"
@@ -12,12 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
 
 #include "core/report_io.hh"
+#include "obs/metrics_publisher.hh"
+#include "tests/obs/json_test_util.hh"
 #include "trace/seed_corpus.hh"
 #include "trace/trace_io.hh"
 
@@ -47,6 +54,34 @@ quietPlan(const std::string &input)
     plan.quiet = true;
     plan.workers = 2;
     return plan;
+}
+
+/**
+ * Every object key of @p doc as a dotted path; array elements share
+ * their array's path, so "gauges.pool.workers.ops" stands for the ops
+ * key of every worker.
+ */
+void
+keyPaths(const test::Json &doc, const std::string &prefix,
+         std::set<std::string> *out)
+{
+    for (const auto &[key, value] : doc.members) {
+        out->insert(prefix + key);
+        keyPaths(value, prefix + key + ".", out);
+    }
+    for (const test::Json &item : doc.items)
+        keyPaths(item, prefix, out);
+}
+
+test::Json
+parseJsonFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    test::Json doc;
+    EXPECT_TRUE(test::JsonParser(text.str()).parse(&doc)) << path;
+    return doc;
 }
 
 TEST(CheckPlanTest, MissingInputIsAUsageError)
@@ -236,6 +271,86 @@ TEST(CheckSessionTest, WorkerShardsMergeToTheSequentialReport)
 
     std::remove(path.c_str());
     std::remove(seq_path.c_str());
+}
+
+TEST(CheckSessionTest, ExitMetricsDocumentIsTheLiveDocumentPlusRun)
+{
+    const std::string path = corpusFile("session_metrics.trace");
+    const std::string report_path =
+        testing::TempDir() + "session_metrics.report";
+    const std::string metrics_path =
+        testing::TempDir() + "session_metrics.json";
+    CheckPlan plan = quietPlan(path);
+    plan.reportOutPath = report_path;
+    plan.metricsJsonPath = metrics_path;
+    std::string error;
+    ASSERT_TRUE(plan.finalize(&error)) << error;
+    EXPECT_EQ(runCheckTool(plan), 1) << "seed corpus has FAILs";
+    Report report;
+    ReportMeta meta;
+    ASSERT_TRUE(loadReportFile(report_path, &report, &meta, &error))
+        << error;
+
+    const test::Json doc = parseJsonFile(metrics_path);
+    ASSERT_EQ(doc.kind, test::Json::Kind::Object);
+    EXPECT_EQ(doc.find("schema")->text, "pmtest-metrics-v2");
+    EXPECT_FALSE(doc.find("live")->boolean);
+    const test::Json *verdict = doc.find("verdict");
+    ASSERT_NE(verdict, nullptr);
+    EXPECT_EQ(verdict->find("fail")->number, report.failCount());
+    EXPECT_EQ(verdict->find("warn")->number, report.warnCount());
+    EXPECT_EQ(verdict->find("findings")->number,
+              report.findings().size());
+    const double traces = seedCorpusTraces().size();
+    EXPECT_EQ(doc.find("run")->find("traces")->number, traces);
+    const test::Json *pool = doc.find("gauges")->find("pool");
+    EXPECT_TRUE(pool->find("valid")->boolean);
+    EXPECT_EQ(pool->find("traces_completed")->number, traces);
+    EXPECT_EQ(pool->find("ingest")->find("traces_decoded")->number,
+              traces);
+
+    // The live document of a publisher sampling a pool that ran an
+    // ingest stage and one file source: the same keys, less run and
+    // verdict.
+    obs::PublisherOptions options;
+    options.poolSampler = [] {
+        obs::PoolStats stats;
+        stats.valid = true;
+        stats.ingest.active = true;
+        stats.workers.resize(2);
+        return stats;
+    };
+    options.ingestSampler = [] {
+        obs::IngestGauges gauges;
+        gauges.valid = true;
+        gauges.sources.resize(1);
+        return gauges;
+    };
+    obs::MetricsPublisher publisher(std::move(options));
+    publisher.tickOnceForTest();
+    test::Json live;
+    ASSERT_TRUE(test::JsonParser(publisher.renderJson()).parse(&live));
+
+    std::set<std::string> exit_keys, live_keys;
+    keyPaths(doc, "", &exit_keys);
+    keyPaths(live, "", &live_keys);
+    const auto exit_block = [](const std::string &key) {
+        for (const std::string block : {"run", "verdict"})
+            if (key == block || key.rfind(block + ".", 0) == 0)
+                return true;
+        return false;
+    };
+    for (const auto &key : exit_keys)
+        if (!exit_block(key))
+            EXPECT_EQ(live_keys.count(key), 1u) << "exit only: " << key;
+    for (const auto &key : live_keys)
+        EXPECT_EQ(exit_keys.count(key), 1u) << "live only: " << key;
+    EXPECT_EQ(exit_keys.count("run"), 1u);
+    EXPECT_EQ(exit_keys.count("verdict"), 1u);
+
+    std::remove(path.c_str());
+    std::remove(report_path.c_str());
+    std::remove(metrics_path.c_str());
 }
 
 } // namespace

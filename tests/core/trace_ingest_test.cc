@@ -151,6 +151,13 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
     // The capture child is not mmap-backed, so neither is the
     // composite.
     EXPECT_FALSE(stats.mmapBacked);
+    // The pool carries the same counters, so one stats() snapshot
+    // (the metrics publisher's pool sample) covers ingest too.
+    const PoolStats pool_stats = pool.stats();
+    EXPECT_TRUE(pool_stats.valid);
+    EXPECT_TRUE(pool_stats.ingest.active);
+    EXPECT_EQ(pool_stats.ingest.tracesDecoded, stats.tracesDecoded);
+    EXPECT_EQ(pool_stats.ingest.sources, stats.sources);
 
     Report merged = pool.results();
     merged.canonicalize();

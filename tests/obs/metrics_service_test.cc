@@ -1,7 +1,7 @@
 /**
  * @file
  * Live metrics service tests: strict Prometheus exposition format,
- * pmtest-metrics-v1 schema of the live JSON document, snapshot
+ * pmtest-metrics-v2 schema of the live JSON document, snapshot
  * timestamp monotonicity, the stall watchdog (injected stall through
  * fake gauge samplers, then re-arm on progress), the structured JSONL
  * event log (round-trip parse and the unwritable-path exit-2
@@ -53,14 +53,15 @@ struct FakeGauges
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> consumed{0};
 
-    PoolGauges
+    PoolStats
     pool() const
     {
-        PoolGauges g;
+        PoolStats g;
         g.valid = true;
         g.tracesSubmitted = submitted.load();
         g.tracesCompleted = completed.load();
-        g.queueDepths = {g.tracesSubmitted - g.tracesCompleted, 0};
+        g.workers.resize(2);
+        g.workers[0].queueDepth = g.tracesSubmitted - g.tracesCompleted;
         return g;
     }
 
@@ -200,7 +201,7 @@ TEST(MetricsPublisherTest, PrometheusExpositionIsStrictlyParsable)
             << "missing: " << needle;
 }
 
-TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV1Schema)
+TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV2Schema)
 {
     FakeGauges state;
     state.submitted = 8;
@@ -215,7 +216,7 @@ TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV1Schema)
 
     const Json *schema = doc.find("schema");
     ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->text, "pmtest-metrics-v1");
+    EXPECT_EQ(schema->text, "pmtest-metrics-v2");
     const Json *live = doc.find("live");
     ASSERT_NE(live, nullptr);
     EXPECT_TRUE(live->boolean);
@@ -228,8 +229,8 @@ TEST(MetricsPublisherTest, JsonDocumentMatchesMetricsV1Schema)
     const Json *pool = gauges->find("pool");
     ASSERT_NE(pool, nullptr);
     EXPECT_EQ(pool->find("in_flight")->number, 0.0);
-    ASSERT_NE(pool->find("queue_depths"), nullptr);
-    EXPECT_EQ(pool->find("queue_depths")->items.size(), 2u);
+    ASSERT_NE(pool->find("workers"), nullptr);
+    EXPECT_EQ(pool->find("workers")->items.size(), 2u);
 
     const Json *ingest = gauges->find("ingest");
     ASSERT_NE(ingest, nullptr);
@@ -383,6 +384,46 @@ TEST(EventLogTest, RoundTripStrictJsonlRecords)
 #endif
 }
 
+// --- final sample --------------------------------------------------
+
+TEST(MetricsServiceTest, FinalSampleNeedsNoTickThreadInEveryConfig)
+{
+    FakeGauges state;
+    state.submitted = 3;
+    state.completed = 3;
+    MetricsService service;
+    ServiceOptions options;
+    options.tool = "obs_test";
+    options.finalSample = true;
+    options.poolSampler = [&state] { return state.pool(); };
+    ASSERT_TRUE(service.start(std::move(options)));
+    ASSERT_NE(service.publisher(), nullptr);
+    EXPECT_EQ(service.port(), 0u) << "no live surface was asked for";
+
+    service.freeze();
+    const GaugeSample sample = service.publisher()->latest();
+    EXPECT_TRUE(sample.pool.valid);
+    EXPECT_EQ(sample.pool.tracesCompleted, 3u);
+    EXPECT_GT(sample.rssBytes, 0u);
+}
+
+TEST(MetricsServiceTest, NoMetricsOutputTakesNoSample)
+{
+    std::atomic<int> samples{0};
+    MetricsService service;
+    ServiceOptions options;
+    options.tool = "obs_test";
+    options.poolSampler = [&samples] {
+        samples++;
+        return PoolStats{};
+    };
+    ASSERT_TRUE(service.start(std::move(options)));
+    EXPECT_EQ(service.publisher(), nullptr);
+    service.freeze();
+    service.stop();
+    EXPECT_EQ(samples.load(), 0);
+}
+
 // --- HTTP endpoint -------------------------------------------------
 
 TEST(MetricsServiceTest, UnwritableEventLogFailsStartInEveryConfig)
@@ -437,7 +478,7 @@ TEST(MetricsServiceTest, ServesBothRoutesUnderConcurrentScrapes)
                     Json doc;
                     if (JsonParser(payload).parse(&doc) &&
                         doc.find("schema") &&
-                        doc.find("schema")->text == "pmtest-metrics-v1")
+                        doc.find("schema")->text == "pmtest-metrics-v2")
                         ok++;
                 } else if (payload.find(
                                "pmtest_snapshot_nanoseconds") !=

@@ -221,7 +221,7 @@ TEST(TelemetryTest, MetricsJsonIsStrictlyValid)
     t.recordSpan(Stage::EngineCheck, 0, 1000);
 
     JsonWriter w;
-    t.writeMetricsJson(w);
+    t.writeMetricsJson(w, t.metrics());
     ASSERT_TRUE(w.balanced());
 
     Json doc;

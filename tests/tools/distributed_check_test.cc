@@ -3,17 +3,22 @@
  * Distributed scatter/gather checking, asserted against the real
  * pmtest_check binary: --distribute=N output is byte-identical to
  * the sequential run on the seed corpus and on a multi-file set, a
- * killed worker fails the whole run naming the shard, and worker
- * mode emits a wire report instead of stdout output.
+ * killed worker fails the whole run naming the shard, worker mode
+ * emits a wire report instead of stdout output, and the
+ * coordinator's exit metrics document carries the merged verdict
+ * with no pool gauges of its own.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/report_io.hh"
+#include "tests/obs/json_test_util.hh"
 #include "tests/tools/tool_driver.hh"
 
 namespace
@@ -154,6 +159,49 @@ TEST(DistributedCheckTest, ReportOutKeepsAndMergesWorkerReports)
     }
     std::remove(corpus.c_str());
     std::remove(report.c_str());
+}
+
+TEST(DistributedCheckTest, ExitMetricsDocumentHasMergedVerdictNoPool)
+{
+    const std::string corpus = tempName("metrics_corpus.trace");
+    const std::string report = tempName("metrics.report");
+    const std::string metrics = tempName("metrics.json");
+    seedCorpus(corpus);
+    const RunResult r = run(std::string(PMTEST_CHECK_BIN) +
+                            " --distribute=4 --quiet --report-out=" +
+                            report + " --metrics-json=" + metrics +
+                            " " + corpus);
+    EXPECT_EQ(r.exitCode, 1) << r.stderrText;
+
+    pmtest::core::Report merged;
+    pmtest::core::ReportMeta meta;
+    std::string error;
+    ASSERT_TRUE(
+        pmtest::core::loadReportFile(report, &merged, &meta, &error))
+        << error;
+    std::ifstream in(metrics);
+    std::stringstream text;
+    text << in.rdbuf();
+    pmtest::test::Json doc;
+    ASSERT_TRUE(pmtest::test::JsonParser(text.str()).parse(&doc));
+    EXPECT_EQ(doc.find("schema")->text, "pmtest-metrics-v2");
+    EXPECT_EQ(doc.find("run")->find("distribute")->number, 4.0);
+    const pmtest::test::Json *verdict = doc.find("verdict");
+    ASSERT_NE(verdict, nullptr);
+    EXPECT_EQ(verdict->find("fail")->number, merged.failCount());
+    EXPECT_EQ(verdict->find("warn")->number, merged.warnCount());
+    EXPECT_EQ(verdict->find("findings")->number,
+              merged.findings().size());
+    const pmtest::test::Json *gauges = doc.find("gauges");
+    EXPECT_FALSE(gauges->find("pool")->find("valid")->boolean)
+        << "the coordinator runs no pool";
+    EXPECT_FALSE(gauges->find("ingest")->find("valid")->boolean);
+
+    std::remove(corpus.c_str());
+    std::remove(report.c_str());
+    for (int i = 0; i < 4; i++)
+        std::remove((report + "." + std::to_string(i)).c_str());
+    std::remove(metrics.c_str());
 }
 
 } // namespace
