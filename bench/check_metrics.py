@@ -11,9 +11,9 @@ Three modes, one per output format:
                  exit document without it (requires "run" and
                  "verdict"); both need the same gauges/rates/telemetry.
   --events FILE  structured JSONL event log from --event-log: every
-                 record must carry the envelope fields, and a
-                 completed run must be bracketed by run_start and
-                 run_stop.
+                 record must carry the envelope fields, and every
+                 run, failed ones too, must be bracketed by run_start
+                 (first event) and run_stop (last event).
 
 Exits non-zero with a message on the first violation.
 """
@@ -131,8 +131,8 @@ def check_events(path):
         fail(f"{path}: no events")
     if types[0] != "run_start":
         fail(f"{path}: first event is {types[0]!r}, not run_start")
-    if "run_stop" not in types:
-        fail(f"{path}: no run_stop event")
+    if types[-1] != "run_stop":
+        fail(f"{path}: last event is {types[-1]!r}, not run_stop")
     print(f"{path}: {len(types)} events OK "
           f"({len(set(types))} distinct types)")
 

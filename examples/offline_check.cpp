@@ -10,14 +10,14 @@
  * Both checks ride `core::ingest(TraceSource&, EnginePool&, …)`:
  * the online pass pulls from a CaptureTraceSource fed by the trace
  * sink, the offline pass from the file source `openTraceSource`
- * builds (the indexed v2 reader here; the same call accepts legacy
- * v1 files). The two canonical reports are byte-identical — the live
- * and replayed pipelines are the same pipeline.
+ * builds over the indexed v2 reader. The two canonical reports are
+ * byte-identical — the live and replayed pipelines are the same
+ * pipeline.
  *
  * Files are written in the indexed v2 format (per-trace framing plus
- * an index footer), so they can also be mmap'd and decoded in
- * parallel by pmtest_check (--ingest=mmap --decoders=N --shards=N)
- * — see src/trace/trace_reader.hh.
+ * an index footer), the one format pmtest_check reads: it mmaps them
+ * (or reads a pipe to EOF) and decodes in parallel
+ * (--decoders=N --shards=N) — see src/trace/trace_reader.hh.
  *
  *   $ ./offline_check [output.trace] [--trace-events=FILE]
  *

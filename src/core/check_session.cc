@@ -89,24 +89,6 @@ rejectDuplicates(const std::vector<std::string> &files,
 }
 
 /**
- * Thread counts resolved with the usual precedence: explicit flag
- * beats PMTEST_WORKERS / PMTEST_DECODERS, which beat the
- * hardware-derived layout (see util/cpu.hh). Both the session (to
- * size its pool) and the coordinator (to print the header the
- * sequential run would print) resolve through here.
- */
-void
-resolveThreads(const CheckPlan &plan, size_t *workers,
-               size_t *decoders)
-{
-    const util::PipelineLayout layout = util::defaultPipelineLayout();
-    *workers = plan.workers == static_cast<size_t>(-1)
-                   ? layout.workers
-                   : plan.workers;
-    *decoders = plan.decoders == 0 ? layout.decoders : plan.decoders;
-}
-
-/**
  * Open input files first, first + step, ... as one source, each file
  * stamped with its input index as fileId; several files compose into
  * a MultiTraceSource. The selection must not be empty.
@@ -290,30 +272,53 @@ emitFindingEvents(obs::EventLog &log, const Report &merged)
     }
 }
 
-/** What a run checked, as the stdout header and metrics doc report it. */
-struct RunTotals
+/**
+ * The state one check run carries from stage to stage. The three run
+ * shapes fill different members: plain and worker runs a source and
+ * a pool, the coordinator forked pids and gathered worker reports.
+ * services is declared last so it is destroyed first: its samplers
+ * never outlive the pool and source they read.
+ */
+struct Run
 {
-    size_t traces = 0;
-    size_t ops = 0;
-    size_t workers = 0;
-    size_t sources = 0;
+    explicit Run(const CheckPlan &p) : plan(p) {}
+
+    const CheckPlan &plan;
+    size_t workers = 0; ///< resolved pool width (the header's count)
+    size_t decoders = 0;
+    /** What was checked: traces, ops, sources, shard identity. */
+    ReportMeta meta;
+
+    /** Null for the coordinator and for a worker with no slice. */
+    std::unique_ptr<TraceSource> source;
+    /** Null for the coordinator; released once merged. */
+    std::unique_ptr<EnginePool> pool;
+    IngestProgress progress;
+    PoolStats stats;
+
+    std::vector<pid_t> pids; ///< forked workers not yet reaped
+    std::vector<std::string> reportPaths; ///< per-worker wire reports
+    std::vector<WorkerReport> parts;
+
+    Report merged;
+    SessionServices services;
 };
 
 /** The stdout report: header line plus summary or finding list. */
 void
-printReportStdout(const CheckPlan &plan, const RunTotals &totals,
-                  const Report &merged)
+printReportStdout(const Run &run)
 {
-    if (plan.quiet)
-        return;
+    const CheckPlan &plan = run.plan;
     const std::string display =
         plan.inputs.size() == 1
             ? plan.inputs[0]
             : std::to_string(plan.inputs.size()) + " files";
     std::printf("%s: %zu traces, %zu PM operations, model=%s, "
                 "%zu workers\n",
-                display.c_str(), totals.traces, totals.ops,
-                makeModel(plan.model)->name(), totals.workers);
+                display.c_str(), static_cast<size_t>(run.meta.traceCount),
+                static_cast<size_t>(run.meta.totalOps),
+                makeModel(plan.model)->name(), run.workers);
+    const Report &merged = run.merged;
     if (plan.summary) {
         std::printf("%s", merged.summaryStr().c_str());
         return;
@@ -334,13 +339,13 @@ printReportStdout(const CheckPlan &plan, const RunTotals &totals,
 /**
  * The exit metrics document: the publisher's frozen final sample plus
  * the run identity and verdict. The gauges froze with the pool; the
- * registry is re-read so the report tail's stages are in it too.
+ * registry is re-read so every stage that already ended is in it.
  */
 bool
-writeExitMetrics(const CheckPlan &plan, obs::MetricsService &service,
-                 const RunTotals &totals, const Report &merged)
+writeExitMetrics(Run &run)
 {
-    obs::GaugeSample sample = service.publisher()->latest();
+    const CheckPlan &plan = run.plan;
+    obs::GaugeSample sample = run.services.service().publisher()->latest();
     sample.metrics = obs::Telemetry::instance().metrics();
     obs::ExitBlocks exit;
     exit.run = [&](JsonWriter &w) {
@@ -349,10 +354,10 @@ writeExitMetrics(const CheckPlan &plan, obs::MetricsService &service,
             joined += (joined.empty() ? "" : ",") + input;
         w.member("trace_file", joined);
         w.member("model", makeModel(plan.model)->name());
-        w.member("traces", totals.traces);
-        w.member("ops", totals.ops);
-        w.member("workers", totals.workers);
-        w.member("sources", totals.sources);
+        w.member("traces", run.meta.traceCount);
+        w.member("ops", run.meta.totalOps);
+        w.member("workers", run.workers);
+        w.member("sources", run.meta.sourceCount);
         if (plan.workerCount > 0)
             w.member("worker", std::to_string(plan.workerIndex) + "/" +
                                    std::to_string(plan.workerCount));
@@ -361,9 +366,9 @@ writeExitMetrics(const CheckPlan &plan, obs::MetricsService &service,
                      static_cast<uint64_t>(plan.distribute));
     };
     exit.verdict = [&](JsonWriter &w) {
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-        w.member("findings", merged.findings().size());
+        w.member("fail", run.merged.failCount());
+        w.member("warn", run.merged.warnCount());
+        w.member("findings", run.merged.findings().size());
     };
     JsonWriter w;
     obs::renderMetricsJson(w, sample, plan.tool, &exit);
@@ -372,57 +377,6 @@ writeExitMetrics(const CheckPlan &plan, obs::MetricsService &service,
         return true;
     std::fprintf(stderr, "%s\n", error.c_str());
     return false;
-}
-
-/**
- * The tail every run shape shares: the stdout report (not for a
- * worker, whose stdout belongs to the coordinator) with --stats, the
- * exit metrics document, the trace-event timeline, then the finding
- * events and run_stop that close the audit trail.
- * @return the verdict exit code (0/1), or 2 when an output file could
- *         not be written (run_stop then carries 2).
- */
-int
-finishRun(const CheckPlan &plan, SessionServices &services,
-          const Report &merged, const RunTotals &totals,
-          const PoolStats &stats, const TraceSource *source)
-{
-    if (plan.workerCount == 0) {
-        printReportStdout(plan, totals, merged);
-        // An explicit --stats request wins over --quiet.
-        if (plan.showStats) {
-            if (source && source->sourceCount() > 1)
-                printSourceStats(*source);
-            std::printf("%s", stats.str().c_str());
-            printOracleStats();
-        }
-    }
-    // The machine-readable outputs are files; they are written
-    // whatever the stdout flags say.
-    if (!plan.metricsJsonPath.empty() &&
-        !writeExitMetrics(plan, services.service(), totals, merged)) {
-        services.emitRunStop(2);
-        return 2;
-    }
-    if (!plan.traceEventsPath.empty()) {
-        std::string error;
-        if (!obs::Telemetry::instance().writeTraceEventsFile(
-                plan.traceEventsPath, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            services.emitRunStop(2);
-            return 2;
-        }
-    }
-
-    const int exit_code = merged.failCount() == 0 ? 0 : 1;
-    emitFindingEvents(services.eventLog(), merged);
-    services.emitRunStop(exit_code, [&](JsonWriter &w) {
-        w.member("traces", totals.traces);
-        w.member("ops", totals.ops);
-        w.member("fail", merged.failCount());
-        w.member("warn", merged.warnCount());
-    });
-    return exit_code;
 }
 
 volatile std::sig_atomic_t g_linger_stop = 0;
@@ -451,6 +405,423 @@ lingerUntilSignalled(obs::MetricsService &service)
                  static_cast<unsigned>(service.port()));
     while (!g_linger_stop)
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+/**
+ * Coordinator half of open: fork every worker while this process is
+ * still single-threaded. Each child runs its shard as a worker-shaped
+ * check run and exits with its verdict.
+ */
+bool
+forkWorkers(Run &run)
+{
+    const CheckPlan &plan = run.plan;
+    // The event-log exit-2 contract must hold before any worker is
+    // spawned; the services can only start after the forks.
+    if (!plan.eventLogPath.empty() && plan.eventLogPath != "-") {
+        std::FILE *probe = std::fopen(plan.eventLogPath.c_str(), "a");
+        if (!probe) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         plan.eventLogPath.c_str());
+            return false;
+        }
+        std::fclose(probe);
+    }
+
+    const uint32_t n = static_cast<uint32_t>(plan.distribute);
+    const std::string base =
+        !plan.reportOutPath.empty()
+            ? plan.reportOutPath
+            : (fs::temp_directory_path() /
+               ("pmtest-report-" + std::to_string(getpid())))
+                  .string();
+    for (uint32_t i = 0; i < n; i++)
+        run.reportPaths.push_back(base + "." + std::to_string(i));
+
+    const char *fail_env = std::getenv("PMTEST_WORKER_FAIL");
+    const long fail_index =
+        fail_env ? std::strtol(fail_env, nullptr, 10) : -1;
+    std::fflush(stdout);
+    std::fflush(stderr);
+    for (uint32_t i = 0; i < n; i++) {
+        const pid_t pid = fork();
+        if (pid < 0) {
+            std::fprintf(stderr, "fork failed for worker %u/%u\n", i,
+                         n);
+            return false;
+        }
+        if (pid == 0) {
+            // Worker child: a fault-injection hook for the CI
+            // worker-death leg, then the shard run.
+            if (fail_index == static_cast<long>(i))
+                raise(SIGKILL);
+            CheckPlan worker = plan;
+            worker.workerIndex = i;
+            worker.workerCount = n;
+            worker.distribute = 0;
+            worker.reportOutPath = run.reportPaths[i];
+            worker.quiet = true;
+            worker.showStats = false;
+            worker.metricsPort = -1;
+            worker.progress = false;
+            worker.metricsLinger = false;
+            worker.eventLogPath.clear();
+            worker.metricsJsonPath.clear();
+            worker.traceEventsPath.clear();
+            std::_Exit(runCheckTool(worker));
+        }
+        run.pids.push_back(pid);
+        obs::count(obs::Counter::WorkersSpawned);
+    }
+    return true;
+}
+
+/**
+ * Plain/worker half of open: the source this shape checks and the
+ * pool that checks it.
+ */
+bool
+openSource(Run &run)
+{
+    const CheckPlan &plan = run.plan;
+    std::string error;
+    bool worker_empty = false;
+    run.source = plan.workerCount > 0
+                     ? buildWorkerSource(plan, &worker_empty, &error)
+                     : buildPlainSource(plan, &error);
+    if (!run.source && !worker_empty) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
+    run.meta.workerIndex = plan.workerIndex;
+    run.meta.workerCount = plan.workerCount;
+    run.meta.model = plan.model;
+    if (run.source) {
+        run.meta.traceCount = run.source->traceCount();
+        run.meta.totalOps = run.source->totalOps();
+        run.meta.sourceCount = run.source->sourceCount();
+    }
+    PoolOptions options;
+    options.model = plan.model;
+    options.workers = run.workers;
+    options.queueCapacity = plan.queueCap;
+    run.pool = std::make_unique<EnginePool>(options);
+    return true;
+}
+
+/**
+ * open: resolve the thread layout, build the shape's inputs, then
+ * start the services and open the audit trail with run_start.
+ */
+bool
+openStage(Run &run)
+{
+    const CheckPlan &plan = run.plan;
+    // Explicit flag beats PMTEST_WORKERS / PMTEST_DECODERS, which
+    // beat the hardware-derived layout (see util/cpu.hh).
+    const util::PipelineLayout layout = util::defaultPipelineLayout();
+    run.workers = plan.workers == static_cast<size_t>(-1)
+                      ? layout.workers
+                      : plan.workers;
+    run.decoders = plan.decoders == 0 ? layout.decoders : plan.decoders;
+    if (!(plan.distribute > 0 ? forkWorkers(run) : openSource(run)))
+        return false;
+
+    obs::ServiceOptions options;
+    options.tool = plan.tool;
+    options.metricsPort = plan.metricsPort;
+    options.intervalMs = plan.metricsIntervalMs;
+    options.progress = plan.progress;
+    options.eventLogPath = plan.eventLogPath;
+    options.finalSample = !plan.metricsJsonPath.empty();
+    if (run.pool)
+        options.poolSampler = [&pool = *run.pool] {
+            return pool.stats();
+        };
+    if (run.source)
+        options.ingestSampler = [&run] {
+            return sampleIngestGauges(*run.source, &run.progress);
+        };
+    std::string error;
+    if (!run.services.start(std::move(options), &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
+    run.services.emitRunStart(plan.tool.c_str(), [&](JsonWriter &w) {
+        w.member("model", makeModel(plan.model)->name());
+        w.member("inputs", plan.inputs.size());
+        w.member("workers", run.workers);
+        w.member("decoders", run.decoders);
+        if (plan.workerCount > 0) {
+            w.member("worker", static_cast<uint64_t>(plan.workerIndex));
+            w.member("of", static_cast<uint64_t>(plan.workerCount));
+        }
+        if (plan.distribute > 0)
+            w.member("distribute",
+                     static_cast<uint64_t>(plan.distribute));
+    });
+    if (run.source)
+        emitSourceOpenEvents(run.services.eventLog(), *run.source);
+    for (size_t i = 0; i < run.pids.size(); i++) {
+        run.services.eventLog().emit(
+            obs::EventSeverity::Info, "worker.spawn",
+            [&](JsonWriter &w) {
+                w.member("worker", static_cast<uint64_t>(i));
+                w.member("of", static_cast<uint64_t>(plan.distribute));
+                w.member("pid", static_cast<int64_t>(run.pids[i]));
+                w.member("report", run.reportPaths[i]);
+            });
+    }
+    return true;
+}
+
+/** ingest: the decoder team drains the source into the pool. */
+bool
+ingestStage(Run &run)
+{
+    if (!run.source)
+        return true;
+    IngestOptions options;
+    options.decoders = run.decoders;
+    options.batch = run.plan.batch;
+    options.affinity = run.plan.affinity;
+    options.progress = &run.progress;
+    SourceError error;
+    if (ingest(*run.source, *run.pool, options, nullptr, &error))
+        return true;
+    std::fprintf(stderr, "%s\n", error.str().c_str());
+    return false;
+}
+
+/**
+ * gather (coordinator, in place of ingest): reap every worker — {0,1}
+ * are the verdict exit codes, so anything else, or a signal, is a
+ * failed shard — then load the wire reports.
+ */
+bool
+gatherStage(Run &run)
+{
+    const uint64_t n = run.pids.size();
+    std::vector<std::string> failures;
+    for (uint64_t i = 0; i < n; i++) {
+        const pid_t pid = run.pids[i];
+        int status = 0;
+        const pid_t reaped = waitpid(pid, &status, 0);
+        int exit_code = -1;
+        int signal_no = 0;
+        bool ok = false;
+        if (reaped == pid && WIFEXITED(status)) {
+            exit_code = WEXITSTATUS(status);
+            ok = exit_code == 0 || exit_code == 1;
+        } else if (reaped == pid && WIFSIGNALED(status)) {
+            signal_no = WTERMSIG(status);
+        }
+        run.services.eventLog().emit(
+            ok ? obs::EventSeverity::Info : obs::EventSeverity::Error,
+            "worker.exit", [&](JsonWriter &w) {
+                w.member("worker", i);
+                w.member("of", n);
+                w.member("pid", static_cast<int64_t>(pid));
+                w.member("ok", ok);
+                w.member("exit_code", exit_code);
+                w.member("signal", signal_no);
+            });
+        if (!ok) {
+            obs::count(obs::Counter::WorkersFailed);
+            failures.push_back(
+                "worker " + std::to_string(i) + "/" +
+                std::to_string(n) + " (pid " + std::to_string(pid) +
+                ") " +
+                (signal_no != 0
+                     ? "killed by signal " + std::to_string(signal_no)
+                     : "exited with status " +
+                           std::to_string(exit_code)));
+        }
+    }
+    run.pids.clear();
+    for (const auto &what : failures)
+        std::fprintf(stderr, "distributed check failed: %s\n",
+                     what.c_str());
+    if (!failures.empty())
+        return false;
+
+    run.parts.resize(n);
+    for (uint64_t i = 0; i < n; i++) {
+        std::string error;
+        if (!loadReportFile(run.reportPaths[i], &run.parts[i].report,
+                            &run.parts[i].meta, &error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * drain: wait until every submitted trace is checked, then take the
+ * final sample and detach the samplers before the pool dies; the
+ * scrape server keeps serving the frozen sample.
+ */
+bool
+drainStage(Run &run)
+{
+    if (run.pool) {
+        run.pool->drain();
+        run.stats = run.pool->stats();
+    }
+    run.services.freeze();
+    return true;
+}
+
+/** merge: the pool's aggregate, or the gathered worker reports. */
+bool
+mergeStage(Run &run)
+{
+    if (run.pool) {
+        run.merged = run.pool->takeResults();
+        run.pool.reset();
+    } else {
+        mergeReports(std::move(run.parts), &run.merged, &run.meta);
+    }
+    return true;
+}
+
+/**
+ * canonicalize: (fileId, traceId, opIndex) order, so every shard/
+ * decoder/worker configuration prints byte-identical reports.
+ */
+bool
+canonicalizeStage(Run &run)
+{
+    run.merged.canonicalize();
+    return true;
+}
+
+/**
+ * hints (--fix-hints): the detect→repair→verify pass. Re-open the
+ * inputs (the primary source is drained), patch each hinted
+ * finding's trace, replay it through the same engine, and emit the
+ * fixhints document.
+ */
+bool
+hintsStage(Run &run)
+{
+    const CheckPlan &plan = run.plan;
+    if (!plan.fixHints)
+        return true;
+    std::string error;
+    auto replay_source = buildPlainSource(plan, &error);
+    if (!replay_source) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
+    SourceError replay_error;
+    const HintVerifyStats hint_stats = verifyHints(
+        run.merged, *replay_source, plan.model, &replay_error);
+    if (!replay_error.message.empty())
+        std::fprintf(stderr, "fix-hints replay: %s\n",
+                     replay_error.str().c_str());
+
+    JsonWriter w;
+    writeFixHintsJson(w, run.merged, hint_stats, plan.model);
+    if (!writeJsonFile(plan.fixHintsPath, w, &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return false;
+    }
+    if (plan.fixHintsPath != "-" && !plan.quiet) {
+        std::printf("fix hints: %zu candidates, %zu verified, "
+                    "%zu rejected -> %s\n",
+                    hint_stats.candidates, hint_stats.verified,
+                    hint_stats.rejected, plan.fixHintsPath.c_str());
+    }
+    return true;
+}
+
+/** write (--report-out): the pmtest-report-v1 wire report. */
+bool
+writeStage(Run &run)
+{
+    std::string error;
+    if (run.plan.reportOutPath.empty() ||
+        saveReportFile(run.plan.reportOutPath, run.merged, run.meta,
+                       &error))
+        return true;
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return false;
+}
+
+/**
+ * output: the stdout report (not for a worker, whose stdout belongs
+ * to the coordinator) with --stats, the exit metrics document, the
+ * trace-event timeline, then the finding events. Findings go out
+ * after the hints stage so hint_verified is final.
+ */
+bool
+outputStage(Run &run)
+{
+    const CheckPlan &plan = run.plan;
+    if (plan.workerCount == 0 && !plan.quiet)
+        printReportStdout(run);
+    // An explicit --stats request wins over --quiet.
+    if (plan.workerCount == 0 && plan.showStats) {
+        if (run.source && run.source->sourceCount() > 1)
+            printSourceStats(*run.source);
+        std::printf("%s", run.stats.str().c_str());
+        printOracleStats();
+    }
+    // The machine-readable outputs are files; they are written
+    // whatever the stdout flags say.
+    if (!plan.metricsJsonPath.empty() && !writeExitMetrics(run))
+        return false;
+    if (!plan.traceEventsPath.empty()) {
+        std::string error;
+        if (!obs::Telemetry::instance().writeTraceEventsFile(
+                plan.traceEventsPath, &error)) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return false;
+        }
+    }
+    emitFindingEvents(run.services.eventLog(), run.merged);
+    return true;
+}
+
+/**
+ * The one exit path of every run shape: close the audit trail with
+ * run_stop (exit code 2 when a stage failed), linger on a verdict,
+ * reap workers a failed open left behind, remove the coordinator's
+ * temporary reports, and stop the services.
+ */
+int
+finishRun(Run &run, bool ok)
+{
+    const CheckPlan &plan = run.plan;
+    const int exit_code =
+        !ok ? 2 : run.merged.failCount() == 0 ? 0 : 1;
+    if (ok) {
+        run.services.emitRunStop(exit_code, [&](JsonWriter &w) {
+            w.member("traces", run.meta.traceCount);
+            w.member("ops", run.meta.totalOps);
+            w.member("fail", run.merged.failCount());
+            w.member("warn", run.merged.warnCount());
+        });
+        if (plan.metricsLinger)
+            lingerUntilSignalled(run.services.service());
+    } else {
+        // Stop the tick thread first so no sampled event (source_eof,
+        // watchdog_stall) can land after run_stop.
+        run.services.freeze();
+        run.services.emitRunStop(2);
+    }
+    for (const pid_t pid : run.pids)
+        waitpid(pid, nullptr, 0);
+    if (plan.reportOutPath.empty()) {
+        for (const auto &path : run.reportPaths) {
+            std::error_code ec;
+            fs::remove(path, ec);
+        }
+    }
+    run.services.stop();
+    return exit_code;
 }
 
 } // namespace
@@ -552,393 +923,42 @@ SessionServices::emitRunStop(
 }
 
 int
-CheckSession::run()
+runCheckTool(const CheckPlan &plan)
 {
-    const CheckPlan &plan = plan_;
-    const bool worker_mode = plan.workerCount > 0;
-
     // Span collection must start before the pipeline so capture-side
     // and ingest-side spans land in the timeline.
     if (!plan.traceEventsPath.empty())
         obs::Telemetry::instance().enableSpans(plan.spanSample);
     obs::nameThread("main");
 
-    std::unique_ptr<TraceSource> source;
-    bool worker_empty = false;
+    struct Step
     {
-        std::string error;
-        source = worker_mode
-                     ? buildWorkerSource(plan, &worker_empty, &error)
-                     : buildPlainSource(plan, &error);
-        if (!source && !worker_empty) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 2;
-        }
-    }
-
-    size_t workers = 0, decoders = 0;
-    resolveThreads(plan, &workers, &decoders);
-
-    RunTotals totals;
-    if (source) {
-        totals.traces = source->traceCount();
-        totals.ops = static_cast<size_t>(source->totalOps());
-        totals.sources = source->sourceCount();
-    }
-
-    PoolOptions options;
-    options.model = plan.model;
-    options.workers = workers;
-    options.queueCapacity = plan.queueCap;
-
-    Report merged;
-    PoolStats stats;
-    bool ingest_ok = true;
-    SourceError ingest_error;
-    SessionServices services; ///< outlives the pool (linger)
-    {
-        EnginePool pool(options);
-        IngestProgress ingest_progress;
-
-        obs::ServiceOptions service_options;
-        service_options.tool = plan.tool;
-        service_options.metricsPort = plan.metricsPort;
-        service_options.intervalMs = plan.metricsIntervalMs;
-        service_options.progress = plan.progress;
-        service_options.eventLogPath = plan.eventLogPath;
-        service_options.finalSample = !plan.metricsJsonPath.empty();
-        service_options.poolSampler = [&pool] { return pool.stats(); };
-        if (source)
-            service_options.ingestSampler = [&source, &ingest_progress] {
-                return sampleIngestGauges(*source, &ingest_progress);
-            };
-        std::string service_error;
-        if (!services.start(std::move(service_options),
-                            &service_error)) {
-            std::fprintf(stderr, "%s\n", service_error.c_str());
-            return 2;
-        }
-        services.emitRunStart(plan.tool.c_str(), [&](JsonWriter &w) {
-            w.member("model", makeModel(plan.model)->name());
-            w.member("inputs", plan.inputs.size());
-            w.member("workers", workers);
-            w.member("decoders", decoders);
-            if (worker_mode) {
-                w.member("worker",
-                         static_cast<uint64_t>(plan.workerIndex));
-                w.member("of",
-                         static_cast<uint64_t>(plan.workerCount));
-            }
-        });
-        if (source)
-            emitSourceOpenEvents(services.eventLog(), *source);
-
-        if (source) {
-            IngestOptions ingest_options;
-            ingest_options.decoders = decoders;
-            ingest_options.batch = plan.batch;
-            ingest_options.affinity = plan.affinity;
-            ingest_options.progress = &ingest_progress;
-            ingest_ok = ingest(*source, pool, ingest_options, nullptr,
-                               &ingest_error);
-            merged = pool.takeResults();
-            stats = pool.stats();
-        }
-        totals.workers = pool.workerCount();
-
-        // Final sample + sampler detach before the pool dies; the
-        // scrape server keeps serving the frozen sample.
-        services.freeze();
-    }
-    if (!ingest_ok) {
-        std::fprintf(stderr, "%s\n", ingest_error.str().c_str());
-        return 2;
-    }
-
-    // Canonical (fileId, traceId, opIndex) order: any shard/decoder/
-    // worker configuration prints a byte-identical report for the
-    // same input set.
-    merged.canonicalize();
-
-    // The detect→repair→verify pass: re-open the inputs (the primary
-    // source is drained), patch each hinted finding's trace, replay
-    // it through the same engine, and emit the fixhints document.
-    if (plan.fixHints) {
-        std::string error;
-        auto replay_source = buildPlainSource(plan, &error);
-        if (!replay_source) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 2;
-        }
-        SourceError replay_error;
-        const HintVerifyStats hint_stats = verifyHints(
-            merged, *replay_source, plan.model, &replay_error);
-        if (!replay_error.message.empty())
-            std::fprintf(stderr, "fix-hints replay: %s\n",
-                         replay_error.str().c_str());
-
-        JsonWriter w;
-        writeFixHintsJson(w, merged, hint_stats, plan.model);
-        std::string write_error;
-        if (!writeJsonFile(plan.fixHintsPath, w, &write_error)) {
-            std::fprintf(stderr, "%s\n", write_error.c_str());
-            return 2;
-        }
-        if (plan.fixHintsPath != "-" && !plan.quiet) {
-            std::printf("fix hints: %zu candidates, %zu verified, "
-                        "%zu rejected -> %s\n",
-                        hint_stats.candidates, hint_stats.verified,
-                        hint_stats.rejected,
-                        plan.fixHintsPath.c_str());
-        }
-    }
-
-    // A worker's stdout belongs to the coordinator; its report goes
-    // out as pmtest-report-v1 wire bytes instead.
-    if (!plan.reportOutPath.empty()) {
-        ReportMeta meta;
-        meta.workerIndex = plan.workerIndex;
-        meta.workerCount = plan.workerCount;
-        meta.traceCount = totals.traces;
-        meta.totalOps = totals.ops;
-        meta.sourceCount = totals.sources;
-        meta.model = plan.model;
-        std::string error;
-        if (!saveReportFile(plan.reportOutPath, merged, meta,
-                            &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 2;
-        }
-    }
-
-    // Findings go out after the fix-hints replay so hint_verified is
-    // final.
-    const int exit_code =
-        finishRun(plan, services, merged, totals, stats, source.get());
-    if (exit_code != 2 && plan.metricsLinger)
-        lingerUntilSignalled(services.service());
-    services.stop();
-    return exit_code;
-}
-
-int
-runDistributedCheck(const CheckPlan &plan)
-{
-    const uint32_t n = static_cast<uint32_t>(plan.distribute);
-    const bool keep_reports = !plan.reportOutPath.empty();
-    const std::string base =
-        keep_reports
-            ? plan.reportOutPath
-            : (fs::temp_directory_path() /
-               ("pmtest-report-" + std::to_string(getpid())))
-                  .string();
-    std::vector<std::string> report_paths;
-    report_paths.reserve(n);
-    for (uint32_t i = 0; i < n; i++)
-        report_paths.push_back(base + "." + std::to_string(i));
-
-    const auto cleanup = [&] {
-        if (keep_reports)
-            return;
-        for (const auto &path : report_paths) {
-            std::error_code ec;
-            fs::remove(path, ec);
-        }
+        obs::Stage stage;
+        bool (*run)(Run &);
     };
-
-    // The event-log exit-2 contract must hold before any worker is
-    // spawned; MetricsService itself can only start after the forks
-    // (it owns threads, and fork-without-exec must not clone them).
-    if (!plan.eventLogPath.empty() && plan.eventLogPath != "-") {
-        std::FILE *probe =
-            std::fopen(plan.eventLogPath.c_str(), "a");
-        if (!probe) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         plan.eventLogPath.c_str());
-            return 2;
-        }
-        std::fclose(probe);
-    }
-
-    // Scatter: fork every worker while this process is still
-    // single-threaded.
-    const char *fail_env = std::getenv("PMTEST_WORKER_FAIL");
-    const long fail_index =
-        fail_env ? std::strtol(fail_env, nullptr, 10) : -1;
-    std::fflush(stdout);
-    std::fflush(stderr);
-    std::vector<pid_t> pids;
-    pids.reserve(n);
-    for (uint32_t i = 0; i < n; i++) {
-        const pid_t pid = fork();
-        if (pid < 0) {
-            std::fprintf(stderr, "fork failed for worker %u/%u\n", i,
-                         n);
-            for (const pid_t started : pids)
-                waitpid(started, nullptr, 0);
-            cleanup();
-            return 2;
-        }
-        if (pid == 0) {
-            // Worker child: a fault-injection hook for the CI
-            // worker-death leg, then the shard session.
-            if (fail_index == static_cast<long>(i))
-                raise(SIGKILL);
-            CheckPlan worker = plan;
-            worker.workerIndex = i;
-            worker.workerCount = n;
-            worker.distribute = 0;
-            worker.reportOutPath = report_paths[i];
-            worker.quiet = true;
-            worker.showStats = false;
-            worker.metricsPort = -1;
-            worker.progress = false;
-            worker.metricsLinger = false;
-            worker.eventLogPath.clear();
-            worker.metricsJsonPath.clear();
-            worker.traceEventsPath.clear();
-            CheckSession session(worker);
-            std::_Exit(session.run());
-        }
-        pids.push_back(pid);
-        obs::count(obs::Counter::WorkersSpawned);
-    }
-
-    size_t workers = 0, decoders = 0;
-    resolveThreads(plan, &workers, &decoders);
-
-    SessionServices services;
-    obs::ServiceOptions service_options;
-    service_options.tool = plan.tool;
-    service_options.metricsPort = plan.metricsPort;
-    service_options.intervalMs = plan.metricsIntervalMs;
-    service_options.progress = plan.progress;
-    service_options.eventLogPath = plan.eventLogPath;
-    service_options.finalSample = !plan.metricsJsonPath.empty();
-    std::string service_error;
-    if (!services.start(std::move(service_options),
-                        &service_error)) {
-        std::fprintf(stderr, "%s\n", service_error.c_str());
-        for (const pid_t pid : pids)
-            waitpid(pid, nullptr, 0);
-        cleanup();
-        return 2;
-    }
-    services.emitRunStart(plan.tool.c_str(), [&](JsonWriter &w) {
-        w.member("model", makeModel(plan.model)->name());
-        w.member("inputs", plan.inputs.size());
-        w.member("workers", workers);
-        w.member("decoders", decoders);
-        w.member("distribute", static_cast<uint64_t>(n));
-    });
-    for (uint32_t i = 0; i < n; i++) {
-        services.eventLog().emit(
-            obs::EventSeverity::Info, "worker.spawn",
-            [&](JsonWriter &w) {
-                w.member("worker", static_cast<uint64_t>(i));
-                w.member("of", static_cast<uint64_t>(n));
-                w.member("pid",
-                         static_cast<int64_t>(pids[i]));
-                w.member("report", report_paths[i]);
-            });
-    }
-
-    // Gather: reap every worker; {0,1} are the verdict exit codes, so
-    // anything else — or a signal — is a failed shard.
-    std::vector<std::string> failures;
-    for (uint32_t i = 0; i < n; i++) {
-        int status = 0;
-        const pid_t reaped = waitpid(pids[i], &status, 0);
-        int exit_code = -1;
-        int signal_no = 0;
-        bool ok = false;
-        if (reaped == pids[i] && WIFEXITED(status)) {
-            exit_code = WEXITSTATUS(status);
-            ok = exit_code == 0 || exit_code == 1;
-        } else if (reaped == pids[i] && WIFSIGNALED(status)) {
-            signal_no = WTERMSIG(status);
-        }
-        services.eventLog().emit(
-            ok ? obs::EventSeverity::Info
-               : obs::EventSeverity::Error,
-            "worker.exit", [&](JsonWriter &w) {
-                w.member("worker", static_cast<uint64_t>(i));
-                w.member("of", static_cast<uint64_t>(n));
-                w.member("pid", static_cast<int64_t>(pids[i]));
-                w.member("ok", ok);
-                w.member("exit_code", exit_code);
-                w.member("signal", signal_no);
-            });
-        if (!ok) {
-            obs::count(obs::Counter::WorkersFailed);
-            std::string what =
-                "worker " + std::to_string(i) + "/" +
-                std::to_string(n) + " (pid " +
-                std::to_string(pids[i]) + ") ";
-            what += signal_no != 0
-                        ? "killed by signal " +
-                              std::to_string(signal_no)
-                        : "exited with status " +
-                              std::to_string(exit_code);
-            failures.push_back(std::move(what));
-        }
-    }
-    // Every failure after the services started closes the audit trail
-    // with run_stop(2) before tearing down.
-    const auto fail = [&] {
-        services.emitRunStop(2);
-        cleanup();
-        services.stop();
-        return 2;
+    using S = obs::Stage;
+    const Step steps[] = {
+        {S::SessionOpen, openStage},
+        plan.distribute > 0 ? Step{S::SessionGather, gatherStage}
+                            : Step{S::SessionIngest, ingestStage},
+        {S::SessionDrain, drainStage},
+        {S::SessionMerge, mergeStage},
+        {S::SessionCanonicalize, canonicalizeStage},
+        {S::SessionHints, hintsStage},
+        {S::SessionWrite, writeStage},
+        {S::SessionOutput, outputStage},
     };
-    if (!failures.empty()) {
-        for (const auto &what : failures)
-            std::fprintf(stderr, "distributed check failed: %s\n",
-                         what.c_str());
-        return fail();
-    }
-
-    std::vector<WorkerReport> parts(n);
-    for (uint32_t i = 0; i < n; i++) {
-        std::string error;
-        if (!loadReportFile(report_paths[i], &parts[i].report,
-                            &parts[i].meta, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return fail();
+    Run run(plan);
+    for (const Step &step : steps) {
+        bool ok;
+        {
+            obs::SpanScope span(step.stage);
+            ok = step.run(run);
         }
+        if (!ok)
+            return finishRun(run, false);
     }
-    Report merged;
-    ReportMeta meta;
-    mergeReports(std::move(parts), &merged, &meta);
-    if (keep_reports) {
-        std::string error;
-        if (!saveReportFile(plan.reportOutPath, merged, meta, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return fail();
-        }
-    }
-    cleanup();
-
-    RunTotals totals;
-    totals.traces = static_cast<size_t>(meta.traceCount);
-    totals.ops = static_cast<size_t>(meta.totalOps);
-    totals.workers = workers;
-    totals.sources = plan.inputs.size();
-    // No pool or source here: the final sample's gauges stay invalid.
-    services.freeze();
-    const int exit_code = finishRun(plan, services, merged, totals,
-                                    PoolStats{}, nullptr);
-    services.stop();
-    return exit_code;
-}
-
-int
-runCheckTool(const CheckPlan &plan)
-{
-    if (plan.distribute > 0)
-        return runDistributedCheck(plan);
-    CheckSession session(plan);
-    return session.run();
+    return finishRun(run, true);
 }
 
 } // namespace pmtest::core

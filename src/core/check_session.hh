@@ -117,8 +117,8 @@ struct CheckPlan
 /**
  * The observability bracket every tool run shares: a MetricsService
  * plus uniform run_start / run_stop events. Extracted so tools that
- * are not trace-checking sessions (pmtest_recall's campaign runner)
- * ride the identical lifecycle as CheckSession.
+ * are not trace-checking runs (pmtest_recall's campaign runner)
+ * ride the identical lifecycle as runCheckTool.
  */
 class SessionServices
 {
@@ -151,34 +151,24 @@ class SessionServices
 };
 
 /**
- * One in-process checking run over a finalized plan (plain or worker
- * shape; coordinator plans go through runDistributedCheck). run()
- * owns the whole lifecycle and every output surface.
+ * Run a finalized plan: one fixed sequence of named stages over one
+ * run state, for every run shape —
+ *
+ *   open → ingest (coordinator: gather) → drain → merge →
+ *   canonicalize → hints → write → output
+ *
+ * Plain and worker runs differ only in the source open builds. The
+ * coordinator's open forks the workers before any service thread
+ * starts, and its gather reaps them and loads their wire reports in
+ * place of ingest. Each stage runs under an obs::SpanScope
+ * (session.open, ...), so its duration shows in the telemetry stage
+ * block of the metrics documents and in the trace-event timeline.
+ * A failed stage ends the run through the same exit path as a
+ * finished one, which closes the event log with run_stop.
+ *
+ * @return 0 (no FAIL findings), 1 (FAIL findings), or 2 (input/IO
+ *         errors or a failed worker, messages on stderr).
  */
-class CheckSession
-{
-  public:
-    explicit CheckSession(const CheckPlan &plan) : plan_(plan) {}
-
-    /**
-     * Execute the session. @return 0 (no FAIL findings), 1 (FAIL
-     * findings), or 2 (input/IO errors, messages on stderr).
-     */
-    int run();
-
-  private:
-    const CheckPlan &plan_;
-};
-
-/**
- * Coordinator: scatter the plan across plan.distribute forked worker
- * processes, gather and merge their wire reports, and print the
- * sequential run's byte-identical output. @return the merged verdict
- * (0/1), or 2 when a worker failed or a report was unreadable.
- */
-int runDistributedCheck(const CheckPlan &plan);
-
-/** Dispatch a finalized plan to its run shape. */
 int runCheckTool(const CheckPlan &plan);
 
 } // namespace pmtest::core

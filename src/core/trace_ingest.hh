@@ -2,8 +2,8 @@
  * @file
  * The one ingest implementation: a decoder thread team pulls batches
  * of decoded traces from a TraceSource — a whole v2 file, a byte-
- * range shard, a multi-file set, a legacy v1 stream, or the live
- * in-process capture sink — and feeds the engine pool. Decode of
+ * range shard, a multi-file set, or the live in-process capture
+ * sink — and feeds the engine pool. Decode of
  * trace N+1 overlaps checking of trace N, and the pool's bounded
  * queues backpressure the decoders, so peak memory is the in-flight
  * window — not the whole input, as with the old sequential path.

@@ -36,6 +36,24 @@ stageName(Stage stage)
         return "hint.replay";
       case Stage::OracleEnumerate:
         return "oracle.enumerate";
+      case Stage::SessionOpen:
+        return "session.open";
+      case Stage::SessionIngest:
+        return "session.ingest";
+      case Stage::SessionGather:
+        return "session.gather";
+      case Stage::SessionDrain:
+        return "session.drain";
+      case Stage::SessionMerge:
+        return "session.merge";
+      case Stage::SessionCanonicalize:
+        return "session.canonicalize";
+      case Stage::SessionHints:
+        return "session.hints";
+      case Stage::SessionWrite:
+        return "session.write";
+      case Stage::SessionOutput:
+        return "session.output";
     }
     return "unknown";
 }

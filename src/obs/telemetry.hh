@@ -15,7 +15,8 @@
  *    snapshot from which p50/p95/p99 are interpolated.
  *  - **Spans** (Chrome trace-event / Perfetto): every pipeline stage
  *    (capture seal, pool submit, backpressure stall, steal scan,
- *    ingest decode, engine check, report merge/canonicalize) brackets
+ *    ingest decode, engine check, report merge/canonicalize, and each
+ *    stage of a check run: session.open … session.output) brackets
  *    itself with a SpanScope. Span *durations* always feed the stage
  *    histogram; the timeline *events* are only collected when
  *    explicitly enabled (`Telemetry::enableSpans`), optionally
@@ -80,10 +81,20 @@ enum class Stage : uint8_t
     ReportCanonicalize,///< sorting the merged report into canonical order
     SourceOpen,        ///< opening/validating one trace source (file)
     HintReplay,        ///< replaying one patched trace to verify a hint
-    OracleEnumerate    ///< crash-state oracle: one crash point explored
+    OracleEnumerate,   ///< crash-state oracle: one crash point explored
+    // The check run's stage sequence (core::runCheckTool), in order.
+    SessionOpen,        ///< sources, pool (or forked workers), services
+    SessionIngest,      ///< decoder team drains the source into the pool
+    SessionGather,      ///< coordinator: reap workers, load their reports
+    SessionDrain,       ///< wait for the pool, final gauge sample
+    SessionMerge,       ///< take the pool aggregate / merge worker reports
+    SessionCanonicalize,///< canonical (fileId, traceId, opIndex) order
+    SessionHints,       ///< --fix-hints replay and document
+    SessionWrite,       ///< --report-out wire report
+    SessionOutput       ///< stdout, exit metrics, timeline, finding events
 };
 
-inline constexpr size_t kStageCount = 12;
+inline constexpr size_t kStageCount = 21;
 
 /** Stable span/metric name of @p stage (e.g. "engine.check"). */
 const char *stageName(Stage stage);

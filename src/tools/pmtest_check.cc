@@ -3,8 +3,8 @@
  * pmtest_check: command-line offline checker. A thin flag-parsing
  * shell: every flag lands in a core::CheckPlan, and the whole run
  * lifecycle — sources, ingest, engine pool, canonical report, every
- * output surface — lives in core::CheckSession (src/core/
- * check_session.hh, where the behavior is documented).
+ * output surface — is the stage sequence of core::runCheckTool
+ * (src/core/check_session.hh, where the behavior is documented).
  *
  * Run shapes:
  *  - plain: check the inputs in this process (the historical tool);

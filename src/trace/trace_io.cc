@@ -155,6 +155,11 @@ decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
         return false;
     }
 
+    // Each string costs at least its 4-byte length field, so a count
+    // the remaining bytes cannot hold is corrupt — reject it before
+    // it sizes an allocation.
+    if (string_count > cursor.remaining() / 4)
+        return false;
     std::vector<const char *> files;
     files.reserve(string_count);
     for (uint32_t s = 0; s < string_count; s++) {

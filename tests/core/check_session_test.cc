@@ -4,9 +4,11 @@
  * for flag combinations, input errors without the usage hint) and
  * the worker/sequential equivalence at the heart of distributed
  * checking — N in-process worker-shaped sessions merge to the exact
- * findings of one plain session over the seed corpus — and the exit
+ * findings of one plain session over the seed corpus — the exit
  * metrics document (--metrics-json), which must be the live
- * /metrics.json document plus "run" and "verdict" blocks.
+ * /metrics.json document plus "run" and "verdict" blocks, the event
+ * log of a failed run (closed by run_stop with exit code 2), and the
+ * session.* stage spans, which must add up to the run's wall time.
  */
 
 #include "core/check_session.hh"
@@ -23,10 +25,12 @@
 #include <vector>
 
 #include "core/report_io.hh"
+#include "obs/telemetry.hh"
 #include "obs/metrics_publisher.hh"
 #include "tests/obs/json_test_util.hh"
 #include "trace/seed_corpus.hh"
 #include "trace/trace_io.hh"
+#include "util/clock.hh"
 
 namespace pmtest::core
 {
@@ -351,6 +355,107 @@ TEST(CheckSessionTest, ExitMetricsDocumentIsTheLiveDocumentPlusRun)
     std::remove(path.c_str());
     std::remove(report_path.c_str());
     std::remove(metrics_path.c_str());
+}
+
+/** The non-empty lines of @p path. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            lines.push_back(line);
+    return lines;
+}
+
+TEST(CheckSessionTest, FailedRunClosesTheEventLogWithRunStop)
+{
+    // A corrupt op count in the first trace's frame body: the file
+    // opens (the CRC covers the index) and decode fails in ingest.
+    const std::string good = corpusFile("session_fail_good.trace");
+    std::ifstream in(good, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    const size_t op_count_high =
+        TraceWire::kHeaderBytes + sizeof(uint64_t) /* frame_len */ +
+        sizeof(uint64_t) /* id */ + sizeof(uint32_t) /* thread */ + 3;
+    bytes[op_count_high] = static_cast<char>(bytes[op_count_high] ^ 0xff);
+    const std::string corrupt =
+        testing::TempDir() + "session_fail_corrupt.trace";
+    std::ofstream(corrupt, std::ios::binary) << bytes;
+
+    // Fails twice over (ingest and the --report-out write), and the
+    // write failure alone: each run must still end with run_stop.
+    for (const std::string &input : {corrupt, good}) {
+        const std::string events =
+            testing::TempDir() + "session_fail_events.jsonl";
+        std::remove(events.c_str());
+        CheckPlan plan = quietPlan(input);
+        plan.reportOutPath = "/nonexistent-dir/session_fail.report";
+        plan.eventLogPath = events;
+        std::string error;
+        ASSERT_TRUE(plan.finalize(&error)) << error;
+        EXPECT_EQ(runCheckTool(plan), 2) << input;
+
+        const std::vector<std::string> lines = readLines(events);
+        if (!PMTEST_TELEMETRY_ENABLED) {
+            EXPECT_TRUE(lines.empty()) << "events compile out";
+            continue;
+        }
+        ASSERT_GE(lines.size(), 2u) << input;
+        test::Json first, last;
+        ASSERT_TRUE(test::JsonParser(lines.front()).parse(&first));
+        ASSERT_TRUE(test::JsonParser(lines.back()).parse(&last));
+        EXPECT_EQ(first.find("type")->text, "run_start");
+        EXPECT_EQ(last.find("type")->text, "run_stop") << input;
+        ASSERT_NE(last.find("exit_code"), nullptr);
+        EXPECT_EQ(last.find("exit_code")->number, 2.0);
+        std::remove(events.c_str());
+    }
+    std::remove(good.c_str());
+    std::remove(corrupt.c_str());
+}
+
+TEST(CheckSessionTest, StageTimesAddUpToTheRunWallTime)
+{
+#if PMTEST_TELEMETRY_ENABLED
+    const std::string path = corpusFile("session_stages.trace");
+    const std::string report_path =
+        testing::TempDir() + "session_stages.report";
+    CheckPlan plan = quietPlan(path);
+    plan.reportOutPath = report_path;
+    std::string error;
+    ASSERT_TRUE(plan.finalize(&error)) << error;
+
+    obs::Telemetry &registry = obs::Telemetry::instance();
+    const obs::MetricsSnapshot before = registry.metrics();
+    Timer wall;
+    EXPECT_EQ(runCheckTool(plan), 1);
+    const uint64_t wall_ns = wall.elapsedNs();
+    obs::MetricsSnapshot delta = registry.metrics();
+    delta.subtract(before);
+
+    using S = obs::Stage;
+    uint64_t stage_ns = 0;
+    for (const S stage :
+         {S::SessionOpen, S::SessionIngest, S::SessionDrain,
+          S::SessionMerge, S::SessionCanonicalize, S::SessionHints,
+          S::SessionWrite, S::SessionOutput}) {
+        EXPECT_EQ(delta.stage(stage).count, 1u)
+            << obs::stageName(stage);
+        stage_ns += delta.stage(stage).sum;
+    }
+    EXPECT_EQ(delta.stage(S::SessionGather).count, 0u)
+        << "gather is the coordinator's stage";
+    EXPECT_LE(stage_ns, wall_ns);
+    EXPECT_LT(wall_ns - stage_ns, 1000000u)
+        << "stages " << stage_ns << " ns of " << wall_ns << " ns";
+    std::remove(path.c_str());
+    std::remove(report_path.c_str());
+#else
+    GTEST_SKIP() << "telemetry compiled out";
+#endif
 }
 
 } // namespace

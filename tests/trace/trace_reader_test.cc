@@ -3,8 +3,9 @@
  * TraceFileReader (mmap-backed indexed v2 reader) tests: round-trips
  * through mmap and through the read() fallback (a FIFO), v1
  * rejection, fail-closed behaviour on every truncation point and
- * footer/index/frame corruption, and the determinism contract of the
- * parallel ingest pipeline against a serial decode-and-check loop.
+ * footer/index/frame/body corruption, and the determinism contract
+ * of the parallel ingest pipeline against a serial decode-and-check
+ * loop.
  */
 
 #include "trace/trace_reader.hh"
@@ -24,6 +25,7 @@
 #include "core/engine.hh"
 #include "core/engine_pool.hh"
 #include "core/trace_ingest.hh"
+#include "trace/seed_corpus.hh"
 #include "trace/trace_io.hh"
 
 namespace pmtest
@@ -278,6 +280,45 @@ TEST(TraceReaderTest, CorruptFooterBytesRejected)
         EXPECT_FALSE(reader) << "footer byte " << i << " flip "
                              << "accepted";
     }
+    std::remove(path.c_str());
+    std::remove(flip_path.c_str());
+}
+
+TEST(TraceReaderTest, CorruptFrameBodyBytesFailClosed)
+{
+    // The CRC covers the index, not the frames, so a flipped body
+    // byte opens fine and must be caught by decode() — as a false
+    // return, never an exception: an untrusted count (string_count's
+    // high byte) must not size an allocation that throws bad_alloc.
+    std::vector<Trace> traces;
+    for (SeedTrace &seed : seedCorpusTraces())
+        traces.push_back(std::move(seed.trace));
+    const std::string path = tmpPath("body");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+    const std::string bytes = readFile(path);
+    uint64_t index_offset;
+    std::memcpy(&index_offset,
+                bytes.data() + bytes.size() - TraceWire::kFooterBytes,
+                sizeof(index_offset));
+
+    const std::string flip_path = tmpPath("body_flip");
+    size_t opened = 0;
+    for (size_t i = TraceWire::kHeaderBytes; i < index_offset; i++) {
+        std::string mutated = bytes;
+        mutated[i] = static_cast<char>(mutated[i] ^ 0xff);
+        writeFile(flip_path, mutated);
+        auto reader = TraceFileReader::open(flip_path,
+                                            IngestMode::Mmap);
+        if (!reader)
+            continue; // a frame length: caught by validation
+        opened++;
+        for (size_t t = 0; t < reader->traceCount(); t++) {
+            DecodedTrace decoded;
+            EXPECT_NO_THROW(reader->decode(t, &decoded))
+                << "body byte " << i << " flip threw";
+        }
+    }
+    EXPECT_GT(opened, 0u);
     std::remove(path.c_str());
     std::remove(flip_path.c_str());
 }
