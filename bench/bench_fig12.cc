@@ -14,8 +14,12 @@
  * capacity, batch count) from its fastest tool run, so a slowdown can
  * be attributed to backpressure or load imbalance instead of guessed
  * at. --json=PATH dumps points + dispatch stats for CI trend
- * tracking.
+ * tracking, plus the process's voluntary and involuntary context
+ * switches over each measured run (getrusage deltas): the cost extra
+ * engine workers put on the app threads shows up there first.
  */
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstring>
@@ -36,14 +40,31 @@ namespace
 using namespace pmtest;
 using namespace pmtest::workloads;
 
+/** Context switches of the whole process over one measured run. */
+struct CtxSwitches
+{
+    long voluntary = 0;
+    long involuntary = 0;
+};
+
+CtxSwitches
+ctxSwitchesNow()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return {usage.ru_nvcsw, usage.ru_nivcsw};
+}
+
 /**
  * Run n_threads clients against one server; returns seconds. When
  * running under PMTest, the pool's dispatch statistics are snapshotted
- * into @p stats_out just before the framework exits.
+ * into @p stats_out just before the framework exits. @p csw_out
+ * receives the context switches between the start of the timed
+ * section and the end of checking.
  */
 double
 runThreaded(size_t n_threads, size_t n_workers, bool under_pmtest,
-            bool ycsb, core::PoolStats *stats_out = nullptr)
+            bool ycsb, core::PoolStats *stats_out, CtxSwitches *csw_out)
 {
     if (under_pmtest)
         pmtestInit(Config{.model = core::ModelKind::X86,
@@ -55,6 +76,7 @@ runThreaded(size_t n_threads, size_t n_workers, bool under_pmtest,
     for (uint64_t k = 0; k < 300; k++)
         server.set("key-" + std::to_string(k), std::string(128, 'w'));
 
+    const CtxSwitches csw_start = ctxSwitchesNow();
     Timer timer;
     std::vector<std::thread> clients;
     for (size_t t = 0; t < n_threads; t++) {
@@ -83,17 +105,26 @@ runThreaded(size_t n_threads, size_t n_workers, bool under_pmtest,
             *stats_out = pmtestPoolStats();
     }
     const double seconds = timer.elapsedSec();
+    const CtxSwitches csw_end = ctxSwitchesNow();
+    *csw_out = {csw_end.voluntary - csw_start.voluntary,
+                csw_end.involuntary - csw_start.involuntary};
 
     if (under_pmtest)
         pmtestExit();
     return seconds;
 }
 
-/** Slowdown plus the dispatch stats of the fastest tool run. */
+/**
+ * Slowdown plus the dispatch stats and context switches of the
+ * fastest tool run, and the context switches of the fastest native
+ * run for reference.
+ */
 struct Measurement
 {
     double slowdown = 0;
     core::PoolStats stats;
+    CtxSwitches toolCsw;
+    CtxSwitches nativeCsw;
 };
 
 Measurement
@@ -102,14 +133,20 @@ measure(size_t n_threads, size_t n_workers, bool ycsb)
     double native = 1e30, tool = 1e30;
     Measurement m;
     for (int rep = 0; rep < 3; rep++) {
-        native = std::min(native,
-                          runThreaded(n_threads, 1, false, ycsb));
+        CtxSwitches csw;
+        const double native_sec =
+            runThreaded(n_threads, 1, false, ycsb, nullptr, &csw);
+        if (native_sec < native) {
+            native = native_sec;
+            m.nativeCsw = csw;
+        }
         core::PoolStats stats;
         const double sec =
-            runThreaded(n_threads, n_workers, true, ycsb, &stats);
+            runThreaded(n_threads, n_workers, true, ycsb, &stats, &csw);
         if (sec < tool) {
             tool = sec;
             m.stats = std::move(stats);
+            m.toolCsw = csw;
         }
     }
     m.slowdown = tool / native;
@@ -153,6 +190,15 @@ sweep(const char *tag, const char *title,
     std::printf("%s\n", table.str().c_str());
 }
 
+void
+writeCtxSwitches(JsonWriter &w, const char *key, const CtxSwitches &c)
+{
+    w.key(key).beginObject();
+    w.member("voluntary", static_cast<int64_t>(c.voluntary));
+    w.member("involuntary", static_cast<int64_t>(c.involuntary));
+    w.endObject();
+}
+
 bool
 writeJson(const std::string &path, const std::vector<Point> &points)
 {
@@ -172,6 +218,12 @@ writeJson(const std::string &path, const std::vector<Point> &points)
         obs::writePoolStatsJson(w, p.memslap.stats);
         w.key("ycsb_dispatch");
         obs::writePoolStatsJson(w, p.ycsb.stats);
+        writeCtxSwitches(w, "memslap_ctx_switches", p.memslap.toolCsw);
+        writeCtxSwitches(w, "memslap_native_ctx_switches",
+                         p.memslap.nativeCsw);
+        writeCtxSwitches(w, "ycsb_ctx_switches", p.ycsb.toolCsw);
+        writeCtxSwitches(w, "ycsb_native_ctx_switches",
+                         p.ycsb.nativeCsw);
         w.endObject();
     }
     w.endArray();

@@ -36,46 +36,4 @@ ArmModel::reportCvapWarns(const ClwbScan &scan, const PmOp &op,
     }
 }
 
-bool
-ArmModel::checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                             const ShadowMemory &shadow,
-                             std::string *why) const
-{
-    // Strict model: same rule as x86 — A's persists must be
-    // guaranteed complete before B's may begin.
-    const auto a_ivals = shadow.persistIntervals(a);
-    const auto b_ivals = shadow.persistIntervals(b);
-    if (a_ivals.empty() || b_ivals.empty())
-        return true;
-
-    Epoch a_max_end = 0;
-    AddrRange a_worst;
-    for (const auto &[range, ival] : a_ivals) {
-        if (ival.end >= a_max_end) {
-            a_max_end = ival.end;
-            a_worst = range;
-        }
-    }
-    Epoch b_min_begin = kInfEpoch;
-    AddrRange b_worst;
-    for (const auto &[range, ival] : b_ivals) {
-        if (ival.begin <= b_min_begin) {
-            b_min_begin = ival.begin;
-            b_worst = range;
-        }
-    }
-    if (a_max_end <= b_min_begin)
-        return true;
-
-    if (why) {
-        *why = "persist interval of " + a_worst.str() + " (ends " +
-               (a_max_end == kInfEpoch ? std::string("never")
-                                       : std::to_string(a_max_end)) +
-               ") is not guaranteed before that of " + b_worst.str() +
-               " (may begin at epoch " + std::to_string(b_min_begin) +
-               ")";
-    }
-    return false;
-}
-
 } // namespace pmtest::core

@@ -35,10 +35,10 @@ class ArmModel final : public PersistencyModel
           case OpType::DcCvap: {
             // Clean-to-persistence: same interval semantics as clwb,
             // including the performance-bug WARN rules.
-            const AddrRange range(op.addr, op.size);
-            reportCvapWarns(shadow.scanClwb(range), op, report,
-                            op_index);
-            shadow.recordClwb(range);
+            const ClwbScan scan =
+                shadow.recordClwb(AddrRange(op.addr, op.size));
+            if (scan.any())
+                reportCvapWarns(scan, op, report, op_index);
             break;
           }
 
@@ -62,10 +62,6 @@ class ArmModel final : public PersistencyModel
             break;
         }
     }
-
-    bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                            const ShadowMemory &shadow,
-                            std::string *why) const override;
 
     OpType repairFlushOp() const override { return OpType::DcCvap; }
     OpType repairFenceOp() const override { return OpType::Dsb; }

@@ -24,6 +24,7 @@ Engine::Engine(ModelKind kind, Dispatch dispatch)
 {
     if (!model_)
         fatal("Engine: unknown persistency model");
+    state_.shadow.setTrackOpenWrites(model_->tracksOpenWrites());
 }
 
 Report

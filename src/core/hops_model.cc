@@ -50,37 +50,21 @@ HopsModel::checkOrderedBefore(const AddrRange &a, const AddrRange &b,
     // HOPS fences already enforce persist order, so ordering holds as
     // soon as every A-interval *starts* strictly before every
     // B-interval (paper §5.2) — durability of A is not required.
-    const auto a_ivals = shadow.persistIntervals(a);
-    const auto b_ivals = shadow.persistIntervals(b);
-    if (a_ivals.empty() || b_ivals.empty())
+    const PersistFold a_begin =
+        foldPersist(a, shadow, &Interval::begin, true);
+    if (!a_begin.any)
         return true;
-
-    Epoch a_max_begin = 0;
-    AddrRange a_worst;
-    for (const auto &[range, ival] : a_ivals) {
-        if (ival.begin >= a_max_begin) {
-            a_max_begin = ival.begin;
-            a_worst = range;
-        }
-    }
-    Epoch b_min_begin = kInfEpoch;
-    AddrRange b_worst;
-    for (const auto &[range, ival] : b_ivals) {
-        if (ival.begin <= b_min_begin) {
-            b_min_begin = ival.begin;
-            b_worst = range;
-        }
-    }
-
-    if (a_max_begin < b_min_begin)
+    const PersistFold b_begin =
+        foldPersist(b, shadow, &Interval::begin, false);
+    if (!b_begin.any || a_begin.epoch < b_begin.epoch)
         return true;
 
     if (why) {
-        *why = "write to " + a_worst.str() + " (epoch " +
-               std::to_string(a_max_begin) +
+        *why = "write to " + a_begin.worst.str() + " (epoch " +
+               std::to_string(a_begin.epoch) +
                ") is not separated by a fence from write to " +
-               b_worst.str() + " (epoch " + std::to_string(b_min_begin) +
-               ")";
+               b_begin.worst.str() + " (epoch " +
+               std::to_string(b_begin.epoch) + ")";
     }
     return false;
 }

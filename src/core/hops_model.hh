@@ -64,6 +64,9 @@ class HopsModel final : public PersistencyModel
                             const ShadowMemory &shadow,
                             std::string *why) const override;
 
+    /** The dfence completes every write since the last one. */
+    bool tracksOpenWrites() const override { return true; }
+
     // HOPS has no explicit writeback; the dfence stands in wherever a
     // generic repair would insert one (never reached — both hint
     // synthesizers are overridden below).

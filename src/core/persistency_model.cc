@@ -26,6 +26,55 @@ PersistencyModel::checkPersisted(const AddrRange &range,
     return false;
 }
 
+PersistencyModel::PersistFold
+PersistencyModel::foldPersist(const AddrRange &range,
+                              const ShadowMemory &shadow,
+                              Epoch Interval::*bound, bool latest)
+{
+    PersistFold fold;
+    fold.epoch = latest ? 0 : kInfEpoch;
+    shadow.forEachPersist(range, [&](const AddrRange &r,
+                                     const Interval &i) {
+        if (latest ? i.*bound >= fold.epoch : i.*bound <= fold.epoch) {
+            fold.epoch = i.*bound;
+            fold.worst = r;
+        }
+        fold.any = true;
+    });
+    return fold;
+}
+
+bool
+PersistencyModel::checkOrderedBefore(const AddrRange &a,
+                                     const AddrRange &b,
+                                     const ShadowMemory &shadow,
+                                     std::string *why) const
+{
+    // All persist intervals of A must be guaranteed complete before
+    // any persist interval of B may begin:
+    //   max(end of A's intervals) <= min(begin of B's intervals).
+    // Overlapping intervals fail this, as does A persisting entirely
+    // after B. Ranges with no writes pass vacuously.
+    const PersistFold a_end = foldPersist(a, shadow, &Interval::end, true);
+    if (!a_end.any)
+        return true;
+    const PersistFold b_begin =
+        foldPersist(b, shadow, &Interval::begin, false);
+    if (!b_begin.any || a_end.epoch <= b_begin.epoch)
+        return true;
+
+    if (why) {
+        *why = "persist interval of " + a_end.worst.str() + " (ends " +
+               (a_end.epoch == kInfEpoch
+                    ? std::string("never")
+                    : std::to_string(a_end.epoch)) +
+               ") is not guaranteed before that of " +
+               b_begin.worst.str() + " (may begin at epoch " +
+               std::to_string(b_begin.epoch) + ")";
+    }
+    return false;
+}
+
 FixHint
 PersistencyModel::durabilityHint(const AddrRange &range,
                                  const ShadowMemory &shadow,

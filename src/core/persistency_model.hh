@@ -61,13 +61,22 @@ class PersistencyModel
 
     /**
      * The isOrderedBefore rule: whether every write in @p a is
-     * guaranteed to persist before any write in @p b.
+     * guaranteed to persist before any write in @p b. Default (strict
+     * models): A's persists must be guaranteed complete before B's
+     * may begin. Epoch-based models (HOPS) override it.
      * @param why on failure, receives a human-readable reason.
      */
     virtual bool
     checkOrderedBefore(const AddrRange &a, const AddrRange &b,
                        const ShadowMemory &shadow,
-                       std::string *why) const = 0;
+                       std::string *why) const;
+
+    /**
+     * Whether apply() reads the shadow's written-since-dfence set
+     * (ShadowMemory::completeAllWrites); the engine skips that
+     * bookkeeping for models that do not.
+     */
+    virtual bool tracksOpenWrites() const { return false; }
 
     /** The writeback op this model's repairs insert. */
     virtual OpType repairFlushOp() const = 0;
@@ -99,6 +108,23 @@ class PersistencyModel
                                  size_t op_index) const;
 
   protected:
+    /** One side of an ordering check, folded over its persists. */
+    struct PersistFold
+    {
+        bool any = false;  ///< the range holds a persist interval
+        Epoch epoch = 0;   ///< the folded bound
+        AddrRange worst;   ///< the (clipped) entry that set it
+    };
+
+    /**
+     * Fold the persist intervals over @p range to the largest
+     * (@p latest) or smallest @p bound (Interval::begin or ::end);
+     * ties go to the later entry in address order.
+     */
+    static PersistFold foldPersist(const AddrRange &range,
+                                   const ShadowMemory &shadow,
+                                   Epoch Interval::*bound, bool latest);
+
     /** Helper for apply(): record a Malformed finding. */
     static void
     reportMalformed(const PmOp &op, Report &report, size_t op_index,

@@ -12,7 +12,8 @@ ShadowMemory::recordWrite(const AddrRange &range)
     status.hasPersist = true;
     status.persist = Interval::open(timestamp_);
     map_.assign(range, status);
-    openWrites_.assign(range, 1);
+    if (trackOpenWrites_)
+        openWrites_.assign(range, 1);
 }
 
 void
@@ -28,69 +29,61 @@ ShadowMemory::recordWriteBatch(const AddrRange *ranges, size_t n)
     status.hasPersist = true;
     status.persist = Interval::open(timestamp_);
     map_.assignBatch(ranges, n, status);
-    openWrites_.assignBatch(ranges, n, uint8_t{1});
+    if (trackOpenWrites_)
+        openWrites_.assignBatch(ranges, n, uint8_t{1});
 }
 
 ClwbScan
-ShadowMemory::scanClwb(const AddrRange &range) const
+ShadowMemory::recordClwb(const AddrRange &range)
 {
     ClwbScan scan;
     bool any_persist = false;
     bool any_open_persist = false;
-    bool any_pending_new_data = false;
 
-    map_.forEachOverlap(range, [&](const auto &entry) {
-        const RangeStatus &s = entry.value;
+    // Open a flush interval over the range while preserving persist
+    // intervals. Subranges with no prior status get a flush-only entry
+    // so double flushes of unmodified data are still detectable. The
+    // result equals assigning each clipped entry and each gap its
+    // flushed status; an entry the range covers whole is updated in
+    // place, which stores exactly what that assign would.
+    const Interval flush = Interval::open(timestamp_);
+    RangeStatus gap;
+    gap.hasFlush = true;
+    gap.flush = flush;
+    carve_.clear();
+    uint64_t pos = range.addr;
+    map_.forEachOverlapMut(range, [&](uint64_t start, uint64_t end,
+                                      RangeStatus &s) {
         if (s.hasFlush && s.flush.isOpen())
             scan.redundant = true;
         if (s.hasPersist) {
             any_persist = true;
-            if (s.persist.isOpen()) {
-                any_open_persist = true;
-                if (!s.hasFlush || !s.flush.isOpen())
-                    any_pending_new_data = true;
-            }
+            any_open_persist |= s.persist.isOpen();
         }
-    });
-
-    scan.unmodified = !any_persist;
-    scan.alreadyClean =
-        any_persist && !any_open_persist && !any_pending_new_data;
-    return scan;
-}
-
-void
-ShadowMemory::recordClwb(const AddrRange &range)
-{
-    // Open a flush interval over the range while preserving persist
-    // intervals. Subranges with no prior status get a flush-only entry
-    // so double flushes of unmodified data are still detectable.
-    std::vector<std::pair<AddrRange, RangeStatus>> updated;
-    uint64_t pos = range.addr;
-    map_.forEachOverlap(range, [&](const auto &entry) {
-        if (entry.start > pos) {
-            RangeStatus gap;
-            gap.hasFlush = true;
-            gap.flush = Interval::open(timestamp_);
-            updated.emplace_back(AddrRange(pos, entry.start - pos), gap);
+        if (start > pos)
+            carve_.emplace_back(AddrRange(pos, start - pos), gap);
+        if (start < range.addr || end > range.end()) {
+            const uint64_t lo = std::max(start, range.addr);
+            const uint64_t hi = std::min(end, range.end());
+            RangeStatus part = s;
+            part.hasFlush = true;
+            part.flush = flush;
+            carve_.emplace_back(AddrRange(lo, hi - lo), part);
+        } else {
+            s.hasFlush = true;
+            s.flush = flush;
         }
-        RangeStatus s = entry.value;
-        s.hasFlush = true;
-        s.flush = Interval::open(timestamp_);
-        updated.emplace_back(
-            AddrRange(entry.start, entry.end - entry.start), s);
-        pos = entry.end;
+        pos = std::min(end, range.end());
     });
-    if (pos < range.end()) {
-        RangeStatus gap;
-        gap.hasFlush = true;
-        gap.flush = Interval::open(timestamp_);
-        updated.emplace_back(AddrRange(pos, range.end() - pos), gap);
-    }
-    for (auto &[r, s] : updated)
-        map_.assign(r, std::move(s));
+    if (pos < range.end())
+        carve_.emplace_back(AddrRange(pos, range.end() - pos), gap);
+    for (const auto &[r, s] : carve_)
+        map_.assign(r, s);
 
     pendingFlushes_.assign(range, 1);
+    scan.unmodified = !any_persist;
+    scan.alreadyClean = any_persist && !any_open_persist;
+    return scan;
 }
 
 void
@@ -153,20 +146,6 @@ ShadowMemory::allPersisted(const AddrRange &range,
         }
     });
     return ok;
-}
-
-std::vector<std::pair<AddrRange, Interval>>
-ShadowMemory::persistIntervals(const AddrRange &range) const
-{
-    std::vector<std::pair<AddrRange, Interval>> out;
-    map_.forEachOverlap(range, [&](const auto &entry) {
-        if (entry.value.hasPersist) {
-            out.emplace_back(AddrRange(entry.start,
-                                       entry.end - entry.start),
-                             entry.value.persist);
-        }
-    });
-    return out;
 }
 
 AddrRange

@@ -12,7 +12,7 @@
 #define PMTEST_CORE_SHADOW_MEMORY_HH
 
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/interval.hh"
@@ -39,6 +39,9 @@ struct ClwbScan
     bool unmodified = false;  ///< no write recorded anywhere in range
     bool alreadyClean = false;///< writes exist but all are persisted
                               ///< and no new data is pending
+
+    /** Whether any WARN rule fired. */
+    bool any() const { return redundant || unmodified || alreadyClean; }
 };
 
 /**
@@ -65,6 +68,13 @@ class ShadowMemory
         openWrites_.clear();
     }
 
+    /**
+     * Whether writes are remembered for completeAllWrites() (default
+     * on; the engine turns it off for models that never dfence).
+     * Survives reset().
+     */
+    void setTrackOpenWrites(bool on) { trackOpenWrites_ = on; }
+
     /** Current global timestamp (epoch). */
     Epoch timestamp() const { return timestamp_; }
 
@@ -90,17 +100,15 @@ class ShadowMemory
     void recordWriteBatch(const AddrRange *ranges, size_t n);
 
     /**
-     * Scan the range for the clwb WARN rules, without mutating.
-     * @see ClwbScan
-     */
-    ClwbScan scanClwb(const AddrRange &range) const;
-
-    /**
      * Record a writeback: opens a flush interval at the current epoch
      * over the range (preserving persist intervals), and remembers the
-     * range as fence-pending.
+     * range as fence-pending. One overlap walk both scans the range's
+     * pre-update status for the clwb WARN rules (the returned
+     * ClwbScan) and opens the flush intervals of the entries the range
+     * covers in place; only entries straddling its bounds and the
+     * unwritten gaps are carved, through a reused buffer.
      */
-    void recordClwb(const AddrRange &range);
+    ClwbScan recordClwb(const AddrRange &range);
 
     /**
      * Complete fence-pending writebacks: close their flush intervals
@@ -126,11 +134,19 @@ class ShadowMemory
                       AddrRange *first_open = nullptr) const;
 
     /**
-     * Collect the persist intervals overlapping @p range (clipped),
-     * in address order.
+     * Visit the persist intervals overlapping @p range (clipped), in
+     * address order, as fn(const AddrRange &, const Interval &).
      */
-    std::vector<std::pair<AddrRange, Interval>>
-    persistIntervals(const AddrRange &range) const;
+    template <typename Fn>
+    void
+    forEachPersist(const AddrRange &range, Fn &&fn) const
+    {
+        map_.forEachOverlap(range, [&](const auto &entry) {
+            if (entry.value.hasPersist)
+                fn(AddrRange(entry.start, entry.end - entry.start),
+                   entry.value.persist);
+        });
+    }
 
     /**
      * Bounding range of the bytes in @p range whose persist interval
@@ -147,6 +163,10 @@ class ShadowMemory
 
     /** Number of distinct status entries (diagnostics). */
     size_t entryCount() const { return map_.size(); }
+
+    /** Visit every stored entry in address order (unclipped). */
+    template <typename Fn>
+    void forEach(Fn &&fn) const { map_.forEach(fn); }
 
     /**
      * Number of distinct fence-pending writeback ranges. Repeated
@@ -168,8 +188,14 @@ class ShadowMemory
      * accumulate within an epoch.
      */
     IntervalMap<uint8_t> pendingFlushes_;
-    /** Ranges written since the last dfence (HOPS bookkeeping). */
+    /**
+     * Ranges written since the last dfence (HOPS bookkeeping); left
+     * empty while trackOpenWrites_ is off.
+     */
     IntervalMap<uint8_t> openWrites_;
+    bool trackOpenWrites_ = true;
+    /** recordClwb's reused buffer of gaps and straddling parts. */
+    std::vector<std::pair<AddrRange, RangeStatus>> carve_;
     /**
      * Reused staging buffer for the fence-completion walks: the
      * pending/open entries are collected here (already sorted and

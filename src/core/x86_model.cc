@@ -38,50 +38,4 @@ X86Model::reportClwbWarns(const ClwbScan &scan, const PmOp &op,
     }
 }
 
-bool
-X86Model::checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                             const ShadowMemory &shadow,
-                             std::string *why) const
-{
-    // All persist intervals of A must be guaranteed complete before
-    // any persist interval of B may begin:
-    //   max(end of A's intervals) <= min(begin of B's intervals).
-    // Overlapping intervals fail this, as does A persisting entirely
-    // after B. Ranges with no writes pass vacuously.
-    const auto a_ivals = shadow.persistIntervals(a);
-    const auto b_ivals = shadow.persistIntervals(b);
-    if (a_ivals.empty() || b_ivals.empty())
-        return true;
-
-    Epoch a_max_end = 0;
-    AddrRange a_worst;
-    for (const auto &[range, ival] : a_ivals) {
-        if (ival.end >= a_max_end) {
-            a_max_end = ival.end;
-            a_worst = range;
-        }
-    }
-    Epoch b_min_begin = kInfEpoch;
-    AddrRange b_worst;
-    for (const auto &[range, ival] : b_ivals) {
-        if (ival.begin <= b_min_begin) {
-            b_min_begin = ival.begin;
-            b_worst = range;
-        }
-    }
-
-    if (a_max_end <= b_min_begin)
-        return true;
-
-    if (why) {
-        *why = "persist interval of " + a_worst.str() + " (ends " +
-               (a_max_end == kInfEpoch ? std::string("never")
-                                       : std::to_string(a_max_end)) +
-               ") is not guaranteed before that of " + b_worst.str() +
-               " (may begin at epoch " + std::to_string(b_min_begin) +
-               ")";
-    }
-    return false;
-}
-
 } // namespace pmtest::core

@@ -31,10 +31,10 @@ class X86Model final : public PersistencyModel
           case OpType::Clwb:
           case OpType::ClflushOpt:
           case OpType::Clflush: {
-            const AddrRange range(op.addr, op.size);
-            reportClwbWarns(shadow.scanClwb(range), op, report,
-                            op_index);
-            shadow.recordClwb(range);
+            const ClwbScan scan =
+                shadow.recordClwb(AddrRange(op.addr, op.size));
+            if (scan.any())
+                reportClwbWarns(scan, op, report, op_index);
             break;
           }
 
@@ -56,10 +56,6 @@ class X86Model final : public PersistencyModel
             break;
         }
     }
-
-    bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                            const ShadowMemory &shadow,
-                            std::string *why) const override;
 
     OpType repairFlushOp() const override { return OpType::Clwb; }
     OpType repairFenceOp() const override { return OpType::Sfence; }

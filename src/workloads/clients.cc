@@ -1,5 +1,7 @@
 #include "workloads/clients.hh"
 
+#include <atomic>
+
 #include "baseline/pmemcheck.hh"
 #include "util/random.hh"
 
@@ -45,8 +47,8 @@ simulateRequestWork(const void *payload, size_t size, size_t rounds)
 namespace
 {
 
-/** Per-op request-processing stand-in keyed off the config. */
-volatile uint64_t g_request_sink;
+/** Per-op request-processing sink; every client thread stores. */
+std::atomic<uint64_t> g_request_sink;
 
 void
 requestWork(const ClientConfig &config, const std::string &payload)
@@ -59,8 +61,9 @@ requestWork(const ClientConfig &config, const std::string &payload)
         // program instrumentation tax on the non-PM compute.
         rounds *= baseline::dbiSlowdownFactor();
     }
-    g_request_sink =
-        simulateRequestWork(payload.data(), payload.size(), rounds);
+    g_request_sink.store(
+        simulateRequestWork(payload.data(), payload.size(), rounds),
+        std::memory_order_relaxed);
 }
 
 } // namespace

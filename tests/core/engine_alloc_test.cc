@@ -1,0 +1,198 @@
+/**
+ * @file
+ * Steady-state checking does not allocate. This binary replaces the
+ * global operator new with a counting one, which is why it is an
+ * executable of its own: the counter must reach no other test.
+ *
+ * An engine checks one finding-free trace to warm its reused state
+ * up, then traces of N and 4N ops over the same working set; the
+ * allocations of the longer check may not exceed those of the
+ * shorter one. A per-trace constant (the report, telemetry) is
+ * allowed, a per-op allocation is not. The traces use no
+ * transactions: a TX_ADD inserts into the IntervalTree undo-log,
+ * which allocates one node per insert — the one per-op allocation
+ * the kernel still makes. Nothing else is exempt.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+
+#include "core/engine.hh"
+
+namespace
+{
+
+std::atomic<size_t> g_allocs{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (size == 0)
+        size = 1;
+    void *p = align > alignof(std::max_align_t)
+                  ? std::aligned_alloc(align, (size + align - 1) /
+                                                  align * align)
+                  : std::malloc(size);
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n, 0); }
+void *operator new[](std::size_t n) { return countedAlloc(n, 0); }
+void *
+operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void *
+operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+namespace pmtest::core
+{
+namespace
+{
+
+constexpr uint64_t kLines = 64;
+
+/**
+ * A finding-free trace of @p rounds rounds over kLines cache lines.
+ * Each round writes a line in two halves, writes it back, fences and
+ * checks it, and checks it against the previous round's line. Every
+ * fourth round writes only part of the line, so its writeback also
+ * carves a flush-only gap.
+ */
+Trace
+strictTrace(ModelKind kind, size_t rounds)
+{
+    const OpType flush =
+        kind == ModelKind::Arm ? OpType::DcCvap : OpType::Clwb;
+    const OpType fence =
+        kind == ModelKind::Arm ? OpType::Dsb : OpType::Sfence;
+    Trace trace(1, 0);
+    for (size_t r = 0; r < rounds; r++) {
+        const uint64_t line = 64 * (r % kLines);
+        const uint64_t prev = 64 * ((r + kLines - 1) % kLines);
+        const uint64_t size = r % 4 == 3 ? 48 : 64;
+        trace.append(PmOp::write(line, 32));
+        trace.append(PmOp::write(line + 32, size - 32));
+        trace.append(PmOp{flush, line, 64, 0, 0, {}});
+        trace.append(PmOp{fence, 0, 0, 0, 0, {}});
+        trace.append(PmOp::isPersist(line, size));
+        if (r > 0)
+            trace.append(PmOp::isOrderedBefore(prev, 32, line, 32));
+    }
+    return trace;
+}
+
+/** The HOPS counterpart: writes, ofence/dfence, the same checkers. */
+Trace
+hopsTrace(size_t rounds)
+{
+    Trace trace(1, 0);
+    for (size_t r = 0; r < rounds; r++) {
+        const uint64_t line = 64 * (r % kLines);
+        const uint64_t prev = 64 * ((r + kLines - 1) % kLines);
+        trace.append(PmOp::write(line, 32));
+        trace.append(PmOp::write(line + 32, 32));
+        trace.append(PmOp{OpType::Ofence, 0, 0, 0, 0, {}});
+        trace.append(PmOp{OpType::Dfence, 0, 0, 0, 0, {}});
+        trace.append(PmOp::isPersist(line, 64));
+        if (r > 0)
+            trace.append(PmOp::isOrderedBefore(prev, 32, line, 32));
+    }
+    return trace;
+}
+
+Trace
+makeTrace(ModelKind kind, size_t rounds)
+{
+    return kind == ModelKind::Hops ? hopsTrace(rounds)
+                                   : strictTrace(kind, rounds);
+}
+
+/** Allocations made by one check of @p trace. */
+size_t
+allocsOfCheck(Engine &engine, const Trace &trace)
+{
+    const size_t before = g_allocs.load(std::memory_order_relaxed);
+    {
+        const Report report = engine.check(trace);
+        EXPECT_TRUE(report.clean());
+    }
+    return g_allocs.load(std::memory_order_relaxed) - before;
+}
+
+void
+expectNoPerOpAllocation(ModelKind kind)
+{
+    constexpr size_t kRounds = 2000;
+    const Trace warm = makeTrace(kind, kRounds);
+    const Trace small = makeTrace(kind, kRounds);
+    const Trace large = makeTrace(kind, 4 * kRounds);
+    Engine engine(kind);
+    allocsOfCheck(engine, warm);
+    const size_t n = allocsOfCheck(engine, small);
+    const size_t n4 = allocsOfCheck(engine, large);
+    EXPECT_LE(n4, n) << "checking " << large.size() << " ops allocated "
+                     << n4 << " times, " << small.size() << " ops "
+                     << n << " times";
+}
+
+TEST(EngineAllocTest, X86SteadyStateDoesNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::X86);
+}
+
+TEST(EngineAllocTest, ArmSteadyStateDoesNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::Arm);
+}
+
+TEST(EngineAllocTest, HopsSteadyStateDoesNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::Hops);
+}
+
+TEST(EngineAllocTest, CounterSeesAllocations)
+{
+    // Guards the harness: a replaced operator new that is never
+    // called would pass every test above vacuously.
+    const size_t before = g_allocs.load();
+    void *p = ::operator new(64);
+    ::operator delete(p);
+    EXPECT_EQ(g_allocs.load() - before, 1u);
+}
+
+} // namespace
+} // namespace pmtest::core

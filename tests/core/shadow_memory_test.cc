@@ -2,16 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace pmtest::core
 {
 namespace
 {
 
+/** The persist intervals over @p range (clipped), in address order. */
+std::vector<std::pair<AddrRange, Interval>>
+persistIntervals(const ShadowMemory &shadow, const AddrRange &range)
+{
+    std::vector<std::pair<AddrRange, Interval>> out;
+    shadow.forEachPersist(range,
+                          [&](const AddrRange &r, const Interval &i) {
+                              out.emplace_back(r, i);
+                          });
+    return out;
+}
+
 TEST(ShadowMemoryTest, WriteOpensPersistInterval)
 {
     ShadowMemory shadow;
     shadow.recordWrite(AddrRange(0x10, 64));
-    const auto intervals = shadow.persistIntervals(AddrRange(0x10, 64));
+    const auto intervals = persistIntervals(shadow, AddrRange(0x10, 64));
     ASSERT_EQ(intervals.size(), 1u);
     EXPECT_EQ(intervals[0].second, Interval::open(0));
     EXPECT_FALSE(shadow.allPersisted(AddrRange(0x10, 64)));
@@ -33,7 +48,7 @@ TEST(ShadowMemoryTest, FenceClosesFlushedWrite)
     shadow.completePendingFlushes();
 
     EXPECT_TRUE(shadow.allPersisted(AddrRange(0x10, 64)));
-    const auto intervals = shadow.persistIntervals(AddrRange(0x10, 64));
+    const auto intervals = persistIntervals(shadow, AddrRange(0x10, 64));
     ASSERT_EQ(intervals.size(), 1u);
     EXPECT_EQ(intervals[0].second, Interval(0, 1));
 }
@@ -81,15 +96,15 @@ TEST(ShadowMemoryTest, ScanClwbFlagsRedundantFlush)
 {
     ShadowMemory shadow;
     shadow.recordWrite(AddrRange(0x10, 8));
-    shadow.recordClwb(AddrRange(0x10, 8));
-    const ClwbScan scan = shadow.scanClwb(AddrRange(0x10, 8));
+    EXPECT_FALSE(shadow.recordClwb(AddrRange(0x10, 8)).redundant);
+    const ClwbScan scan = shadow.recordClwb(AddrRange(0x10, 8));
     EXPECT_TRUE(scan.redundant);
 }
 
 TEST(ShadowMemoryTest, ScanClwbFlagsUnmodifiedData)
 {
     ShadowMemory shadow;
-    const ClwbScan scan = shadow.scanClwb(AddrRange(0x99, 8));
+    const ClwbScan scan = shadow.recordClwb(AddrRange(0x99, 8));
     EXPECT_TRUE(scan.unmodified);
     EXPECT_FALSE(scan.redundant);
 }
@@ -101,7 +116,7 @@ TEST(ShadowMemoryTest, ScanClwbFlagsAlreadyCleanData)
     shadow.recordClwb(AddrRange(0x10, 8));
     shadow.bumpTimestamp();
     shadow.completePendingFlushes();
-    const ClwbScan scan = shadow.scanClwb(AddrRange(0x10, 8));
+    const ClwbScan scan = shadow.recordClwb(AddrRange(0x10, 8));
     EXPECT_TRUE(scan.alreadyClean);
     EXPECT_FALSE(scan.redundant);
     EXPECT_FALSE(scan.unmodified);
@@ -111,7 +126,7 @@ TEST(ShadowMemoryTest, CleanScanOnFreshWrite)
 {
     ShadowMemory shadow;
     shadow.recordWrite(AddrRange(0x10, 8));
-    const ClwbScan scan = shadow.scanClwb(AddrRange(0x10, 8));
+    const ClwbScan scan = shadow.recordClwb(AddrRange(0x10, 8));
     EXPECT_FALSE(scan.redundant);
     EXPECT_FALSE(scan.unmodified);
     EXPECT_FALSE(scan.alreadyClean);
@@ -133,7 +148,7 @@ TEST(ShadowMemoryTest, DuplicateClwbCoalescesWithinEpoch)
     shadow.completePendingFlushes();
     EXPECT_EQ(shadow.pendingFlushCount(), 0u);
     EXPECT_TRUE(shadow.allPersisted(AddrRange(0x10, 64)));
-    const auto intervals = shadow.persistIntervals(AddrRange(0x10, 64));
+    const auto intervals = persistIntervals(shadow, AddrRange(0x10, 64));
     ASSERT_EQ(intervals.size(), 1u);
     EXPECT_EQ(intervals[0].second, Interval(0, 1));
 }
@@ -198,8 +213,8 @@ TEST(ShadowMemoryTest, CompleteAllWritesClosesEverything)
 
     EXPECT_TRUE(shadow.allPersisted(AddrRange(0, 8)));
     EXPECT_TRUE(shadow.allPersisted(AddrRange(64, 8)));
-    const auto a = shadow.persistIntervals(AddrRange(0, 8));
-    const auto b = shadow.persistIntervals(AddrRange(64, 8));
+    const auto a = persistIntervals(shadow, AddrRange(0, 8));
+    const auto b = persistIntervals(shadow, AddrRange(64, 8));
     EXPECT_EQ(a[0].second, Interval(0, 2));
     EXPECT_EQ(b[0].second, Interval(1, 2));
 }
