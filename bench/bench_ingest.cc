@@ -16,11 +16,8 @@
  *  1. v2 + mmap + 4 decoders + worker pool   (the pipeline)
  *  2. v2 + mmap + 2 decoders + worker pool   (scaling point)
  *  3. v2 + mmap + 1 decoder  + worker pool   (overlap only)
- *  4. v2 + mmap + 4 decoders over 4 shards   (--shards path; Auto
- *     affinity resolves to pinned decoder→worker placement here)
- *  5. same, affinity forced to shared        (placement comparison)
- *  6. v2 split across 3 files + 4 decoders   (multi-file path)
- *  7. v2 + decode loop + one inline engine   (the serial baseline)
+ *  4. v2 split across 3 files + 4 decoders   (multi-file path)
+ *  5. v2 + decode loop + one inline engine   (the serial baseline)
  *
  * Every phase produces a canonicalized Report; verdict_match asserts
  * every configuration's merged report is byte-identical to the
@@ -127,8 +124,7 @@ struct Phase
 Phase
 runSource(std::string name, std::unique_ptr<TraceSource> source,
           size_t decoders, size_t workers, Timer &timer,
-          size_t rss_before,
-          IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto)
+          size_t rss_before)
 {
     Phase phase;
     phase.name = std::move(name);
@@ -139,7 +135,6 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     IngestOptions ingest_options;
     ingest_options.decoders = decoders;
     ingest_options.batch = 32;
-    ingest_options.affinity = affinity;
     IngestStats stats;
     SourceError error;
     if (!ingest(*source, pool, ingest_options, &stats, &error)) {
@@ -157,44 +152,23 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     return phase;
 }
 
-/** v2 file → decoder team → engine pool (optionally sharded). */
+/** v2 file → decoder team → engine pool. */
 Phase
-runPipeline(const std::string &path, size_t decoders, size_t workers,
-            size_t shards = 1,
-            IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto)
+runPipeline(const std::string &path, size_t decoders, size_t workers)
 {
     std::string name = "v2_mmap_" + std::to_string(decoders) + "dec";
-    if (shards > 1)
-        name += "_sh" + std::to_string(shards);
-    if (affinity == IngestOptions::Affinity::Pinned)
-        name += "_pin";
-    else if (affinity == IngestOptions::Affinity::Shared)
-        name += "_shr";
     const size_t rss_before = startPhaseRss();
     Timer timer;
 
     std::string error;
-    std::unique_ptr<TraceSource> source;
-    if (shards > 1) {
-        std::shared_ptr<const TraceFileReader> reader =
-            TraceFileReader::open(path, IngestMode::Mmap, &error);
-        if (!reader) {
-            std::fprintf(stderr, "open %s: %s\n", path.c_str(),
-                         error.c_str());
-            std::exit(1);
-        }
-        source = std::make_unique<MultiTraceSource>(
-            shardTraceSource(std::move(reader), path, 0, shards));
-    } else {
-        source = openTraceSource(path, IngestMode::Mmap, 0, &error);
-        if (!source) {
-            std::fprintf(stderr, "open %s: %s\n", path.c_str(),
-                         error.c_str());
-            std::exit(1);
-        }
+    auto source = openTraceSource(path, IngestMode::Mmap, 0, &error);
+    if (!source) {
+        std::fprintf(stderr, "open %s: %s\n", path.c_str(),
+                     error.c_str());
+        std::exit(1);
     }
     return runSource(std::move(name), std::move(source), decoders,
-                     workers, timer, rss_before, affinity);
+                     workers, timer, rss_before);
 }
 
 /** The same trace set split across several v2 files. */
@@ -338,9 +312,6 @@ runShape(const std::string &name, size_t count, size_t rounds,
     shape.phases.push_back(runPipeline(v2_path, 4, workers));
     shape.phases.push_back(runPipeline(v2_path, 2, workers));
     shape.phases.push_back(runPipeline(v2_path, 1, workers));
-    shape.phases.push_back(runPipeline(v2_path, 4, workers, 4));
-    shape.phases.push_back(runPipeline(v2_path, 4, workers, 4,
-                                       IngestOptions::Affinity::Shared));
     shape.phases.push_back(runMultiFile(part_paths, 4, workers));
     shape.phases.push_back(runSerialBaseline(v2_path));
 

@@ -91,7 +91,9 @@ rejectDuplicates(const std::vector<std::string> &files,
 /**
  * Open input files first, first + step, ... as one source, each file
  * stamped with its input index as fileId; several files compose into
- * a MultiTraceSource. The selection must not be empty.
+ * a MultiTraceSource. The selection must not be empty. (0, 1) is the
+ * source a plain run checks, and the re-open of the fix-hints replay
+ * pass, which needs the identical fileId assignment.
  * @return nullptr with *error ("path: reason") set on failure.
  */
 std::unique_ptr<TraceSource>
@@ -126,23 +128,6 @@ shardSingleInput(const CheckPlan &plan, size_t shards,
         return {};
     return shardTraceSource(std::move(reader), plan.inputs[0], 0,
                             shards);
-}
-
-/**
- * Build the trace source a plain (non-worker) run checks: one source
- * per input file (fileId = input order), or the byte-balanced shards
- * of a single v2 file. Also the re-open path of the fix-hints replay
- * pass, which needs identical fileId assignment.
- */
-std::unique_ptr<TraceSource>
-buildPlainSource(const CheckPlan &plan, std::string *error)
-{
-    if (plan.shards <= 1)
-        return openInputFiles(plan, 0, 1, error);
-    auto shards = shardSingleInput(plan, plan.shards, error);
-    if (shards.empty())
-        return nullptr;
-    return std::make_unique<MultiTraceSource>(std::move(shards));
 }
 
 /**
@@ -488,7 +473,7 @@ openSource(Run &run)
     bool worker_empty = false;
     run.source = plan.workerCount > 0
                      ? buildWorkerSource(plan, &worker_empty, &error)
-                     : buildPlainSource(plan, &error);
+                     : openInputFiles(plan, 0, 1, &error);
     if (!run.source && !worker_empty) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return false;
@@ -584,7 +569,6 @@ ingestStage(Run &run)
     IngestOptions options;
     options.decoders = run.decoders;
     options.batch = run.plan.batch;
-    options.affinity = run.plan.affinity;
     options.progress = &run.progress;
     SourceError error;
     if (ingest(*run.source, *run.pool, options, nullptr, &error))
@@ -710,7 +694,7 @@ hintsStage(Run &run)
     if (!plan.fixHints)
         return true;
     std::string error;
-    auto replay_source = buildPlainSource(plan, &error);
+    auto replay_source = openInputFiles(plan, 0, 1, &error);
     if (!replay_source) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return false;
@@ -851,11 +835,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
     if (!rejectDuplicates(inputs, &expand_error))
         return input_error(expand_error);
 
-    if (shards > 1 && inputs.size() != 1)
-        return usage_error("--shards needs exactly one input file "
-                           "(got " +
-                           std::to_string(inputs.size()) + ")");
-
     if (workerCount > 0 && distribute > 0)
         return usage_error(
             "--worker and --distribute are mutually exclusive");
@@ -869,9 +848,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
     if (workerCount > 0 || distribute > 0) {
         const char *mode =
             workerCount > 0 ? "--worker" : "--distribute";
-        if (shards > 1)
-            return usage_error(std::string(mode) +
-                               " cannot combine with --shards");
         if (fixHints)
             return usage_error(std::string(mode) +
                                " cannot combine with --fix-hints");

@@ -69,8 +69,8 @@ struct CheckPlan
     size_t batch = 1;
     /** 0 = no explicit flag (resolve via env/core layout). */
     size_t decoders = 0;
-    size_t shards = 1;
-    IngestOptions::Affinity affinity = IngestOptions::Affinity::Auto;
+    /** Unread; see IngestOptions::Affinity. */
+    IngestOptions::Affinity affinity = IngestOptions::Affinity::Shared;
 
     // Output surfaces.
     std::string metricsJsonPath;

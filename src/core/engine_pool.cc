@@ -1,6 +1,8 @@
 #include "core/engine_pool.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
@@ -13,11 +15,11 @@ namespace
 
 /**
  * Resolve the per-worker queue bound: explicit option, else the
- * PMTEST_QUEUE_CAP environment variable, else a default derived from
- * the worker count. The default bounds the *total* backlog (and so
- * the memory a stalled checker pipeline can pin) at a fixed number of
- * traces split across the queues — more workers means shallower
- * queues, not more queued traces.
+ * PMTEST_QUEUE_CAP environment variable when it parses, else a
+ * default derived from the worker count. The default bounds the
+ * *total* backlog (and so the memory a stalled checker pipeline can
+ * pin) at a fixed number of traces split across the queues — more
+ * workers means shallower queues, not more queued traces.
  */
 size_t
 resolveQueueCapacity(size_t requested, size_t workers)
@@ -29,8 +31,13 @@ resolveQueueCapacity(size_t requested, size_t workers)
     if (requested != 0)
         return requested;
     if (const char *env = std::getenv("PMTEST_QUEUE_CAP")) {
-        const long long parsed = std::atoll(env);
-        return parsed > 0 ? static_cast<size_t>(parsed) : 0;
+        // The whole value must be a number (0 = unbounded); anything
+        // else is ignored and the default below applies.
+        size_t parsed = 0;
+        const char *end = env + std::strlen(env);
+        const auto [ptr, ec] = std::from_chars(env, end, parsed);
+        if (ec == std::errc{} && ptr == end)
+            return parsed;
     }
     constexpr size_t target_backlog = 1024; ///< total queued traces
     constexpr size_t min_per_worker = 16;
@@ -292,47 +299,6 @@ EnginePool::submitBatch(std::vector<Trace> traces)
     // The batch does not fit at once: feed it item by item so the
     // workers can drain concurrently (each push is individually
     // released by pops), and account the producer stall.
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
-    obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    for (auto &t : traces) {
-        if (!target.queue.tryPush(t))
-            target.queue.push(std::move(t));
-        notifyWork();
-    }
-    traces.clear();
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
-}
-
-void
-EnginePool::submitBatchTo(size_t slot, std::vector<Trace> traces)
-{
-    if (traces.empty())
-        return;
-    obs::SpanScope span(obs::Stage::PoolSubmit);
-    obs::count(obs::Counter::TracesSubmitted, traces.size());
-    obs::count(obs::Counter::BatchesSubmitted);
-    {
-        std::lock_guard<std::mutex> lock(resultMutex_);
-        submitted_ += traces.size();
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-
-    if (workers_.empty()) {
-        for (auto &t : traces)
-            checkInline(std::move(t));
-        return;
-    }
-
-    Worker &target = *workers_[slot % workers_.size()];
-    const size_t batch_size = traces.size();
-    if (target.queue.tryPushAll(traces)) {
-        notifyWork(batch_size);
-        return;
-    }
-    // Target full: no spill — blocking here *is* the placement
-    // contract. Feed item by item so the owner (and thieves) can
-    // drain concurrently, and account the producer stall.
     obs::SpanScope stall_span(obs::Stage::PoolStall);
     obs::count(obs::Counter::SubmitStalls);
     Timer timer;

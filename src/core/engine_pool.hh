@@ -58,10 +58,11 @@ struct PoolOptions
     static constexpr size_t kUnboundedQueue = ~size_t{0};
     /**
      * Per-worker queue capacity in traces. 0 = automatic: the
-     * PMTEST_QUEUE_CAP environment variable if set (a value of 0
-     * there means unbounded), else a default derived from the worker
-     * count — a fixed total backlog divided across the queues, so
-     * adding workers does not grow the in-flight trace count.
+     * PMTEST_QUEUE_CAP environment variable if it parses as a whole
+     * number (0 there means unbounded), else a default derived from
+     * the worker count — a fixed total backlog divided across the
+     * queues, so adding workers does not grow the in-flight trace
+     * count.
      * kUnboundedQueue requests no bound at all.
      */
     size_t queueCapacity = 0;
@@ -105,20 +106,6 @@ class EnginePool
      * stealable once queued.
      */
     void submitBatch(std::vector<Trace> traces);
-
-    /**
-     * Submit a batch directly to worker slot @p slot % workerCount()
-     * — the pinned-placement variant used by the core-aware ingest:
-     * a shard's traces keep landing on one engine whose TraceState
-     * (shadow maps, chunk hints) stays warm for that shard's address
-     * pattern. Unlike submitBatch there is no spill to other queues:
-     * a full target queue blocks (accounted as producer stall), since
-     * spilling would defeat the placement. Work stealing may still
-     * rebalance a deep backlog; placement is warm-affinity
-     * best-effort, never a correctness property (reports
-     * canonicalize). Inline pools check on the caller as usual.
-     */
-    void submitBatchTo(size_t slot, std::vector<Trace> traces);
 
     /**
      * Block until every submitted trace has been checked

@@ -36,14 +36,13 @@ struct DecodeTeam
 
     /**
      * Pull @p source in claims of @p chunk traces until it ends, fails,
-     * or any decoder failed, handing each full batch to @p submit
-     * (submitBatch or submitBatchTo). A submit blocks when every
-     * worker queue is full — that wait is the ingest backpressure
-     * accounted as stall time (an unstalled submit is microseconds).
+     * or any decoder failed, handing each full batch to
+     * pool.submitBatch. A submit blocks when every worker queue is
+     * full — that wait is the ingest backpressure accounted as stall
+     * time (an unstalled submit is microseconds).
      */
-    template <typename Submit>
     void
-    drain(TraceSource &source, size_t chunk, Submit submit)
+    drain(TraceSource &source, size_t chunk, EnginePool &pool)
     {
         std::vector<Trace> batch;
         batch.reserve(batchSize);
@@ -52,7 +51,7 @@ struct DecodeTeam
                 return;
             obs::SpanScope span(obs::Stage::IngestSubmit);
             Timer stall;
-            submit(std::move(batch));
+            pool.submitBatch(std::move(batch));
             stallNanos.fetch_add(stall.elapsedNs(),
                                  std::memory_order_relaxed);
             batch.clear();
@@ -93,13 +92,13 @@ struct DecodeTeam
     }
 };
 
-/** Run @p body(d) for d in [0, width): inline for one, else threads. */
+/** Run @p body on @p width threads: inline for one, else threads. */
 template <typename Body>
 void
 runTeam(size_t width, const Body &body)
 {
     if (width == 1) {
-        body(0);
+        body();
         return;
     }
     std::vector<std::thread> threads;
@@ -107,7 +106,7 @@ runTeam(size_t width, const Body &body)
     for (size_t d = 0; d < width; d++) {
         threads.emplace_back([&body, d] {
             obs::nameThread("decoder-" + std::to_string(d));
-            body(d);
+            body();
         });
     }
     for (auto &t : threads)
@@ -124,57 +123,21 @@ ingest(TraceSource &source, EnginePool &pool,
     DecodeTeam team(std::max<size_t>(1, options.batch), error);
     size_t width = std::max<size_t>(1, options.decoders);
 
-    // Pinned placement for multi-source inputs when asked (or when
-    // Auto decides it can help): decoder d drains child sources d,
-    // d+width, ... to completion, submitting each child's traces to
-    // worker slot (child index % workers). One shard's traces stay on
-    // one engine whose TraceState — shadow chunk layout, map hints —
-    // remains warm for that shard's address pattern. Children stamp
-    // their own (fileId, traceId) identity and reports canonicalize,
-    // so the verdict is byte-identical to the shared cursor. Pinning
-    // needs real worker queues to target, so inline pools share.
-    auto *multi = dynamic_cast<MultiTraceSource *>(&source);
-    const size_t workers = pool.workerCount();
-    if (multi && workers > 0 &&
-        (options.affinity == IngestOptions::Affinity::Pinned ||
-         (options.affinity == IngestOptions::Affinity::Auto &&
-          multi->children().size() >= 2 && workers >= 2))) {
-        auto &children = multi->children();
-        width = std::min(width, children.size());
-        runTeam(width, [&](size_t d) {
-            for (size_t c = d; c < children.size(); c += width) {
-                team.drain(*children[c], team.batchSize,
-                           [&pool, slot = c % workers](
-                               std::vector<Trace> &&batch) {
-                               pool.submitBatchTo(slot,
-                                                  std::move(batch));
-                           });
-            }
-        });
-    } else {
-        const size_t count = source.traceCount();
-        const bool counted = count != TraceSource::kUnknownCount;
-        if (counted)
-            width = std::min(width, std::max<size_t>(count, 1));
-        // Decoders claim runs of consecutive traces rather than one
-        // at a time: fewer shared-cursor bumps inside the source, and
-        // each claim decodes into one batch flushed with a single
-        // submitBatch — on oversubscribed machines (decoders + workers
-        // > cores) that keeps the wakeup rate proportional to
-        // batches, not traces. An unknown-count source (live capture)
-        // just pulls full batches.
-        const size_t chunk =
-            counted ? std::max<size_t>(1, std::min(team.batchSize,
-                                                   count / (width * 4) +
-                                                       1))
-                    : team.batchSize;
-        runTeam(width, [&](size_t) {
-            team.drain(source, chunk,
-                       [&pool](std::vector<Trace> &&batch) {
-                           pool.submitBatch(std::move(batch));
-                       });
-        });
-    }
+    const size_t count = source.traceCount();
+    const bool counted = count != TraceSource::kUnknownCount;
+    if (counted)
+        width = std::min(width, std::max<size_t>(count, 1));
+    // Decoders claim runs of consecutive traces rather than one at a
+    // time: fewer shared-cursor bumps inside the source, and each
+    // claim decodes into one batch flushed with a single submitBatch
+    // — on oversubscribed machines (decoders + workers > cores) that
+    // keeps the wakeup rate proportional to batches, not traces. An
+    // unknown-count source (live capture) just pulls full batches.
+    const size_t chunk =
+        counted ? std::max<size_t>(
+                      1, std::min(team.batchSize, count / (width * 4) + 1))
+                : team.batchSize;
+    runTeam(width, [&] { team.drain(source, chunk, pool); });
 
     // Hand the stage counters to the pool (so its stats() snapshot
     // covers ingest) and to the caller, and flag live progress done.

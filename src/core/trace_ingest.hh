@@ -13,7 +13,7 @@
  * same bytes regardless of how sources, shards and decoder threads
  * interleaved.
  *
- * Used by pmtest_check (--decoders=N, --shards=N, multi-file),
+ * Used by pmtest_check (--decoders=N, multi-file, --worker=i/N),
  * examples/offline_check, bench_ingest, and the determinism tests.
  */
 
@@ -41,34 +41,22 @@ struct IngestProgress
 struct IngestOptions
 {
     /**
-     * Decoder→engine placement policy for multi-source inputs
-     * (shards or file sets).
+     * Decoder→engine placement. Every decoder pulls the source's one
+     * shared cursor and submitBatch places batches round-robin, so
+     * there is a single policy. ingest() does not read this member;
+     * it remains only while bench/pipeline still assigns it.
      */
     enum class Affinity
     {
-        /**
-         * Pinned when it can help: a multi-source input and at
-         * least two pool workers. Otherwise shared.
-         */
-        Auto,
-        /** All decoders pull one shared cursor; round-robin submit. */
         Shared,
-        /**
-         * Each child source is drained by one decoder and submitted
-         * to one fixed worker slot (child index modulo workers), so
-         * a shard's traces keep hitting an engine whose TraceState
-         * is warm for that shard's address pattern. Falls back to
-         * Shared for single sources and inline pools.
-         */
-        Pinned,
     };
 
     /** Decoder threads (>= 1). */
     size_t decoders = 1;
     /** Traces submitted to the pool per submitBatch() call. */
     size_t batch = 8;
-    /** Placement policy (canonical reports are identical in all). */
-    Affinity affinity = Affinity::Auto;
+    /** Unread; see Affinity. */
+    Affinity affinity = Affinity::Shared;
     /** Optional live-progress mirror (not owned; may be null). */
     IngestProgress *progress = nullptr;
 };

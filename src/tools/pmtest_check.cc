@@ -62,8 +62,6 @@ main(int argc, char **argv)
 {
     core::CheckPlan plan;
     int model = static_cast<int>(core::ModelKind::X86);
-    int affinity =
-        static_cast<int>(core::IngestOptions::Affinity::Auto);
     size_t metrics_port = static_cast<size_t>(-1);
     std::string worker_spec;
 
@@ -87,17 +85,6 @@ main(int argc, char **argv)
                 "traces submitted to the pool at a time", 1);
     cli.addSize("--decoders", &plan.decoders,
                 "decoder threads feeding the pool", 1);
-    cli.addSize("--shards", &plan.shards,
-                "split one v2 input into N index slices", 1);
-    cli.addChoice(
-        "--affinity", &affinity,
-        {{"auto",
-          static_cast<int>(core::IngestOptions::Affinity::Auto)},
-         {"pinned",
-          static_cast<int>(core::IngestOptions::Affinity::Pinned)},
-         {"shared",
-          static_cast<int>(core::IngestOptions::Affinity::Shared)}},
-        "decoder-to-engine placement for multi-source inputs");
     cli.addFlag("--stats", &plan.showStats,
                 "print dispatch/ingest counters (wins over --quiet)");
     cli.addString("--metrics-json", &plan.metricsJsonPath,
@@ -134,8 +121,6 @@ main(int argc, char **argv)
     if (status != CliStatus::Ok)
         return util::cliExitCode(status);
     plan.model = static_cast<core::ModelKind>(model);
-    plan.affinity =
-        static_cast<core::IngestOptions::Affinity>(affinity);
     if (metrics_port != static_cast<size_t>(-1))
         plan.metricsPort = static_cast<int32_t>(metrics_port);
     if (!worker_spec.empty() && !parseWorkerSpec(worker_spec, &plan))

@@ -258,18 +258,6 @@ class MultiTraceSource final : public TraceSource
         return children_;
     }
 
-    /**
-     * Mutable child access for the pinned ingest mode, which drains
-     * each child directly (decoder c pulls child c) instead of going
-     * through the shared pull() cursor. Children stamp their own
-     * fileId, so draining them directly yields the identical trace
-     * stream either way.
-     */
-    std::vector<std::unique_ptr<TraceSource>> &children()
-    {
-        return children_;
-    }
-
     Pull pull(size_t max, std::vector<Trace> *out,
               SourceError *error) override;
 

@@ -167,7 +167,6 @@ TEST(CheckPlanTest, DistributeRejectsPerProcessSurfaces)
         EXPECT_NE(error.find(needle), std::string::npos) << error;
         EXPECT_TRUE(usage);
     };
-    expectRejected([](CheckPlan &p) { p.shards = 4; }, "--shards");
     expectRejected([](CheckPlan &p) { p.fixHints = true; },
                    "--fix-hints");
     expectRejected([](CheckPlan &p) { p.metricsLinger = true; },

@@ -175,6 +175,18 @@ TEST(EnginePoolTest, QueueCapacityFromEnvironment)
     setenv("PMTEST_QUEUE_CAP", "0", /*overwrite=*/1);
     EnginePool unbounded(ModelKind::X86, 1);
     EXPECT_EQ(unbounded.queueCapacity(), 0u);
+
+    // A malformed value is ignored: the worker-derived default
+    // applies, so bad input never silently removes backpressure.
+    unsetenv("PMTEST_QUEUE_CAP");
+    const size_t fallback = EnginePool(ModelKind::X86, 1).queueCapacity();
+    ASSERT_GT(fallback, 0u);
+    for (const char *bad : {"abc", "-5", "12x", "", " 7", "+7"}) {
+        SCOPED_TRACE(bad);
+        setenv("PMTEST_QUEUE_CAP", bad, /*overwrite=*/1);
+        EnginePool pool_bad(ModelKind::X86, 1);
+        EXPECT_EQ(pool_bad.queueCapacity(), fallback);
+    }
     unsetenv("PMTEST_QUEUE_CAP");
 }
 

@@ -126,71 +126,78 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
         ASSERT_TRUE(saveTracesToFile(path_a, a));
     }
 
-    // Every placement policy over the same two-child source: two
-    // workers and two decoders, so Auto and Pinned really pin (one
-    // decoder per child, one worker slot each) and Shared does not.
-    using Affinity = IngestOptions::Affinity;
+    // The one placement (shared cursor, round-robin submitBatch) at
+    // every decoder/worker width, inline pools included, over the same
+    // two-child source: identical canonical reports and counters.
     std::string first_report;
-    for (const Affinity affinity :
-         {Affinity::Auto, Affinity::Shared, Affinity::Pinned}) {
-        SCOPED_TRACE(static_cast<int>(affinity));
-        std::string error;
-        std::vector<std::unique_ptr<TraceSource>> children;
-        children.push_back(
-            openTraceSource(path_a, IngestMode::Auto, 0, &error));
-        ASSERT_TRUE(children.back()) << error;
-        // A closed capture source as the second child (fileId 1): its
-        // traces live in memory, not in a mapping.
-        auto capture =
-            std::make_unique<CaptureTraceSource>("<capture>", 1);
-        capture->push(buggyTrace(0));
-        capture->close();
-        children.push_back(std::move(capture));
-        MultiTraceSource combined(std::move(children));
+    for (const size_t decoders : {size_t{1}, size_t{2}, size_t{4}}) {
+        for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+            SCOPED_TRACE("decoders=" + std::to_string(decoders) +
+                         " workers=" + std::to_string(workers));
+            std::string error;
+            std::vector<std::unique_ptr<TraceSource>> children;
+            children.push_back(
+                openTraceSource(path_a, IngestMode::Auto, 0, &error));
+            ASSERT_TRUE(children.back()) << error;
+            // A closed capture source as the second child (fileId
+            // 1): its traces live in memory, not in a mapping.
+            auto capture =
+                std::make_unique<CaptureTraceSource>("<capture>", 1);
+            capture->push(buggyTrace(0));
+            capture->close();
+            children.push_back(std::move(capture));
+            MultiTraceSource combined(std::move(children));
 
-        PoolOptions pool_options;
-        pool_options.workers = 2;
-        EnginePool pool(pool_options);
-        IngestOptions options;
-        options.decoders = 2;
-        options.affinity = affinity;
-        IngestStats stats;
-        SourceError source_error;
-        ASSERT_TRUE(
-            ingest(combined, pool, options, &stats, &source_error))
-            << source_error.str();
-        EXPECT_TRUE(stats.active);
-        EXPECT_EQ(stats.sources, 2u);
-        EXPECT_EQ(stats.tracesDecoded, 3u);
-        // The capture child is not mmap-backed, so neither is the
-        // composite.
-        EXPECT_FALSE(stats.mmapBacked);
-        // The pool carries the same counters, so one stats() snapshot
-        // (the metrics publisher's pool sample) covers ingest too.
-        const PoolStats pool_stats = pool.stats();
-        EXPECT_TRUE(pool_stats.valid);
-        EXPECT_TRUE(pool_stats.ingest.active);
-        EXPECT_EQ(pool_stats.ingest.tracesDecoded, stats.tracesDecoded);
-        EXPECT_EQ(pool_stats.ingest.sources, stats.sources);
+            PoolOptions pool_options;
+            pool_options.workers = workers;
+            EnginePool pool(pool_options);
+            IngestOptions options;
+            options.decoders = decoders;
+            IngestStats stats;
+            SourceError source_error;
+            ASSERT_TRUE(
+                ingest(combined, pool, options, &stats, &source_error))
+                << source_error.str();
+            EXPECT_TRUE(stats.active);
+            EXPECT_EQ(stats.sources, 2u);
+            EXPECT_EQ(stats.tracesDecoded, 3u);
+            // The capture child's count is unknown, so the team is
+            // not clamped to the three traces.
+            EXPECT_EQ(stats.decoders, decoders);
+            // The capture child is not mmap-backed, so neither is the
+            // composite.
+            EXPECT_FALSE(stats.mmapBacked);
+            // The pool carries the same counters, so one stats()
+            // snapshot (the metrics publisher's pool sample) covers
+            // ingest too.
+            const PoolStats pool_stats = pool.stats();
+            EXPECT_TRUE(pool_stats.valid);
+            EXPECT_TRUE(pool_stats.ingest.active);
+            EXPECT_EQ(pool_stats.ingest.tracesDecoded,
+                      stats.tracesDecoded);
+            EXPECT_EQ(pool_stats.ingest.sources, stats.sources);
+            EXPECT_EQ(pool_stats.ingest.decoders, stats.decoders);
 
-        Report merged = pool.results();
-        merged.canonicalize();
-        ASSERT_EQ(merged.failCount(), 3u);
-        // Canonical order is (fileId, traceId): file 0's traces 0, 1
-        // first, then file 1's trace 0 — even though its traceId ties
-        // with file 0's first trace.
-        ASSERT_EQ(merged.findings().size(), 3u);
-        EXPECT_EQ(merged.findings()[0].fileId, 0u);
-        EXPECT_EQ(merged.findings()[0].traceId, 0u);
-        EXPECT_EQ(merged.findings()[1].fileId, 0u);
-        EXPECT_EQ(merged.findings()[1].traceId, 1u);
-        EXPECT_EQ(merged.findings()[2].fileId, 1u);
-        EXPECT_EQ(merged.findings()[2].traceId, 0u);
+            Report merged = pool.results();
+            EXPECT_EQ(pool.tracesChecked(), 3u);
+            merged.canonicalize();
+            ASSERT_EQ(merged.failCount(), 3u);
+            // Canonical order is (fileId, traceId): file 0's traces
+            // 0, 1 first, then file 1's trace 0 — even though its
+            // traceId ties with file 0's first trace.
+            ASSERT_EQ(merged.findings().size(), 3u);
+            EXPECT_EQ(merged.findings()[0].fileId, 0u);
+            EXPECT_EQ(merged.findings()[0].traceId, 0u);
+            EXPECT_EQ(merged.findings()[1].fileId, 0u);
+            EXPECT_EQ(merged.findings()[1].traceId, 1u);
+            EXPECT_EQ(merged.findings()[2].fileId, 1u);
+            EXPECT_EQ(merged.findings()[2].traceId, 0u);
 
-        // Placement must not change a byte of the canonical report.
-        if (first_report.empty())
-            first_report = merged.str();
-        EXPECT_EQ(merged.str(), first_report);
+            // Widths must not change a byte of the canonical report.
+            if (first_report.empty())
+                first_report = merged.str();
+            EXPECT_EQ(merged.str(), first_report);
+        }
     }
 
     std::remove(path_a.c_str());

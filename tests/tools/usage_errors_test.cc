@@ -100,6 +100,18 @@ TEST(UsageErrorsTest, CheckRejectsV1InputsAndTheIngestFlag)
                      "unknown option '--ingest");
 }
 
+TEST(UsageErrorsTest, CheckRejectsThePlacementFlags)
+{
+    // Ingest has one placement (a shared cursor feeding round-robin
+    // submits), so neither the policy nor the in-process split of one
+    // file is a flag; --worker/--distribute still split the input.
+    const std::string bin = PMTEST_CHECK_BIN;
+    expectUsageError(bin, "--affinity=pinned x.trace",
+                     "unknown option '--affinity");
+    expectUsageError(bin, "--shards=2 x.trace",
+                     "unknown option '--shards");
+}
+
 TEST(UsageErrorsTest, CheckRejectsBadDistributedSpecs)
 {
     const std::string bin = PMTEST_CHECK_BIN;
