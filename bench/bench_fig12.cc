@@ -15,8 +15,10 @@
  * be attributed to backpressure or load imbalance instead of guessed
  * at. --json=PATH dumps points + dispatch stats for CI trend
  * tracking, plus the process's voluntary and involuntary context
- * switches over each measured run (getrusage deltas): the cost extra
- * engine workers put on the app threads shows up there first.
+ * switches over each measured run (getrusage deltas) and, for tool
+ * runs, the pool wakeups issued to a parked worker (the pool_wakes
+ * counter delta, a futex-wake proxy): the cost extra engine workers
+ * put on the app threads shows up there first.
  */
 
 #include <sys/resource.h>
@@ -30,6 +32,7 @@
 
 #include "bench/bench_util.hh"
 #include "obs/metrics_doc.hh"
+#include "obs/telemetry.hh"
 #include "util/clock.hh"
 #include "workloads/clients.hh"
 #include "workloads/memcached_lite.hh"
@@ -40,11 +43,15 @@ namespace
 using namespace pmtest;
 using namespace pmtest::workloads;
 
-/** Context switches of the whole process over one measured run. */
+/**
+ * Context switches of the whole process over one measured run, and
+ * the engine pool's wakeups of parked workers (0 for native runs).
+ */
 struct CtxSwitches
 {
     long voluntary = 0;
     long involuntary = 0;
+    uint64_t poolWakes = 0;
 };
 
 CtxSwitches
@@ -52,7 +59,9 @@ ctxSwitchesNow()
 {
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
-    return {usage.ru_nvcsw, usage.ru_nivcsw};
+    return {usage.ru_nvcsw, usage.ru_nivcsw,
+            obs::Telemetry::instance().metrics().counter(
+                obs::Counter::PoolWakes)};
 }
 
 /**
@@ -107,7 +116,8 @@ runThreaded(size_t n_threads, size_t n_workers, bool under_pmtest,
     const double seconds = timer.elapsedSec();
     const CtxSwitches csw_end = ctxSwitchesNow();
     *csw_out = {csw_end.voluntary - csw_start.voluntary,
-                csw_end.involuntary - csw_start.involuntary};
+                csw_end.involuntary - csw_start.involuntary,
+                csw_end.poolWakes - csw_start.poolWakes};
 
     if (under_pmtest)
         pmtestExit();
@@ -224,6 +234,8 @@ writeJson(const std::string &path, const std::vector<Point> &points)
         writeCtxSwitches(w, "ycsb_ctx_switches", p.ycsb.toolCsw);
         writeCtxSwitches(w, "ycsb_native_ctx_switches",
                          p.ycsb.nativeCsw);
+        w.member("memslap_pool_wakes", p.memslap.toolCsw.poolWakes);
+        w.member("ycsb_pool_wakes", p.ycsb.toolCsw.poolWakes);
         w.endObject();
     }
     w.endArray();

@@ -104,6 +104,13 @@ def check_json(path, live):
           (" (live)" if live else " (exit)"))
 
 
+# A finding event carries its verdict, identity and evidence: the
+# cause (message template), the two ranges and two epochs that decided
+# it, and the message rendered from them.
+FINDING_KEYS = ("verdict", "kind", "trace_id", "op_index", "cause",
+                "message", "range_a", "range_b", "epoch_a", "epoch_b")
+
+
 def check_events(path):
     types = []
     with open(path) as f:
@@ -122,10 +129,21 @@ def check_events(path):
                 fail(f"{path}:{lineno}: bad severity "
                      f"{record['severity']!r}")
             if record["type"] == "finding":
-                for key in ("verdict", "kind", "trace_id", "op_index"):
+                for key in FINDING_KEYS:
                     if key not in record:
                         fail(f"{path}:{lineno}: finding missing "
                              f"{key!r}")
+                for key in ("range_a", "range_b"):
+                    rng = record[key]
+                    if (not isinstance(rng, dict) or
+                            not isinstance(rng.get("addr"), int) or
+                            not isinstance(rng.get("size"), int)):
+                        fail(f"{path}:{lineno}: finding {key} is not "
+                             f"an {{addr, size}} object")
+                for key in ("epoch_a", "epoch_b"):
+                    if not isinstance(record[key], int):
+                        fail(f"{path}:{lineno}: finding {key} is not "
+                             f"an integer")
             types.append(record["type"])
     if not types:
         fail(f"{path}: no events")

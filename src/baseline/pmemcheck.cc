@@ -76,7 +76,8 @@ Pmemcheck::handleOp(const PmOp &op, size_t index, uint64_t trace_id)
             f.severity = Severity::Warn;
             f.kind = any_reflush ? FindingKind::RedundantFlush
                                  : FindingKind::UnnecessaryFlush;
-            f.message = "flush of range with no dirty stores";
+            f.cause = any_reflush ? core::Cause::PmemcheckReflush
+                                  : core::Cause::PmemcheckCleanFlush;
             f.loc = op.loc;
             f.traceId = trace_id;
             f.opIndex = index;
@@ -109,7 +110,7 @@ Pmemcheck::handleOp(const PmOp &op, size_t index, uint64_t trace_id)
                 Finding f;
                 f.severity = Severity::Fail;
                 f.kind = FindingKind::NotPersisted;
-                f.message = "store not made persistent";
+                f.cause = core::Cause::PmemcheckStore;
                 f.loc = op.loc;
                 f.traceId = trace_id;
                 f.opIndex = index;
@@ -136,8 +137,8 @@ Pmemcheck::finish()
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::NotPersisted;
-        f.message = "store not made persistent at exit (word at " +
-                    core::AddrRange(addr << 3, 8).str() + ")";
+        f.cause = core::Cause::PmemcheckStoreAtExit;
+        f.evidence.rangeA = core::AddrRange(addr << 3, 8);
         f.loc = info.storeLoc;
         report_.add(std::move(f));
         // One finding per store site is enough; pmemcheck aggregates.

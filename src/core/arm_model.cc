@@ -7,11 +7,11 @@ void
 ArmModel::reportCvapWarns(const ClwbScan &scan, const PmOp &op,
                           Report &report, size_t op_index)
 {
-    const AddrRange range(op.addr, op.size);
     Finding f;
     f.severity = Severity::Warn;
     f.loc = op.loc;
     f.opIndex = op_index;
+    f.evidence.rangeA = AddrRange(op.addr, op.size);
     // Same repair as the x86 clwb WARNs: drop the clean.
     f.hint.action = FixAction::DeleteFlush;
     f.hint.addr = op.addr;
@@ -20,20 +20,13 @@ ArmModel::reportCvapWarns(const ClwbScan &scan, const PmOp &op,
     f.hint.flushOp = op.type;
     if (scan.redundant) {
         f.kind = FindingKind::RedundantFlush;
-        f.message = "DC CVAP of " + range.str() +
-                    " duplicates an earlier clean that has not "
-                    "been synchronized yet";
-        report.add(std::move(f));
-    } else if (scan.unmodified || scan.alreadyClean) {
+        f.cause = Cause::CvapRedundant;
+    } else {
         f.kind = FindingKind::UnnecessaryFlush;
-        f.message = "DC CVAP of " + range.str() +
-                    (scan.unmodified
-                         ? " targets data never modified in this "
-                           "trace"
-                         : " targets data that is already "
-                           "persistent");
-        report.add(std::move(f));
+        f.cause = scan.unmodified ? Cause::CvapUnmodified
+                                  : Cause::CvapClean;
     }
+    report.add(f);
 }
 
 } // namespace pmtest::core

@@ -53,7 +53,7 @@ class ArmModel final : public PersistencyModel
           case OpType::Sfence:
           case OpType::Ofence:
           case OpType::Dfence:
-            reportMalformed(op, report, op_index, name());
+            reportMalformed(op, report, op_index, Cause::OpNotInArm);
             break;
 
           default:

@@ -218,6 +218,31 @@ emitSourceOpenEvents(obs::EventLog &log, const TraceSource &source)
 }
 
 /**
+ * A finding's evidence as event fields: range_a/range_b as
+ * {addr, size}, epoch_a/epoch_b (2^64-1 is an interval that never
+ * closes). An IncompleteTx finding carries the write's location as
+ * write_loc; its range_b is empty.
+ */
+void
+writeEvidence(JsonWriter &w, const Finding &finding)
+{
+    const Evidence &e = finding.evidence;
+    const bool has_write = finding.cause == Cause::TxUpdateNotPersisted;
+    const auto range = [&](const char *key, const AddrRange &r) {
+        w.key(key).beginObject();
+        w.member("addr", r.addr);
+        w.member("size", r.size);
+        w.endObject();
+    };
+    range("range_a", e.rangeA);
+    range("range_b", has_write ? AddrRange{} : e.rangeB);
+    if (has_write)
+        w.member("write_loc", e.writeLoc.str());
+    w.member("epoch_a", e.epochA);
+    w.member("epoch_b", e.epochB);
+}
+
+/**
  * One "finding" event per canonical finding, capped so a pathological
  * input cannot turn the event log into a second copy of the report.
  */
@@ -244,8 +269,10 @@ emitFindingEvents(obs::EventLog &log, const Report &merged)
                                     ? "FAIL"
                                     : "WARN");
             w.member("kind", findingKindName(finding.kind));
-            w.member("message", finding.message);
+            w.member("cause", causeName(finding.cause));
+            w.member("message", findingMessage(finding));
             w.member("loc", finding.loc.str());
+            writeEvidence(w, finding);
             w.member("file_id",
                      static_cast<uint64_t>(finding.fileId));
             w.member("trace_id", finding.traceId);
@@ -721,7 +748,7 @@ hintsStage(Run &run)
     return true;
 }
 
-/** write (--report-out): the pmtest-report-v1 wire report. */
+/** write (--report-out): the pmtest-report-v2 wire report. */
 bool
 writeStage(Run &run)
 {

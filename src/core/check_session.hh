@@ -15,7 +15,7 @@
  *  - **Worker** (`--worker=i/N --report-out=FILE`): run shard i of an
  *    N-way split of the input set — the byte-balanced index slices of
  *    a single v2 file, or files j with j % N == i of a multi-file set
- *    (fileId = j preserved) — and emit a `pmtest-report-v1` wire
+ *    (fileId = j preserved) — and emit a `pmtest-report-v2` wire
  *    report instead of stdout output.
  *  - **Coordinator** (`--distribute=N`): fork N worker processes,
  *    gather their wire reports, mergeReports() them, and print

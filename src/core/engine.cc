@@ -44,9 +44,8 @@ Engine::check(const Trace &trace)
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::UnmatchedTx;
-        f.message = "trace ends with " +
-                    std::to_string(state_.txDepth) +
-                    " unterminated transaction(s)";
+        f.cause = Cause::TxOpenAtTraceEnd;
+        f.evidence.epochA = static_cast<Epoch>(state_.txDepth);
         f.traceId = trace.id();
         f.opIndex = trace.size();
         f.hint.action = FixAction::InsertTxEnd;
@@ -171,9 +170,8 @@ Engine::preWriteChecks(const PmOp &op, const AddrRange &range,
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::MissingLog;
-        f.message = "write to " + range.str() +
-                    " inside a transaction without a log backup "
-                    "(missing TX_ADD)";
+        f.cause = Cause::WriteWithoutLog;
+        f.evidence.rangeA = range;
         f.loc = op.loc;
         f.opIndex = index;
         f.hint.action = FixAction::InsertTxAdd;
@@ -251,7 +249,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::Malformed;
-            f.message = "TX_END without a matching TX_BEGIN";
+            f.cause = Cause::TxEndWithoutBegin;
             f.loc = op.loc;
             f.opIndex = index;
             report.add(std::move(f));
@@ -272,8 +270,8 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::Malformed;
-            f.message = "TX_ADD of " + range.str() +
-                        " outside any transaction";
+            f.cause = Cause::TxAddOutsideTx;
+            f.evidence.rangeA = range;
             f.loc = op.loc;
             f.opIndex = index;
             report.add(std::move(f));
@@ -285,9 +283,8 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             Finding f;
             f.severity = Severity::Warn;
             f.kind = FindingKind::DuplicateLog;
-            f.message = "object " + range.str() +
-                        " is already in the undo log of this "
-                        "transaction";
+            f.cause = Cause::LogDuplicate;
+            f.evidence.rangeA = range;
             f.loc = op.loc;
             f.opIndex = index;
             f.hint.action = FixAction::DeleteTxAdd;
@@ -315,12 +312,13 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
         const AddrRange range(op.addr, op.size);
         if (excluded(state, range))
             return;
-        std::string why;
-        if (!model.checkPersisted(range, state.shadow, &why)) {
+        if (const RuleVerdict v = model.checkPersisted(range, state.shadow);
+            !v) {
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::NotPersisted;
-            f.message = why;
+            f.cause = v.cause;
+            f.evidence = v.evidence;
             f.loc = op.loc;
             f.opIndex = index;
             f.hint = model.durabilityHint(range, state.shadow, index);
@@ -334,12 +332,14 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
         const AddrRange b(op.addrB, op.sizeB);
         if (excluded(state, a) || excluded(state, b))
             return;
-        std::string why;
-        if (!model.checkOrderedBefore(a, b, state.shadow, &why)) {
+        if (const RuleVerdict v =
+                model.checkOrderedBefore(a, b, state.shadow);
+            !v) {
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::NotOrdered;
-            f.message = why;
+            f.cause = v.cause;
+            f.evidence = v.evidence;
             f.loc = op.loc;
             f.opIndex = index;
             f.hint = model.orderingHint(a, b, state.shadow, index);
@@ -358,7 +358,7 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::Malformed;
-            f.message = "TX_CHECKER_END without TX_CHECKER_START";
+            f.cause = Cause::TxCheckerEndWithoutStart;
             f.loc = op.loc;
             f.opIndex = index;
             report.add(std::move(f));
@@ -370,7 +370,7 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
             Finding f;
             f.severity = Severity::Fail;
             f.kind = FindingKind::UnmatchedTx;
-            f.message = "transaction still open at TX_CHECKER_END";
+            f.cause = Cause::TxOpenAtCheckerEnd;
             f.loc = op.loc;
             f.opIndex = index;
             f.hint.action = FixAction::InsertTxEnd;
@@ -384,14 +384,15 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
         for (const auto &[range, write_loc] : state.txWrites) {
             if (excluded(state, range))
                 continue;
-            std::string why;
-            if (!model.checkPersisted(range, state.shadow, &why)) {
+            if (const RuleVerdict v =
+                    model.checkPersisted(range, state.shadow);
+                !v) {
                 Finding f;
                 f.severity = Severity::Fail;
                 f.kind = FindingKind::IncompleteTx;
-                f.message = "update not persisted when the transaction "
-                            "ended: " +
-                            why + " (write at " + write_loc.str() + ")";
+                f.cause = Cause::TxUpdateNotPersisted;
+                f.evidence = v.evidence;
+                f.evidence.writeLoc = write_loc;
                 f.loc = op.loc;
                 f.opIndex = index;
                 f.hint = model.durabilityHint(range, state.shadow,

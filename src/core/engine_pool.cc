@@ -105,11 +105,20 @@ EnginePool::anyQueued() const
 void
 EnginePool::notifyWork(size_t items)
 {
-    // Taking the mutex (even empty) orders this wakeup against a
+    // Taking the mutex orders this wakeup against a
     // worker that just scanned the queues empty and is about to wait:
     // either it sees the new item during its predicate check, or it
     // is already waiting and receives the notify.
-    { std::lock_guard<std::mutex> lock(workMutex_); }
+    bool any_parked = false;
+    {
+        std::lock_guard<std::mutex> lock(workMutex_);
+        any_parked = parked_ > 0;
+    }
+    // Notifying a condition variable nobody waits on costs no
+    // syscall; one with a parked worker is a futex wake. Counting
+    // those is the pool's futex-wake proxy.
+    if (any_parked)
+        obs::count(obs::Counter::PoolWakes);
     // Any worker can serve any queue (stealing), so one new trace
     // needs exactly one wakeup; waking the whole pool per submit is a
     // thundering herd on the producer's critical path.
@@ -179,7 +188,9 @@ EnginePool::workerLoop(Worker &worker)
             continue;
         }
         std::unique_lock<std::mutex> lock(workMutex_);
+        parked_++;
         workCv_.wait(lock, [&] { return stopping_ || anyQueued(); });
+        parked_--;
         if (stopping_ && !anyQueued())
             return; // all pending work drained
     }

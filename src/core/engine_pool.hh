@@ -193,6 +193,7 @@ class EnginePool
     std::mutex workMutex_; ///< wakeup coordination for idle workers
     std::condition_variable workCv_;
     bool stopping_ = false; ///< guarded by workMutex_
+    size_t parked_ = 0; ///< workers waiting on workCv_ (workMutex_)
 
     std::atomic<uint64_t> batches_{0};
     std::atomic<uint64_t> stallNanos_{0};

@@ -18,7 +18,7 @@ namespace
 
 /**
  * Identity of a finding for before/after comparison. Deliberately
- * excludes the message (it embeds epoch numbers and intervals that
+ * excludes the cause and evidence (epoch numbers and intervals
  * legitimately shift once ops are inserted) and the opIndex (it
  * shifts by construction); a finding "disappears" when no finding
  * with the same severity, kind and source site remains.
@@ -172,7 +172,7 @@ writeFixHintsJson(JsonWriter &w, const Report &report,
                  f.severity == Severity::Fail ? "fail" : "warn");
         w.member("kind", findingKindName(f.kind));
         w.member("loc", f.loc.str());
-        w.member("message", f.message);
+        w.member("message", findingMessage(f));
         w.member("action", fixActionName(f.hint.action));
         w.member("insert_at", f.hint.opIndex);
         if (f.hint.size > 0) {

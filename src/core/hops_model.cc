@@ -42,10 +42,9 @@ HopsModel::orderingHint(const AddrRange &a, const AddrRange &b,
     return hint;
 }
 
-bool
+RuleVerdict
 HopsModel::checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                              const ShadowMemory &shadow,
-                              std::string *why) const
+                              const ShadowMemory &shadow) const
 {
     // HOPS fences already enforce persist order, so ordering holds as
     // soon as every A-interval *starts* strictly before every
@@ -53,20 +52,12 @@ HopsModel::checkOrderedBefore(const AddrRange &a, const AddrRange &b,
     const PersistFold a_begin =
         foldPersist(a, shadow, &Interval::begin, true);
     if (!a_begin.any)
-        return true;
+        return {};
     const PersistFold b_begin =
         foldPersist(b, shadow, &Interval::begin, false);
     if (!b_begin.any || a_begin.epoch < b_begin.epoch)
-        return true;
-
-    if (why) {
-        *why = "write to " + a_begin.worst.str() + " (epoch " +
-               std::to_string(a_begin.epoch) +
-               ") is not separated by a fence from write to " +
-               b_begin.worst.str() + " (epoch " +
-               std::to_string(b_begin.epoch) + ")";
-    }
-    return false;
+        return {};
+    return notOrdered(Cause::WriteNotFenced, a_begin, b_begin);
 }
 
 } // namespace pmtest::core

@@ -50,7 +50,7 @@ class HopsModel final : public PersistencyModel
           case OpType::DcCvap:
           case OpType::Dsb:
             // HOPS replaces explicit writebacks and fences entirely.
-            reportMalformed(op, report, op_index, name());
+            reportMalformed(op, report, op_index, Cause::OpNotInHops);
             break;
 
           default:
@@ -60,9 +60,10 @@ class HopsModel final : public PersistencyModel
         }
     }
 
-    bool checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                            const ShadowMemory &shadow,
-                            std::string *why) const override;
+    RuleVerdict checkOrderedBefore(const AddrRange &a,
+                                   const AddrRange &b,
+                                   const ShadowMemory &shadow)
+        const override;
 
     /** The dfence completes every write since the last one. */
     bool tracksOpenWrites() const override { return true; }

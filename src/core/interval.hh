@@ -11,6 +11,7 @@
 #ifndef PMTEST_CORE_INTERVAL_HH
 #define PMTEST_CORE_INTERVAL_HH
 
+#include <charconv>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -123,25 +124,25 @@ struct AddrRange
         return addr <= other.addr && other.end() <= end();
     }
 
-    /** Render as "[addr,end)". */
+    /** Append "[0xaddr,0xend)" (lowercase hex) to @p out. */
+    void
+    appendTo(std::string &out) const
+    {
+        char buf[16];
+        out += "[0x";
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, addr, 16).ptr);
+        out += ",0x";
+        out.append(buf,
+                   std::to_chars(buf, buf + sizeof buf, end(), 16).ptr);
+        out += ")";
+    }
+
+    /** Render as "[0xaddr,0xend)". */
     std::string
     str() const
     {
-        return "[0x" + toHex(addr) + ",0x" + toHex(end()) + ")";
-    }
-
-  private:
-    static std::string
-    toHex(uint64_t v)
-    {
-        static const char *digits = "0123456789abcdef";
-        if (v == 0)
-            return "0";
         std::string s;
-        while (v) {
-            s.insert(s.begin(), digits[v & 0xf]);
-            v >>= 4;
-        }
+        appendTo(s);
         return s;
     }
 };

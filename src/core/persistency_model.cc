@@ -9,21 +9,19 @@
 namespace pmtest::core
 {
 
-bool
+RuleVerdict
 PersistencyModel::checkPersisted(const AddrRange &range,
-                                 const ShadowMemory &shadow,
-                                 std::string *why) const
+                                 const ShadowMemory &shadow) const
 {
     AddrRange open;
     if (shadow.allPersisted(range, &open))
-        return true;
-    if (why) {
-        *why = "data in " + open.str() +
-               " may not have persisted (persist interval still open "
-               "at epoch " +
-               std::to_string(shadow.timestamp()) + ")";
-    }
-    return false;
+        return {};
+    RuleVerdict verdict;
+    verdict.holds = false;
+    verdict.cause = Cause::PersistOpen;
+    verdict.evidence.rangeA = open;
+    verdict.evidence.epochA = shadow.timestamp();
+    return verdict;
 }
 
 PersistencyModel::PersistFold
@@ -44,11 +42,24 @@ PersistencyModel::foldPersist(const AddrRange &range,
     return fold;
 }
 
-bool
+RuleVerdict
+PersistencyModel::notOrdered(Cause cause, const PersistFold &a,
+                             const PersistFold &b)
+{
+    RuleVerdict verdict;
+    verdict.holds = false;
+    verdict.cause = cause;
+    verdict.evidence.rangeA = a.worst;
+    verdict.evidence.epochA = a.epoch;
+    verdict.evidence.rangeB = b.worst;
+    verdict.evidence.epochB = b.epoch;
+    return verdict;
+}
+
+RuleVerdict
 PersistencyModel::checkOrderedBefore(const AddrRange &a,
                                      const AddrRange &b,
-                                     const ShadowMemory &shadow,
-                                     std::string *why) const
+                                     const ShadowMemory &shadow) const
 {
     // All persist intervals of A must be guaranteed complete before
     // any persist interval of B may begin:
@@ -57,22 +68,12 @@ PersistencyModel::checkOrderedBefore(const AddrRange &a,
     // after B. Ranges with no writes pass vacuously.
     const PersistFold a_end = foldPersist(a, shadow, &Interval::end, true);
     if (!a_end.any)
-        return true;
+        return {};
     const PersistFold b_begin =
         foldPersist(b, shadow, &Interval::begin, false);
     if (!b_begin.any || a_end.epoch <= b_begin.epoch)
-        return true;
-
-    if (why) {
-        *why = "persist interval of " + a_end.worst.str() + " (ends " +
-               (a_end.epoch == kInfEpoch
-                    ? std::string("never")
-                    : std::to_string(a_end.epoch)) +
-               ") is not guaranteed before that of " +
-               b_begin.worst.str() + " (may begin at epoch " +
-               std::to_string(b_begin.epoch) + ")";
-    }
-    return false;
+        return {};
+    return notOrdered(Cause::PersistNotBefore, a_end, b_begin);
 }
 
 FixHint
@@ -121,17 +122,16 @@ PersistencyModel::orderingHint(const AddrRange &a, const AddrRange &b,
 
 void
 PersistencyModel::reportMalformed(const PmOp &op, Report &report,
-                                  size_t op_index, const char *model_name)
+                                  size_t op_index, Cause cause)
 {
     Finding f;
     f.severity = Severity::Fail;
     f.kind = FindingKind::Malformed;
-    f.message = std::string(opTypeName(op.type)) +
-                " is not defined by the " + model_name +
-                " persistency model";
+    f.cause = cause;
+    f.op = op.type;
     f.loc = op.loc;
     f.opIndex = op_index;
-    report.add(std::move(f));
+    report.add(f);
 }
 
 std::unique_ptr<PersistencyModel>

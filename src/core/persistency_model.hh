@@ -12,7 +12,6 @@
 #define PMTEST_CORE_PERSISTENCY_MODEL_HH
 
 #include <memory>
-#include <string>
 
 #include "core/report.hh"
 #include "core/shadow_memory.hh"
@@ -27,6 +26,21 @@ enum class ModelKind
     X86,  ///< strict x86: write / clwb / sfence
     Hops, ///< HOPS: write / ofence / dfence
     Arm,  ///< ARMv8.2: write / DC CVAP / DSB
+};
+
+/**
+ * What a checker rule decided, with the evidence it decided from:
+ * the open range and the current epoch (isPersist), or the folded
+ * persist intervals of both ranges (isOrderedBefore). A failed
+ * verdict becomes a finding's cause and evidence as they are.
+ */
+struct RuleVerdict
+{
+    bool holds = true;
+    Cause cause = Cause::PersistOpen; ///< meaningful when !holds
+    Evidence evidence{};
+
+    explicit operator bool() const { return holds; }
 };
 
 /** Checking rules for one persistency model. */
@@ -53,23 +67,20 @@ class PersistencyModel
      * guaranteed persistent at the current epoch. Identical for the
      * built-in models; kept virtual for models with different
      * durability semantics.
-     * @param why on failure, receives a human-readable reason.
      */
-    virtual bool
-    checkPersisted(const AddrRange &range, const ShadowMemory &shadow,
-                   std::string *why) const;
+    virtual RuleVerdict
+    checkPersisted(const AddrRange &range,
+                   const ShadowMemory &shadow) const;
 
     /**
      * The isOrderedBefore rule: whether every write in @p a is
      * guaranteed to persist before any write in @p b. Default (strict
      * models): A's persists must be guaranteed complete before B's
      * may begin. Epoch-based models (HOPS) override it.
-     * @param why on failure, receives a human-readable reason.
      */
-    virtual bool
+    virtual RuleVerdict
     checkOrderedBefore(const AddrRange &a, const AddrRange &b,
-                       const ShadowMemory &shadow,
-                       std::string *why) const;
+                       const ShadowMemory &shadow) const;
 
     /**
      * Whether apply() reads the shadow's written-since-dfence set
@@ -125,10 +136,19 @@ class PersistencyModel
                                    const ShadowMemory &shadow,
                                    Epoch Interval::*bound, bool latest);
 
-    /** Helper for apply(): record a Malformed finding. */
-    static void
-    reportMalformed(const PmOp &op, Report &report, size_t op_index,
-                    const char *model_name);
+    /**
+     * A failed ordering verdict: A's fold (range A, epoch A) against
+     * B's (range B, epoch B).
+     */
+    static RuleVerdict notOrdered(Cause cause, const PersistFold &a,
+                                  const PersistFold &b);
+
+    /**
+     * Helper for apply(): record a Malformed finding for an op the
+     * model does not define (@p cause names the model).
+     */
+    static void reportMalformed(const PmOp &op, Report &report,
+                                size_t op_index, Cause cause);
 };
 
 /** Instantiate a built-in model. */

@@ -4,7 +4,9 @@
  * consistency bugs (a checker condition that the trace cannot
  * guarantee) and WARN findings for performance bugs (redundant
  * writebacks, duplicated logs), each carrying the offending file:line
- * — the output format of the paper's Fig. 6.
+ * — the output format of the paper's Fig. 6. A finding stores the
+ * evidence its rule decided from (a cause, two ranges, two epochs),
+ * not prose; findingMessage renders the text when output is written.
  */
 
 #ifndef PMTEST_CORE_REPORT_HH
@@ -14,8 +16,10 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/interval.hh"
 #include "trace/fix_hint.hh"
 #include "util/source_location.hh"
 
@@ -46,16 +50,87 @@ enum class FindingKind : uint8_t
 /** Human-readable name for a finding kind. */
 const char *findingKindName(FindingKind kind);
 
+/**
+ * Why a finding fired: one value per message template, so the
+ * message is rendered from the cause and the Evidence alone
+ * (findingMessage), and only when output is written. Each cause
+ * belongs to exactly one FindingKind (causeKind). The comments name
+ * the Evidence fields a cause reads; the others stay zero.
+ */
+enum class Cause : uint8_t
+{
+    PersistOpen,          ///< NotPersisted: range A still open at
+                          ///< epoch A (the current epoch)
+    PmemcheckStore,       ///< NotPersisted: a checked word not clean
+    PmemcheckStoreAtExit, ///< NotPersisted: word range A dirty at exit
+    PersistNotBefore,     ///< NotOrdered (strict): A's persist ends at
+                          ///< epoch A (kInfEpoch: never), after B's
+                          ///< may begin at epoch B
+    WriteNotFenced,       ///< NotOrdered (HOPS): write A at epoch A is
+                          ///< not fenced from write B at epoch B
+    WriteWithoutLog,      ///< MissingLog: TX write to range A
+    TxUpdateNotPersisted, ///< IncompleteTx: PersistOpen's A and epoch
+                          ///< A, for the TX write at writeLoc
+    TxOpenAtTraceEnd,     ///< UnmatchedTx: epoch A holds the number of
+                          ///< transactions still open
+    TxOpenAtCheckerEnd,   ///< UnmatchedTx at TX_CHECKER_END
+    WritebackRedundant,   ///< RedundantFlush: x86 writeback of A
+    CvapRedundant,        ///< RedundantFlush: ARM DC CVAP of A
+    PmemcheckReflush,     ///< RedundantFlush: flush of flushed words
+    WritebackUnmodified,  ///< UnnecessaryFlush: x86, A never written
+    WritebackClean,       ///< UnnecessaryFlush: x86, A already durable
+    CvapUnmodified,       ///< UnnecessaryFlush: ARM, A never written
+    CvapClean,            ///< UnnecessaryFlush: ARM, A already durable
+    PmemcheckCleanFlush,  ///< UnnecessaryFlush: flush of clean words
+    LogDuplicate,         ///< DuplicateLog: range A logged twice
+    TxEndWithoutBegin,    ///< Malformed
+    TxAddOutsideTx,       ///< Malformed: TX_ADD of range A
+    TxCheckerEndWithoutStart, ///< Malformed
+    OpNotInX86,           ///< Malformed: op not in the x86 model
+    OpNotInHops,          ///< Malformed: op not in the HOPS model
+    OpNotInArm,           ///< Malformed: op not in the ARM model
+};
+
+/** The highest Cause value (wire validation). */
+inline constexpr Cause kLastCause = Cause::OpNotInArm;
+
+/** Stable machine-readable name of a cause ("persist-open", ...). */
+const char *causeName(Cause cause);
+
+/** The one finding kind @p cause can explain. */
+FindingKind causeKind(Cause cause);
+
+/**
+ * The evidence a rule decided from (paper §4.4, Fig. 7): the ranges
+ * whose persist intervals were compared and the epochs that decided
+ * it. Which fields a finding carries depends on its Cause.
+ */
+struct Evidence
+{
+    AddrRange rangeA{};
+    union
+    {
+        AddrRange rangeB;
+        SourceLocation writeLoc; ///< TxUpdateNotPersisted only
+    };
+    Epoch epochA = 0;
+    Epoch epochB = 0;
+
+    constexpr Evidence() : rangeB() {}
+};
+
 /** One WARN/FAIL record. */
 struct Finding
 {
     Severity severity = Severity::Fail;
     FindingKind kind = FindingKind::NotPersisted;
-    std::string message;
+    Cause cause = Cause::PersistOpen;
+    OpType op = OpType::Write; ///< OpNotIn*: the undefined op
+    uint32_t fileId = 0; ///< which input source the trace came from
     SourceLocation loc{};
     uint64_t traceId = 0;
-    uint32_t fileId = 0; ///< which input source the trace came from
     size_t opIndex = 0; ///< index of the offending op within the trace
+    Evidence evidence{};
 
     /**
      * Machine-readable repair proposal, synthesized by the emitting
@@ -69,6 +144,18 @@ struct Finding
     /** Render as "FAIL(kind) message @ file:line [fN:tM:opK]". */
     std::string str() const;
 };
+
+// Findings are copied, merged, sorted and written by the tens of
+// thousands; the kernel must not allocate for them.
+static_assert(std::is_trivially_copyable_v<Finding> &&
+                  sizeof(Finding) <= 144,
+              "Finding must stay a fixed-size, trivially copyable record");
+
+/**
+ * The message text of @p f, rendered from its cause and evidence —
+ * the one place finding prose is built.
+ */
+std::string findingMessage(const Finding &f);
 
 /** The result of checking one trace. */
 class Report
@@ -167,7 +254,7 @@ class Report
         FindingKind kind;
         SourceLocation loc;
         size_t count;
-        std::string firstMessage;
+        std::string firstMessage; ///< rendered by summary()
     };
 
     /** Deduplicated findings, most frequent first. */

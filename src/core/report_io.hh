@@ -1,6 +1,6 @@
 /**
  * @file
- * Report serialization: the `pmtest-report-v1` wire format that lets
+ * Report serialization: the `pmtest-report-v2` wire format that lets
  * a checking session's canonical Report cross a process (or machine)
  * boundary — the missing piece between "sharded runs are
  * byte-identical in one process" and distributed scatter/gather
@@ -12,34 +12,47 @@
  *
  * Wire format (little-endian, versioned, CRC-checked like trace v2):
  *
- *   file   := magic u64, version u32 (=1), reserved u32,
+ *   file   := magic u64, version u32 (=2), reserved u32,
  *             body_len u64, body[body_len], body_crc32 u32,
  *             footer_magic u64
- *   body   := meta, string_table, finding*
+ *   body   := meta, string_table, finding_count u64, finding*
  *   meta   := worker_index u32, worker_count u32, trace_count u64,
  *             total_ops u64, source_count u64, model u32,
  *             reserved u32
  *   string_table := count u32, (len u32, bytes)*
- *   finding := severity u8, kind u8, hint_action u8, hint_flags u8,
- *              msg_idx u32, loc_file_idx u32, loc_line u32,
- *              file_id u32, trace_id u64, op_index u64,
+ *   finding := severity u8, kind u8, cause u8, op u8, file_id u32,
+ *              loc_file_idx u32, loc_line u32,
+ *              trace_id u64, op_index u64,
+ *              range_a_addr u64, range_a_size u64,
+ *              range_b_addr u64, range_b_size u64,
+ *              epoch_a u64, epoch_b u64,
  *              hint_addr u64, hint_size u64, hint_addr_b u64,
- *              hint_size_b u64, hint_op_index u64,
- *              hint_flush_op u8, hint_fence_op u8, reserved u16,
- *              hint_count u32
+ *              hint_size_b u64, hint_op_index u64, hint_count u32,
+ *              hint_action u8, hint_flush_op u8, hint_fence_op u8,
+ *              hint_flags u8                       (128 bytes)
  *
- * Messages and source-file names are interned in the string table;
- * kNoString marks an absent entry. hint_flags packs withFlush
+ * A finding is its fixed-size evidence (Finding, Evidence in
+ * core/report.hh), not prose: the cause names the message template
+ * and the ranges and epochs fill it, so readers render the text with
+ * findingMessage. For an IncompleteTx finding (cause
+ * tx-update-not-persisted) range B's 16 bytes hold the unpersisted
+ * write's location instead: write_file_idx u32, reserved u32,
+ * write_line u32, reserved u32. The op byte is set only for the
+ * op-not-in-<model> causes. The string table holds source-file names
+ * only; kNoString marks an absent one. hint_flags packs withFlush
  * (bit 0) and verified (bit 1).
  *
  * Fail-closed parsing: decodeReport validates the magics, the exact
  * length accounting (body_len must match the input size to the
- * byte — no trailing junk), the body CRC32, every enum value and
- * every string index before anything is visible to the caller; a
- * truncated or bit-flipped file never produces a partial Report.
- * Parsed findings' location strings live in an arena the Report
- * co-owns (holdArena), so a loaded report is self-contained exactly
- * like one produced by the live pipeline.
+ * byte — no trailing junk), the body CRC32, every enum value, that
+ * each cause belongs to its finding's kind, every string index, and
+ * that every reserved word, unused op byte and unused flag bit is
+ * zero — all before anything is visible to the caller; a truncated
+ * or bit-flipped file never produces a partial Report. Version 1
+ * files (which carried rendered messages) are rejected as an
+ * unsupported version. Parsed findings' file names live in an arena
+ * the Report co-owns (holdArena), so a loaded report is
+ * self-contained exactly like one produced by the live pipeline.
  */
 
 #ifndef PMTEST_CORE_REPORT_IO_HH
@@ -60,15 +73,15 @@ struct ReportWire
 {
     /** Leading file magic ("PMREPORT"). */
     static constexpr uint64_t kMagic = 0x54524f5045524d50ULL;
-    /** Trailing footer magic ("PMR1END."). */
-    static constexpr uint64_t kFooterMagic = 0x2e444e4531524d50ULL;
+    /** Trailing footer magic ("PMR2END."). */
+    static constexpr uint64_t kFooterMagic = 0x2e444e4532524d50ULL;
     /** The only version this build writes and reads. */
-    static constexpr uint32_t kVersion = 1;
+    static constexpr uint32_t kVersion = 2;
     /** magic u64 + version u32 + reserved u32 + body_len u64. */
     static constexpr size_t kHeaderBytes = 24;
     /** body_crc32 u32 + footer_magic u64. */
     static constexpr size_t kFooterBytes = 12;
-    /** String-table index marking an absent message/file name. */
+    /** String-table index marking an absent file name. */
     static constexpr uint32_t kNoString = 0xffffffffu;
 };
 

@@ -7,11 +7,11 @@ void
 X86Model::reportClwbWarns(const ClwbScan &scan, const PmOp &op,
                           Report &report, size_t op_index)
 {
-    const AddrRange range(op.addr, op.size);
     Finding f;
     f.severity = Severity::Warn;
     f.loc = op.loc;
     f.opIndex = op_index;
+    f.evidence.rangeA = AddrRange(op.addr, op.size);
     // Every clwb performance bug has the same mechanical repair:
     // drop the writeback.
     f.hint.action = FixAction::DeleteFlush;
@@ -21,21 +21,13 @@ X86Model::reportClwbWarns(const ClwbScan &scan, const PmOp &op,
     f.hint.flushOp = op.type;
     if (scan.redundant) {
         f.kind = FindingKind::RedundantFlush;
-        f.message = "writeback of " + range.str() +
-                    " duplicates an earlier writeback that has not "
-                    "been fenced yet";
-        report.add(std::move(f));
-    } else if (scan.unmodified) {
+        f.cause = Cause::WritebackRedundant;
+    } else {
         f.kind = FindingKind::UnnecessaryFlush;
-        f.message = "writeback of " + range.str() +
-                    " targets data never modified in this trace";
-        report.add(std::move(f));
-    } else if (scan.alreadyClean) {
-        f.kind = FindingKind::UnnecessaryFlush;
-        f.message = "writeback of " + range.str() +
-                    " targets data that is already persistent";
-        report.add(std::move(f));
+        f.cause = scan.unmodified ? Cause::WritebackUnmodified
+                                  : Cause::WritebackClean;
     }
+    report.add(f);
 }
 
 } // namespace pmtest::core

@@ -47,7 +47,7 @@ class X86Model final : public PersistencyModel
           case OpType::Dfence:
           case OpType::DcCvap:
           case OpType::Dsb:
-            reportMalformed(op, report, op_index, name());
+            reportMalformed(op, report, op_index, Cause::OpNotInX86);
             break;
 
           default:

@@ -106,6 +106,8 @@ counterName(Counter counter)
         return "workers_spawned";
       case Counter::WorkersFailed:
         return "workers_failed";
+      case Counter::PoolWakes:
+        return "pool_wakes";
     }
     return "unknown";
 }

@@ -123,10 +123,11 @@ enum class Counter : uint8_t
     WatchdogStalls,     ///< stall episodes the metrics watchdog flagged
     MetricsScrapes,     ///< /metrics + /metrics.json requests served
     WorkersSpawned,     ///< distributed-check worker processes forked
-    WorkersFailed       ///< workers that exited abnormally (status > 1)
+    WorkersFailed,      ///< workers that exited abnormally (status > 1)
+    PoolWakes           ///< EnginePool wakeups issued to a parked worker
 };
 
-inline constexpr size_t kCounterCount = 22;
+inline constexpr size_t kCounterCount = 23;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);

@@ -9,7 +9,7 @@
  * Run shapes:
  *  - plain: check the inputs in this process (the historical tool);
  *  - `--worker=i/N --report-out=FILE`: run shard i of an N-way split
- *    and emit a `pmtest-report-v1` wire report instead of stdout;
+ *    and emit a `pmtest-report-v2` wire report instead of stdout;
  *  - `--distribute=N`: fork N workers, gather and merge their wire
  *    reports, and print exactly what the sequential run prints.
  *
@@ -114,7 +114,7 @@ main(int argc, char **argv)
     cli.addSize("--distribute", &plan.distribute,
                 "fork N workers and merge their reports", 1);
     cli.addString("--report-out", &plan.reportOutPath,
-                  "write the pmtest-report-v1 wire report to FILE");
+                  "write the pmtest-report-v2 wire report to FILE");
     cli.positionalCount(1);
 
     const CliStatus status = cli.parse(argc, argv, &plan.inputArgs);

@@ -63,15 +63,18 @@ const char *fixActionName(FixAction action);
  */
 struct FixHint
 {
-    FixAction action = FixAction::None;
+    // Wide fields first, then the one-byte ones packed together: a
+    // Finding embeds a hint, and the padding this saves is where the
+    // finding's evidence fits.
     uint64_t addr = 0;  ///< primary range: flush / log target
     uint64_t size = 0;
     uint64_t addrB = 0; ///< InsertOrdering: the range that must come
     uint64_t sizeB = 0; ///< second
     uint64_t opIndex = 0; ///< anchor op in the unpatched trace
+    uint32_t count = 1;   ///< InsertTxEnd: transactions to close
+    FixAction action = FixAction::None;
     OpType flushOp = OpType::Clwb;   ///< model's writeback op
     OpType fenceOp = OpType::Sfence; ///< model's completing fence
-    uint32_t count = 1;   ///< InsertTxEnd: transactions to close
     bool withFlush = false; ///< InsertOrdering: [addr,size) must also
                             ///< be durable (strict models)
     bool verified = false;  ///< set by core::verifyHints on success

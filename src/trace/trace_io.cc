@@ -70,7 +70,7 @@ constexpr uint32_t kMaxNameLen = 1u << 20;
 } // namespace
 
 uint32_t
-crc32(const void *data, size_t len)
+crc32(const void *data, size_t len, uint32_t crc)
 {
     // IEEE 802.3 reflected CRC32, slicing-by-8: table k advances the
     // CRC over a byte followed by k zero bytes, so eight lookups fold
@@ -95,7 +95,7 @@ crc32(const void *data, size_t len)
                uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
     };
 
-    uint32_t crc = 0xffffffffu;
+    crc ^= 0xffffffffu;
     const auto *bytes = static_cast<const uint8_t *>(data);
     for (; len >= 8; len -= 8, bytes += 8) {
         const uint32_t lo = load32(bytes) ^ crc;

@@ -63,8 +63,12 @@ struct TraceWire
     static constexpr size_t kFooterBytes = 24;
 };
 
-/** CRC32 (IEEE 802.3, reflected) of a byte range. */
-uint32_t crc32(const void *data, size_t len);
+/**
+ * CRC32 (IEEE 802.3, reflected) of a byte range. Pass the CRC of the
+ * preceding bytes as @p crc to continue it: crc32(b, crc32(a)) is the
+ * CRC of a followed by b.
+ */
+uint32_t crc32(const void *data, size_t len, uint32_t crc = 0);
 
 /**
  * Encode one trace's body (the framed payload, without the length

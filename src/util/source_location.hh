@@ -8,6 +8,7 @@
 #ifndef PMTEST_UTIL_SOURCE_LOCATION_HH
 #define PMTEST_UTIL_SOURCE_LOCATION_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 
@@ -30,13 +31,27 @@ struct SourceLocation
     /** Whether this record carries a real location. */
     constexpr bool valid() const { return line != 0; }
 
+    /** Append "file:line" (or "<unknown>" when unset) to @p out. */
+    void
+    appendTo(std::string &out) const
+    {
+        if (!valid()) {
+            out += "<unknown>";
+            return;
+        }
+        char buf[10];
+        out += file;
+        out += ":";
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, line).ptr);
+    }
+
     /** Render as "file:line" (or "<unknown>" when unset). */
     std::string
     str() const
     {
-        if (!valid())
-            return "<unknown>";
-        return std::string(file) + ":" + std::to_string(line);
+        std::string s;
+        appendTo(s);
+        return s;
     }
 };
 

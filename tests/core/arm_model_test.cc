@@ -29,9 +29,7 @@ TEST_F(ArmModelTest, WriteCleanDsbPersists)
     apply(PmOp::write(0x10, 64));
     apply(PmOp::dcCvap(0x10, 64));
     apply(PmOp::dsb());
-    std::string why;
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                      &why));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
     EXPECT_TRUE(report_.clean());
 }
 
@@ -39,9 +37,7 @@ TEST_F(ArmModelTest, MissingCleanNeverPersists)
 {
     apply(PmOp::write(0x10, 64));
     apply(PmOp::dsb());
-    std::string why;
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                       &why));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
 }
 
 TEST_F(ArmModelTest, DsbOrdersLikeSfence)
@@ -50,13 +46,12 @@ TEST_F(ArmModelTest, DsbOrdersLikeSfence)
     apply(PmOp::dcCvap(0x10, 64));
     apply(PmOp::dsb());
     apply(PmOp::write(0x50, 64)); // B
-    std::string why;
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                           AddrRange(0x50, 64),
-                                          shadow_, &why));
+                                          shadow_));
     EXPECT_FALSE(model_.checkOrderedBefore(AddrRange(0x50, 64),
                                            AddrRange(0x10, 64),
-                                           shadow_, &why));
+                                           shadow_));
 }
 
 TEST_F(ArmModelTest, RedundantCleanWarned)

@@ -12,6 +12,10 @@
  * transactions: a TX_ADD inserts into the IntervalTree undo-log,
  * which allocates one node per insert — the one per-op allocation
  * the kernel still makes. Nothing else is exempt.
+ *
+ * Findings are fixed-size evidence, so emitting one allocates
+ * nothing either: bug-dense traces of N and 4N findings may differ
+ * only by the findings vector's own geometric growth.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/engine.hh"
 
@@ -182,6 +187,99 @@ TEST(EngineAllocTest, ArmSteadyStateDoesNotAllocatePerOp)
 TEST(EngineAllocTest, HopsSteadyStateDoesNotAllocatePerOp)
 {
     expectNoPerOpAllocation(ModelKind::Hops);
+}
+
+/**
+ * A bug-dense trace: every round writes lines A and B and then asks
+ * for A before B and for A durable, both failing (and, on the
+ * writeback models, writes A back twice: a redundant-flush WARN),
+ * then makes both durable so the shadow stays small.
+ */
+Trace
+buggyTrace(ModelKind kind, size_t rounds)
+{
+    const bool hops = kind == ModelKind::Hops;
+    const OpType flush =
+        kind == ModelKind::Arm ? OpType::DcCvap : OpType::Clwb;
+    const OpType fence = kind == ModelKind::Arm   ? OpType::Dsb
+                         : kind == ModelKind::Hops ? OpType::Dfence
+                                                   : OpType::Sfence;
+    Trace trace(1, 0);
+    for (size_t r = 0; r < rounds; r++) {
+        const uint64_t a = 128 * (r % kLines);
+        const uint64_t b = a + 64;
+        trace.append(PmOp::write(a, 64));
+        trace.append(PmOp::write(b, 64));
+        trace.append(PmOp::isOrderedBefore(a, 64, b, 64));
+        trace.append(PmOp::isPersist(a, 64));
+        if (!hops) {
+            trace.append(PmOp{flush, a, 64, 0, 0, {}});
+            trace.append(PmOp{flush, a, 64, 0, 0, {}});
+            trace.append(PmOp{flush, b, 64, 0, 0, {}});
+        }
+        trace.append(PmOp{fence, 0, 0, 0, 0, {}});
+    }
+    return trace;
+}
+
+/** Reallocations of a vector growing to @p n findings by push_back. */
+size_t
+growthSteps(size_t n)
+{
+    std::vector<Finding> v;
+    size_t steps = 0, capacity = 0;
+    for (size_t i = 0; i < n; i++) {
+        v.push_back(Finding{});
+        if (v.capacity() != capacity) {
+            capacity = v.capacity();
+            steps++;
+        }
+    }
+    return steps;
+}
+
+void
+expectNoPerFindingAllocation(ModelKind kind)
+{
+    constexpr size_t kRounds = 2000;
+    const Trace warm = buggyTrace(kind, kRounds);
+    const Trace small = buggyTrace(kind, kRounds);
+    const Trace large = buggyTrace(kind, 4 * kRounds);
+    Engine engine(kind);
+    const size_t per_round = engine.check(warm).findings().size() / kRounds;
+    ASSERT_GE(per_round, 2u);
+    const size_t n = per_round * kRounds;
+    const size_t growth = growthSteps(4 * n) - growthSteps(n);
+
+    const auto allocs = [&](const Trace &trace, size_t want) {
+        const size_t before = g_allocs.load(std::memory_order_relaxed);
+        {
+            const Report report = engine.check(trace);
+            EXPECT_EQ(report.findings().size(), want);
+        }
+        return g_allocs.load(std::memory_order_relaxed) - before;
+    };
+    const size_t a_n = allocs(small, n);
+    const size_t a_4n = allocs(large, 4 * n);
+    EXPECT_LE(a_4n, a_n + growth)
+        << n << " findings allocated " << a_n << " times, " << 4 * n
+        << " findings " << a_4n << " times (vector growth: " << growth
+        << ")";
+}
+
+TEST(EngineAllocTest, X86FindingsDoNotAllocate)
+{
+    expectNoPerFindingAllocation(ModelKind::X86);
+}
+
+TEST(EngineAllocTest, ArmFindingsDoNotAllocate)
+{
+    expectNoPerFindingAllocation(ModelKind::Arm);
+}
+
+TEST(EngineAllocTest, HopsFindingsDoNotAllocate)
+{
+    expectNoPerFindingAllocation(ModelKind::Hops);
 }
 
 TEST(EngineAllocTest, CounterSeesAllocations)

@@ -30,14 +30,11 @@ TEST_F(HopsModelTest, PaperFig3bTrace)
     apply(PmOp::write(0x50, 64)); // B
     apply(PmOp::dfence());
 
-    std::string why;
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                           AddrRange(0x50, 64),
-                                          shadow_, &why));
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                      &why));
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x50, 64), shadow_,
-                                      &why));
+                                          shadow_));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x50, 64), shadow_));
     EXPECT_TRUE(report_.clean());
 }
 
@@ -49,24 +46,20 @@ TEST_F(HopsModelTest, OfenceOrdersWithoutDurability)
     apply(PmOp::ofence());
     apply(PmOp::write(0x50, 64));
 
-    std::string why;
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                           AddrRange(0x50, 64),
-                                          shadow_, &why));
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                       &why));
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_,
-                                       &why));
+                                          shadow_));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_));
 }
 
 TEST_F(HopsModelTest, MissingOfenceBreaksOrdering)
 {
     apply(PmOp::write(0x10, 64));
     apply(PmOp::write(0x50, 64)); // same epoch: unordered
-    std::string why;
     EXPECT_FALSE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                            AddrRange(0x50, 64),
-                                           shadow_, &why));
+                                           shadow_));
 }
 
 TEST_F(HopsModelTest, DfencePersistsEverythingPrior)
@@ -74,11 +67,8 @@ TEST_F(HopsModelTest, DfencePersistsEverythingPrior)
     apply(PmOp::write(0x10, 8));
     apply(PmOp::write(0x200, 8));
     apply(PmOp::dfence());
-    std::string why;
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 8), shadow_,
-                                      &why));
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x200, 8), shadow_,
-                                      &why));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 8), shadow_));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x200, 8), shadow_));
 }
 
 TEST_F(HopsModelTest, WriteAfterDfenceIsNotCovered)
@@ -86,9 +76,7 @@ TEST_F(HopsModelTest, WriteAfterDfenceIsNotCovered)
     apply(PmOp::write(0x10, 8));
     apply(PmOp::dfence());
     apply(PmOp::write(0x50, 8));
-    std::string why;
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 8), shadow_,
-                                       &why));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 8), shadow_));
 }
 
 TEST_F(HopsModelTest, X86OpsAreMalformed)

@@ -28,13 +28,15 @@ namespace pmtest::core
 namespace
 {
 
-/** Full report signature: every finding as (kind, opIndex, message). */
+/** Full report signature: every finding as (kind, opIndex, rendered
+ *  message). */
 std::vector<std::tuple<int, size_t, std::string>>
 signature(const Report &report)
 {
     std::vector<std::tuple<int, size_t, std::string>> sig;
     for (const auto &f : report.findings())
-        sig.emplace_back(static_cast<int>(f.kind), f.opIndex, f.message);
+        sig.emplace_back(static_cast<int>(f.kind), f.opIndex,
+                         findingMessage(f));
     std::sort(sig.begin(), sig.end());
     return sig;
 }

@@ -1,8 +1,10 @@
 /**
  * @file
- * The pmtest-report-v1 wire format: lossless round-trips for every
- * finding kind and fix-hint shape, fail-closed parsing under
- * truncation and bit flips at every byte position, and gather-order
+ * The pmtest-report-v2 wire format: lossless round-trips for every
+ * finding kind, evidence shape and fix-hint shape, a pinned golden
+ * encoding, fail-closed parsing under every truncation and every
+ * single-bit flip, rejection of v1 files, nonzero reserved bytes and
+ * causes that do not belong to their kind, and gather-order
  * independence of mergeReports — the properties distributed
  * scatter/gather checking leans on.
  */
@@ -13,8 +15,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include "trace/trace_io.hh"
 
 namespace pmtest::core
 {
@@ -33,16 +38,29 @@ hint(FixAction action, uint64_t addr = 0x1000, uint64_t size = 64,
     return h;
 }
 
+Evidence
+evidence(AddrRange a, Epoch epoch_a = 0, AddrRange b = {},
+         Epoch epoch_b = 0)
+{
+    Evidence e;
+    e.rangeA = a;
+    e.rangeB = b;
+    e.epochA = epoch_a;
+    e.epochB = epoch_b;
+    return e;
+}
+
 Finding
-finding(Severity severity, FindingKind kind, const char *file,
-        uint32_t line, std::string msg, uint32_t file_id,
-        uint64_t trace_id, size_t op_index, FixHint h = {})
+finding(Severity severity, Cause cause, const char *file, uint32_t line,
+        Evidence e, uint32_t file_id, uint64_t trace_id, size_t op_index,
+        FixHint h = {})
 {
     Finding f;
     f.severity = severity;
-    f.kind = kind;
+    f.kind = causeKind(cause);
+    f.cause = cause;
     f.loc = SourceLocation(file, line);
-    f.message = std::move(msg);
+    f.evidence = e;
     f.fileId = file_id;
     f.traceId = trace_id;
     f.opIndex = op_index;
@@ -51,9 +69,11 @@ finding(Severity severity, FindingKind kind, const char *file,
 }
 
 /**
- * A report exercising every finding kind, every fix action, both
- * hint flags, non-x86 op vocabulary, an empty message and a missing
- * source location.
+ * A report exercising every finding kind, both ordering rules, every
+ * fix action, both hint flags, non-x86 op vocabulary, an open
+ * (never-closing) epoch, a write location that is the only use of
+ * its file name, an undefined-op finding and a missing source
+ * location.
  */
 Report
 sampleReport()
@@ -69,31 +89,42 @@ sampleReport()
     arm.fenceOp = OpType::Dsb;
     FixHint tx_end = hint(FixAction::InsertTxEnd, 0, 0, 9);
     tx_end.count = 3;
+    Finding incomplete =
+        finding(Severity::Fail, Cause::TxUpdateNotPersisted, "b.cc", 21,
+                evidence(AddrRange(0x4000, 64), 4), 1, 3, 6, arm);
+    incomplete.evidence.writeLoc = SourceLocation("w.cc", 77);
+    Finding undefined =
+        finding(Severity::Fail, Cause::OpNotInHops, nullptr, 0, {}, 3,
+                7, 0, hint(FixAction::None));
+    undefined.op = OpType::Clwb;
 
-    r.add(finding(Severity::Fail, FindingKind::NotPersisted, "a.cc",
-                  10, "not persisted", 0, 1, 2,
+    r.add(finding(Severity::Fail, Cause::PersistOpen, "a.cc", 10,
+                  evidence(AddrRange(0x1000, 64), 3), 0, 1, 2,
                   hint(FixAction::InsertFlushFence)));
-    r.add(finding(Severity::Fail, FindingKind::NotOrdered, "a.cc", 11,
-                  "not ordered", 0, 1, 3, ordering));
-    r.add(finding(Severity::Fail, FindingKind::MissingLog, "b.cc", 20,
-                  "write without backup", 0, 2, 1,
+    r.add(finding(Severity::Fail, Cause::PersistNotBefore, "a.cc", 11,
+                  evidence(AddrRange(0x2000, 8), kInfEpoch,
+                           AddrRange(0x3000, 16), 2),
+                  0, 1, 3, ordering));
+    r.add(finding(Severity::Fail, Cause::WriteNotFenced, "a.cc", 12,
+                  evidence(AddrRange(0x2000, 8), 1, AddrRange(0x3000, 8),
+                           1),
+                  0, 1, 4));
+    r.add(finding(Severity::Fail, Cause::WriteWithoutLog, "b.cc", 20,
+                  evidence(AddrRange(0x5000, 32)), 0, 2, 1,
                   hint(FixAction::InsertTxAdd, 0x5000, 32, 4)));
-    r.add(finding(Severity::Fail, FindingKind::IncompleteTx, "b.cc",
-                  21, "tx left updates unpersisted", 1, 3, 6, arm));
-    r.add(finding(Severity::Fail, FindingKind::UnmatchedTx, "c.cc",
-                  30, "region closed with open tx", 1, 4, 8, tx_end));
-    r.add(finding(Severity::Warn, FindingKind::RedundantFlush, "d.cc",
-                  40, "flushed twice", 2, 5, 2,
+    r.add(incomplete);
+    r.add(finding(Severity::Fail, Cause::TxOpenAtTraceEnd, "c.cc", 30,
+                  evidence({}, 3), 1, 4, 8, tx_end));
+    r.add(finding(Severity::Warn, Cause::CvapRedundant, "d.cc", 40,
+                  evidence(AddrRange(0x6000, 64)), 2, 5, 2,
                   hint(FixAction::DeleteFlush, 0x6000, 64, 2)));
-    r.add(finding(Severity::Warn, FindingKind::UnnecessaryFlush,
-                  "d.cc", 41, "flush of clean range", 2, 5, 4,
+    r.add(finding(Severity::Warn, Cause::WritebackUnmodified, "d.cc", 41,
+                  evidence(AddrRange(0x6040, 64)), 2, 5, 4,
                   hint(FixAction::InsertFence, 0, 0, 4)));
-    r.add(finding(Severity::Warn, FindingKind::DuplicateLog, "e.cc",
-                  50, "", 3, 6, 1,
+    r.add(finding(Severity::Warn, Cause::LogDuplicate, "e.cc", 50,
+                  evidence(AddrRange(0x7000, 16)), 3, 6, 1,
                   hint(FixAction::DeleteTxAdd, 0x7000, 16, 1)));
-    r.add(finding(Severity::Fail, FindingKind::Malformed, nullptr, 0,
-                  "tx-end without tx-begin", 3, 7, 0,
-                  hint(FixAction::None)));
+    r.add(undefined);
     return r;
 }
 
@@ -119,15 +150,80 @@ expectSameFindings(const Report &got, const Report &want)
         const Finding &b = got.findings()[i];
         EXPECT_EQ(b.severity, a.severity) << "finding " << i;
         EXPECT_EQ(b.kind, a.kind) << "finding " << i;
-        EXPECT_EQ(b.message, a.message) << "finding " << i;
+        EXPECT_EQ(b.cause, a.cause) << "finding " << i;
+        EXPECT_EQ(b.op, a.op) << "finding " << i;
         EXPECT_EQ(b.loc.str(), a.loc.str()) << "finding " << i;
         EXPECT_EQ(b.fileId, a.fileId) << "finding " << i;
         EXPECT_EQ(b.traceId, a.traceId) << "finding " << i;
         EXPECT_EQ(b.opIndex, a.opIndex) << "finding " << i;
+        const Evidence &ea = a.evidence, &eb = b.evidence;
+        EXPECT_EQ(eb.rangeA.addr, ea.rangeA.addr) << "finding " << i;
+        EXPECT_EQ(eb.rangeA.size, ea.rangeA.size) << "finding " << i;
+        if (a.cause == Cause::TxUpdateNotPersisted) {
+            EXPECT_EQ(eb.writeLoc.str(), ea.writeLoc.str())
+                << "finding " << i;
+        } else {
+            EXPECT_EQ(eb.rangeB.addr, ea.rangeB.addr) << "finding " << i;
+            EXPECT_EQ(eb.rangeB.size, ea.rangeB.size) << "finding " << i;
+        }
+        EXPECT_EQ(eb.epochA, ea.epochA) << "finding " << i;
+        EXPECT_EQ(eb.epochB, ea.epochB) << "finding " << i;
         EXPECT_TRUE(b.hint.sameEdit(a.hint)) << "finding " << i;
         EXPECT_EQ(b.hint.verified, a.hint.verified) << "finding " << i;
+        EXPECT_EQ(findingMessage(b), findingMessage(a)) << "finding " << i;
         EXPECT_EQ(b.str(), a.str()) << "finding " << i;
     }
+}
+
+/** The pinned v2 encoding of sampleReport() + sampleMeta(). */
+std::string
+goldenV2()
+{
+    static const unsigned char kGolden[] = {
+#include "report_v2_golden.inc"
+    };
+    return std::string(reinterpret_cast<const char *>(kGolden),
+                       sizeof kGolden);
+}
+
+/** Byte offset of finding @p i's record in @p wire (one frame). */
+size_t
+findingOffset(const std::string &wire, size_t i)
+{
+    size_t pos = ReportWire::kHeaderBytes + 40; // header + meta
+    uint32_t strings = 0;
+    std::memcpy(&strings, wire.data() + pos, 4);
+    pos += 4;
+    for (uint32_t s = 0; s < strings; s++) {
+        uint32_t len = 0;
+        std::memcpy(&len, wire.data() + pos, 4);
+        pos += 4 + len;
+    }
+    return pos + 8 + 128 * i; // finding count, then the records
+}
+
+/** Re-seal @p wire's body CRC after a deliberate edit. */
+void
+resealCrc(std::string *wire)
+{
+    const size_t body_len = wire->size() - ReportWire::kHeaderBytes -
+                            ReportWire::kFooterBytes;
+    const uint32_t crc =
+        crc32(wire->data() + ReportWire::kHeaderBytes, body_len);
+    std::memcpy(wire->data() + ReportWire::kHeaderBytes + body_len, &crc,
+                4);
+}
+
+/** decodeReport's error for @p wire ("" when it decodes). */
+std::string
+decodeError(const std::string &wire)
+{
+    Report sink;
+    std::string error;
+    if (decodeReport(wire.data(), wire.size(), &sink, nullptr, &error))
+        return "";
+    EXPECT_TRUE(sink.clean());
+    return error;
 }
 
 TEST(ReportIoTest, RoundTripEveryKindAndHint)
@@ -156,14 +252,90 @@ TEST(ReportIoTest, EncoderReproducesGoldenBytes)
 {
     // Round trips alone cannot catch an encoder and decoder that drift
     // together; these bytes pin the wire format itself.
-    static const unsigned char kGolden[] = {
-#include "report_v1_golden.inc"
-    };
-    ASSERT_EQ(ReportWire::kVersion, 1u);
+    ASSERT_EQ(ReportWire::kVersion, 2u);
     std::string wire;
     encodeReport(sampleReport(), sampleMeta(), &wire);
-    EXPECT_EQ(wire, std::string(reinterpret_cast<const char *>(kGolden),
-                                sizeof kGolden));
+    EXPECT_EQ(wire, goldenV2());
+}
+
+TEST(ReportIoTest, GoldenDecodesToTheSampleReport)
+{
+    const std::string wire = goldenV2();
+    Report decoded;
+    std::string error;
+    ASSERT_TRUE(decodeReport(wire.data(), wire.size(), &decoded, nullptr,
+                             &error))
+        << error;
+    expectSameFindings(decoded, sampleReport());
+}
+
+TEST(ReportIoTest, VersionOneReportIsRejected)
+{
+    // The v1 wire carried rendered messages; its bytes stay as a
+    // fixture that this build must refuse, never misread.
+    static const unsigned char kV1[] = {
+#include "report_v1_golden.inc"
+    };
+    const std::string wire(reinterpret_cast<const char *>(kV1),
+                           sizeof kV1);
+    EXPECT_EQ(decodeError(wire), "unsupported report version");
+}
+
+TEST(ReportIoTest, ReservedBytesMustBeZero)
+{
+    const std::string wire = goldenV2();
+    ASSERT_EQ(decodeError(wire), "");
+    const Report sample = sampleReport();
+    size_t incomplete = 0, persist = 0;
+    for (size_t i = 0; i < sample.findings().size(); i++) {
+        if (sample.findings()[i].cause == Cause::TxUpdateNotPersisted)
+            incomplete = i;
+    }
+    ASSERT_EQ(sample.findings()[persist].cause, Cause::PersistOpen);
+
+    const auto with_byte = [&](size_t offset, uint8_t value) {
+        std::string edited = wire;
+        edited[offset] = static_cast<char>(value);
+        resealCrc(&edited);
+        return decodeError(edited);
+    };
+    const std::string reserved = "nonzero reserved bytes in report";
+    // The meta's reserved word.
+    EXPECT_EQ(with_byte(ReportWire::kHeaderBytes + 36, 1), reserved);
+    EXPECT_EQ(with_byte(ReportWire::kHeaderBytes + 39, 0x80), reserved);
+    // The op byte of a finding whose cause names no op.
+    EXPECT_EQ(with_byte(findingOffset(wire, persist) + 3, 1), reserved);
+    // Unused hint flag bits.
+    EXPECT_EQ(with_byte(findingOffset(wire, persist) + 127, 0x04),
+              reserved);
+    // The two reserved words inside IncompleteTx's write location.
+    const size_t write_loc = findingOffset(wire, incomplete) + 48;
+    EXPECT_EQ(with_byte(write_loc + 4, 1), reserved);
+    EXPECT_EQ(with_byte(write_loc + 15, 1), reserved);
+    // A write-location file index past the string table.
+    EXPECT_EQ(with_byte(write_loc, 0x7f), "bad string index in report");
+}
+
+TEST(ReportIoTest, CauseMustBelongToItsKind)
+{
+    const std::string wire = goldenV2();
+    const size_t cause_byte = findingOffset(wire, 0) + 2;
+    for (uint8_t c = 0; c <= static_cast<uint8_t>(kLastCause) + 1; c++) {
+        std::string edited = wire;
+        edited[cause_byte] = static_cast<char>(c);
+        resealCrc(&edited);
+        const std::string error = decodeError(edited);
+        if (c > static_cast<uint8_t>(kLastCause)) {
+            EXPECT_EQ(error, "bad enum value in report");
+        } else if (causeKind(static_cast<Cause>(c)) ==
+                   FindingKind::NotPersisted) {
+            EXPECT_EQ(error, "") << causeName(static_cast<Cause>(c));
+        } else {
+            EXPECT_EQ(error,
+                      "finding cause does not match its kind in report")
+                << causeName(static_cast<Cause>(c));
+        }
+    }
 }
 
 TEST(ReportIoTest, EncodeAppendsAfterExistingBytes)
@@ -221,12 +393,13 @@ TEST(ReportIoTest, ReencodeOfDecodeIsByteIdentical)
 
 TEST(ReportIoTest, EveryTruncationFailsClosed)
 {
-    std::string wire;
-    encodeReport(sampleReport(), sampleMeta(), &wire);
+    const std::string wire = goldenV2();
+    Report sentinel;
+    sentinel.add(finding(Severity::Warn, Cause::LogDuplicate,
+                         "sentinel.cc", 1, evidence(AddrRange(0x99, 1)),
+                         0, 0, 0));
     for (size_t len = 0; len < wire.size(); len++) {
-        Report sink;
-        sink.add(finding(Severity::Warn, FindingKind::DuplicateLog,
-                         "sentinel.cc", 1, "sentinel", 0, 0, 0));
+        Report sink = sentinel;
         ReportMeta meta;
         meta.traceCount = 999;
         std::string error;
@@ -236,17 +409,20 @@ TEST(ReportIoTest, EveryTruncationFailsClosed)
         EXPECT_FALSE(error.empty()) << "at " << len;
         // All-or-nothing: a failed decode must not touch the outputs.
         ASSERT_EQ(sink.findings().size(), 1u) << "at " << len;
-        EXPECT_EQ(sink.findings()[0].message, "sentinel");
+        EXPECT_EQ(sink.findings()[0].str(), sentinel.findings()[0].str());
         EXPECT_EQ(meta.traceCount, 999u) << "at " << len;
     }
 }
 
 TEST(ReportIoTest, EveryFlippedByteFailsClosed)
 {
-    std::string wire;
-    encodeReport(sampleReport(), sampleMeta(), &wire);
+    // Every single-bit flip of the golden, plus whole-byte inversion.
+    const std::string wire = goldenV2();
     for (size_t i = 0; i < wire.size(); i++) {
-        for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0xff}}) {
+        for (const uint8_t mask :
+             {uint8_t{0x01}, uint8_t{0x02}, uint8_t{0x04}, uint8_t{0x08},
+              uint8_t{0x10}, uint8_t{0x20}, uint8_t{0x40}, uint8_t{0x80},
+              uint8_t{0xff}}) {
             std::string corrupt = wire;
             corrupt[i] = static_cast<char>(
                 static_cast<uint8_t>(corrupt[i]) ^ mask);
@@ -296,6 +472,35 @@ TEST(ReportIoTest, SaveLoadFileRoundTrips)
     ASSERT_TRUE(loadReportFile(path, &loaded, &meta, &error)) << error;
     expectSameFindings(loaded, original);
     EXPECT_EQ(meta.workerIndex, 2u);
+    std::remove(path.c_str());
+}
+
+TEST(ReportIoTest, SavedFileIsTheEncodedFrame)
+{
+    // saveReportFile streams the records in bounded runs; over several
+    // runs and a partial last one, the file must hold encodeReport's
+    // bytes exactly.
+    Report big;
+    const Report sample = sampleReport();
+    for (size_t i = 0; i < 1500; i++) {
+        Finding f = sample.findings()[i % sample.findings().size()];
+        f.opIndex = i;
+        big.add(f);
+    }
+    std::string wire;
+    encodeReport(big, sampleMeta(), &wire);
+    const std::string path = testing::TempDir() + "report_io_stream.bin";
+    std::string error;
+    ASSERT_TRUE(saveReportFile(path, big, sampleMeta(), &error)) << error;
+    std::string saved;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            saved.append(buf, n);
+        std::fclose(f);
+    }
+    EXPECT_EQ(saved, wire);
     std::remove(path.c_str());
 }
 

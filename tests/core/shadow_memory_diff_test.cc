@@ -226,6 +226,17 @@ rows(const ShadowMemory &shadow)
     return out;
 }
 
+/** The message a finding built from @p verdict renders. */
+std::string
+rendered(const RuleVerdict &verdict)
+{
+    Finding f;
+    f.kind = causeKind(verdict.cause);
+    f.cause = verdict.cause;
+    f.evidence = verdict.evidence;
+    return findingMessage(f);
+}
+
 /**
  * A range over the 16-line (1 KiB) window: whole lines, sub-line
  * pieces at odd offsets, and ranges straddling one or more line
@@ -291,13 +302,16 @@ runDifferential(uint64_t seed, size_t n, bool dfence)
                 const PersistencyModel &model =
                     h ? static_cast<const PersistencyModel &>(hops)
                       : strict;
-                std::string got_why, want_why;
-                const bool got =
-                    model.checkOrderedBefore(range, b, shadow, &got_why);
+                std::string want_why;
+                const RuleVerdict got =
+                    model.checkOrderedBefore(range, b, shadow);
                 const bool want =
                     ref.orderedBefore(range, b, h, &want_why);
-                ASSERT_EQ(got, want) << "seed " << seed << " op " << i;
-                ASSERT_EQ(got_why, want_why);
+                ASSERT_EQ(got.holds, want)
+                    << "seed " << seed << " op " << i;
+                if (!got) {
+                    ASSERT_EQ(rendered(got), want_why);
+                }
             }
         } else {
             shadow.bumpTimestamp();

@@ -27,9 +27,7 @@ TEST_F(X86ModelTest, WriteClwbSfencePersists)
     apply(PmOp::write(0x10, 64));
     apply(PmOp::clwb(0x10, 64));
     apply(PmOp::sfence());
-    std::string why;
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                      &why));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
     EXPECT_TRUE(report_.clean());
 }
 
@@ -37,10 +35,14 @@ TEST_F(X86ModelTest, MissingClwbNeverPersists)
 {
     apply(PmOp::write(0x10, 64));
     apply(PmOp::sfence());
-    std::string why;
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                       &why));
-    EXPECT_NE(why.find("may not have persisted"), std::string::npos);
+    const RuleVerdict verdict =
+        model_.checkPersisted(AddrRange(0x10, 64), shadow_);
+    EXPECT_FALSE(verdict);
+    // The evidence: the open range and the epoch it is still open at.
+    EXPECT_EQ(verdict.cause, Cause::PersistOpen);
+    EXPECT_EQ(verdict.evidence.rangeA.addr, 0x10u);
+    EXPECT_EQ(verdict.evidence.rangeA.size, 64u);
+    EXPECT_EQ(verdict.evidence.epochA, shadow_.timestamp());
 }
 
 TEST_F(X86ModelTest, PaperFig4Trace)
@@ -54,14 +56,11 @@ TEST_F(X86ModelTest, PaperFig4Trace)
     apply(PmOp::write(0x50, 64)); // B
     apply(PmOp::sfence());
 
-    std::string why;
     EXPECT_FALSE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                            AddrRange(0x50, 64),
-                                           shadow_, &why));
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_,
-                                       &why));
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_,
-                                      &why));
+                                           shadow_));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x10, 64), shadow_));
 }
 
 TEST_F(X86ModelTest, PaperFig7Trace)
@@ -73,12 +72,10 @@ TEST_F(X86ModelTest, PaperFig7Trace)
     apply(PmOp::sfence());
     apply(PmOp::write(0x50, 64));
 
-    std::string why;
-    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_,
-                                       &why));
+    EXPECT_FALSE(model_.checkPersisted(AddrRange(0x50, 64), shadow_));
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                           AddrRange(0x50, 64),
-                                          shadow_, &why));
+                                          shadow_));
 }
 
 TEST_F(X86ModelTest, OrderedBeforeFailsWhenAPersistsAfterB)
@@ -92,25 +89,23 @@ TEST_F(X86ModelTest, OrderedBeforeFailsWhenAPersistsAfterB)
     apply(PmOp::clwb(0x10, 64));
     apply(PmOp::sfence());
 
-    std::string why;
     EXPECT_FALSE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                            AddrRange(0x50, 64),
-                                           shadow_, &why));
+                                           shadow_));
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x50, 64),
                                           AddrRange(0x10, 64),
-                                          shadow_, &why));
+                                          shadow_));
 }
 
 TEST_F(X86ModelTest, OrderedBeforeVacuousWithoutWrites)
 {
     apply(PmOp::write(0x10, 64));
-    std::string why;
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x10, 64),
                                           AddrRange(0x900, 64),
-                                          shadow_, &why));
+                                          shadow_));
     EXPECT_TRUE(model_.checkOrderedBefore(AddrRange(0x900, 64),
                                           AddrRange(0x10, 64),
-                                          shadow_, &why));
+                                          shadow_));
 }
 
 TEST_F(X86ModelTest, RedundantFlushWarned)
@@ -169,9 +164,7 @@ TEST_F(X86ModelTest, ClflushVariantsBehaveLikeClwb)
     apply(PmOp::write(0x80, 64));
     apply(PmOp{OpType::ClflushOpt, 0x80, 64, 0, 0, {}});
     apply(PmOp::sfence());
-    std::string why;
-    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x80, 64), shadow_,
-                                      &why));
+    EXPECT_TRUE(model_.checkPersisted(AddrRange(0x80, 64), shadow_));
 }
 
 } // namespace

@@ -187,6 +187,18 @@ TEST(Crc32Test, KnownAnswer)
     EXPECT_EQ(crc32("", 0), 0u);
 }
 
+TEST(Crc32Test, ContinuesAcrossSplits)
+{
+    // The report writer CRCs its body in pieces as it streams it out.
+    const char text[] = "persist intervals, epochs and the checker";
+    const size_t len = sizeof text - 1;
+    for (size_t split = 0; split <= len; split++) {
+        EXPECT_EQ(crc32(text + split, len - split, crc32(text, split)),
+                  crc32(text, len))
+            << "split at " << split;
+    }
+}
+
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
 {
     // Covers every tail length after the 8-byte steps and every start
