@@ -18,7 +18,9 @@
  * switches over each measured run (getrusage deltas) and, for tool
  * runs, the pool wakeups issued to a parked worker (the pool_wakes
  * counter delta, a futex-wake proxy): the cost extra engine workers
- * put on the app threads shows up there first.
+ * put on the app threads shows up there first. The dump records the
+ * host's hardware_concurrency, since the (b) and (c) sweeps only mean
+ * something when the workers have cores of their own.
  */
 
 #include <sys/resource.h>
@@ -34,6 +36,7 @@
 #include "obs/metrics_doc.hh"
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
+#include "util/cpu.hh"
 #include "workloads/clients.hh"
 #include "workloads/memcached_lite.hh"
 
@@ -216,6 +219,8 @@ writeJson(const std::string &path, const std::vector<Point> &points)
     w.beginObject();
     w.member("bench", "fig12");
     w.member("scale", pmtest::bench::scale());
+    w.member("hardware_concurrency",
+             static_cast<uint64_t>(util::hardwareThreads()));
     w.key("points").beginArray();
     for (const Point &p : points) {
         w.beginObject();

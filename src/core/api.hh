@@ -39,7 +39,10 @@ struct Config
     size_t workers = 1;
     /**
      * Per-worker trace queue bound; a full queue blocks the producer
-     * (backpressure). 0 consults PMTEST_QUEUE_CAP, else unbounded.
+     * (backpressure). 0 = automatic: PMTEST_QUEUE_CAP when it parses
+     * as a whole number (0 there means unbounded), else
+     * max(16, 1024 / workers) — a fixed total backlog split across
+     * the queues.
      */
     size_t queueCapacity = 0;
     /**

@@ -103,29 +103,46 @@ EnginePool::anyQueued() const
 }
 
 void
-EnginePool::notifyWork(size_t items)
+EnginePool::notifyWork(uint64_t ops, bool force)
 {
-    // Taking the mutex orders this wakeup against a
-    // worker that just scanned the queues empty and is about to wait:
-    // either it sees the new item during its predicate check, or it
-    // is already waiting and receives the notify.
-    bool any_parked = false;
+    // Pairs with the fence in workerLoop: a worker bumps parked_
+    // before it scans the queues, and the producer queued before it
+    // reads parked_, so either the scan sees the new work or this
+    // load sees the worker parked. (The scan and the push also lock
+    // the same queue mutex, which orders them too; that is the edge
+    // ThreadSanitizer checks, as it does not model fences.) An awake
+    // worker scans every queue before it parks, so with none parked
+    // there is nothing to do.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_relaxed) == 0)
+        return;
+    if (force || waiters_.load(std::memory_order_relaxed) != 0) {
+        unwokenOps_.store(0, std::memory_order_relaxed);
+    } else {
+        // Accrue the backlog; the submit that carries it to the mark
+        // resets it and wakes.
+        uint64_t before = unwokenOps_.load(std::memory_order_relaxed);
+        bool reached = false;
+        do {
+            reached = before + ops >= kWakeOps;
+        } while (!unwokenOps_.compare_exchange_weak(
+            before, reached ? 0 : before + ops,
+            std::memory_order_relaxed));
+        if (!reached)
+            return;
+    }
+    // Taking the mutex orders this wakeup against a worker between
+    // its scan and its wait: either it sees the new work in its
+    // predicate check, or it is already waiting and gets the notify.
     {
         std::lock_guard<std::mutex> lock(workMutex_);
-        any_parked = parked_ > 0;
     }
-    // Notifying a condition variable nobody waits on costs no
-    // syscall; one with a parked worker is a futex wake. Counting
-    // those is the pool's futex-wake proxy.
-    if (any_parked)
-        obs::count(obs::Counter::PoolWakes);
-    // Any worker can serve any queue (stealing), so one new trace
-    // needs exactly one wakeup; waking the whole pool per submit is a
-    // thundering herd on the producer's critical path.
-    if (items == 1)
-        workCv_.notify_one();
-    else
-        workCv_.notify_all();
+    // A notify with a parked worker is a futex wake; counting those
+    // is the pool's futex-wake proxy. Any worker can serve any queue
+    // (stealing), so one wakeup is enough: a woken worker that
+    // steals and requeues runs this rule again.
+    obs::count(obs::Counter::PoolWakes);
+    workCv_.notify_one();
 }
 
 size_t
@@ -169,18 +186,19 @@ EnginePool::workerLoop(Worker &worker)
                 // on the thief, where they stay stealable by other
                 // idle workers.
                 trace = std::move(stolen.front());
-                size_t requeued = 0;
+                uint64_t requeued_ops = 0;
                 for (size_t i = 1; i < stolen.size(); i++) {
+                    const size_t ops = stolen[i].size();
                     if (worker.queue.tryPush(stolen[i])) {
-                        requeued++;
+                        requeued_ops += ops;
                         continue;
                     }
                     // Own queue full (tiny capacity): check directly
                     // rather than blocking a worker on a push.
                     checkOn(worker, std::move(stolen[i]));
                 }
-                if (requeued)
-                    notifyWork(requeued);
+                if (requeued_ops)
+                    notifyWork(requeued_ops);
             }
         }
         if (trace) {
@@ -188,9 +206,10 @@ EnginePool::workerLoop(Worker &worker)
             continue;
         }
         std::unique_lock<std::mutex> lock(workMutex_);
-        parked_++;
+        parked_.fetch_add(1, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
         workCv_.wait(lock, [&] { return stopping_ || anyQueued(); });
-        parked_--;
+        parked_.fetch_sub(1, std::memory_order_relaxed);
         if (stopping_ && !anyQueued())
             return; // all pending work drained
     }
@@ -255,27 +274,39 @@ EnginePool::submit(Trace trace)
     const size_t start =
         nextWorker_.fetch_add(1, std::memory_order_relaxed) %
         workers_.size();
-    if (workers_[start]->queue.tryPush(trace)) {
-        notifyWork();
-        return;
-    }
-    // Round-robin target full: try the other queues before stalling.
-    for (size_t i = 1; i < workers_.size(); i++) {
+    const uint64_t ops = trace.size();
+    // Round-robin target first; if it is full, try the other queues
+    // before stalling.
+    for (size_t i = 0; i < workers_.size(); i++) {
         Worker &w = *workers_[(start + i) % workers_.size()];
         if (w.queue.tryPush(trace)) {
-            notifyWork();
+            notifyWork(ops);
             return;
         }
     }
     // Every queue full: backpressure. Block on the original target
-    // and account the stall (its owner is necessarily awake, so the
-    // push is eventually released by a pop).
+    // and account the stall.
     obs::SpanScope stall_span(obs::Stage::PoolStall);
     obs::count(obs::Counter::SubmitStalls);
     Timer timer;
-    workers_[start]->queue.push(std::move(trace));
+    pushBlocking(*workers_[start], std::move(trace));
     stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
-    notifyWork();
+    notifyWork(ops);
+}
+
+void
+EnginePool::pushBlocking(Worker &target, Trace trace)
+{
+    // Register before the last try, like a drainer: the queue may
+    // drain, its workers park and other producers refill it below
+    // the mark between a wake and the block, and their submits must
+    // then wake for this producer.
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+    if (!target.queue.tryPush(trace)) {
+        notifyWork(0, /*force=*/true);
+        target.queue.push(std::move(trace));
+    }
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void
@@ -302,9 +333,11 @@ EnginePool::submitBatch(std::vector<Trace> traces)
         nextWorker_.fetch_add(1, std::memory_order_relaxed) %
         workers_.size();
     Worker &target = *workers_[start];
-    const size_t batch_size = traces.size();
+    uint64_t batch_ops = 0;
+    for (const Trace &t : traces)
+        batch_ops += t.size();
     if (target.queue.tryPushAll(traces)) {
-        notifyWork(batch_size);
+        notifyWork(batch_ops);
         return;
     }
     // The batch does not fit at once: feed it item by item so the
@@ -314,19 +347,33 @@ EnginePool::submitBatch(std::vector<Trace> traces)
     obs::count(obs::Counter::SubmitStalls);
     Timer timer;
     for (auto &t : traces) {
+        const uint64_t ops = t.size();
         if (!target.queue.tryPush(t))
-            target.queue.push(std::move(t));
-        notifyWork();
+            pushBlocking(target, std::move(t));
+        notifyWork(ops);
     }
     traces.clear();
     stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
 }
 
+std::unique_lock<std::mutex>
+EnginePool::waitDrained()
+{
+    // Register before the wake: a trace submitted after it sees the
+    // waiter and wakes at once, so queued work below the mark
+    // cannot strand this wait behind a parked worker.
+    waiters_.fetch_add(1, std::memory_order_seq_cst);
+    notifyWork(0, /*force=*/true);
+    std::unique_lock<std::mutex> lock(resultMutex_);
+    drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    waiters_.fetch_sub(1, std::memory_order_relaxed);
+    return lock;
+}
+
 void
 EnginePool::drain()
 {
-    std::unique_lock<std::mutex> lock(resultMutex_);
-    drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    waitDrained();
 }
 
 Report
@@ -335,24 +382,21 @@ EnginePool::results()
     // Wait and snapshot under one lock: traces submitted while we
     // wait extend the wait, but nothing can complete between the
     // predicate turning true and the copy.
-    std::unique_lock<std::mutex> lock(resultMutex_);
-    drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    const auto lock = waitDrained();
     return aggregate_;
 }
 
 void
 EnginePool::clearResults()
 {
-    std::unique_lock<std::mutex> lock(resultMutex_);
-    drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    const auto lock = waitDrained();
     aggregate_ = Report();
 }
 
 Report
 EnginePool::takeResults()
 {
-    std::unique_lock<std::mutex> lock(resultMutex_);
-    drainCv_.wait(lock, [this] { return completed_ == submitted_; });
+    const auto lock = waitDrained();
     Report out = std::move(aggregate_);
     aggregate_ = Report();
     return out;

@@ -21,6 +21,20 @@
  *    across queues). A full queue blocks the producer — bounded
  *    backpressure instead of unbounded memory growth when the
  *    program outruns its checkers.
+ *  - Parked workers are woken by backlog, not per trace. A worker
+ *    parks only once every queue is empty. A submit that finds no
+ *    parked worker returns after a fence and one atomic load — an
+ *    awake worker scans every queue before it parks. Otherwise the submitted ops
+ *    accrue until kWakeOps of them are queued unwoken, and only then
+ *    does the producer take the wakeup mutex and wake one worker. So
+ *    a queued trace waits for at most kWakeOps ops of later
+ *    submissions, a producer about to block on a full queue, or a
+ *    drain. Threads that wait on the pool — a producer about to
+ *    block, a caller of drain()/results()/takeResults()/
+ *    clearResults() — register first, wake on entry, and make every
+ *    submit wake while they wait; the destructor wakes all. One rule
+ *    covers submit(), submitBatch() and the requeue of stolen
+ *    traces.
  *  - submitBatch() enqueues many small traces under one queue lock
  *    acquisition, amortizing dispatch overhead (the paper's §4.2
  *    "divide the program into sections for better testing speed").
@@ -77,6 +91,14 @@ using PoolStats = obs::PoolStats;
 class EnginePool
 {
   public:
+    /**
+     * Queued ops that wake a parked worker without a drain: about
+     * 1 ms of checking at the kernel's ~15 Mops/s, so an idle pool
+     * costs the producer one futex wake per millisecond of work
+     * instead of one per trace.
+     */
+    static constexpr uint64_t kWakeOps = 16384;
+
     explicit EnginePool(const PoolOptions &options);
 
     /**
@@ -102,8 +124,8 @@ class EnginePool
 
     /**
      * Submit a batch of traces as one dispatch unit: one queue lock
-     * acquisition, one worker wakeup. The traces remain individually
-     * stealable once queued.
+     * acquisition, and the batch's ops count toward the wake mark
+     * once. The traces remain individually stealable once queued.
      */
     void submitBatch(std::vector<Trace> traces);
 
@@ -177,8 +199,22 @@ class EnginePool
     /** Process one trace on @p worker and record its report. */
     void checkOn(Worker &worker, Trace trace);
     void recordResult(Report report);
-    /** Wake workers after @p items new traces were queued. */
-    void notifyWork(size_t items = 1);
+    /**
+     * The wake rule, run after @p ops ops were queued: wake one
+     * parked worker once the unwoken backlog reaches kWakeOps, at
+     * once when @p force is set or a thread waits on the pool.
+     */
+    void notifyWork(uint64_t ops, bool force = false);
+    /**
+     * Push @p trace onto @p target's queue, blocking while it is
+     * full, as a registered waiter.
+     */
+    void pushBlocking(Worker &target, Trace trace);
+    /**
+     * Wait for every submitted trace to be checked, as a registered
+     * waiter. @return the held result lock.
+     */
+    std::unique_lock<std::mutex> waitDrained();
     /** True when any queue holds work (racy; wakeup predicate). */
     bool anyQueued() const;
     void checkInline(Trace trace);
@@ -193,7 +229,15 @@ class EnginePool
     std::mutex workMutex_; ///< wakeup coordination for idle workers
     std::condition_variable workCv_;
     bool stopping_ = false; ///< guarded by workMutex_
-    size_t parked_ = 0; ///< workers waiting on workCv_ (workMutex_)
+    /** Workers waiting on workCv_ (changed under workMutex_). */
+    std::atomic<size_t> parked_{0};
+    /**
+     * Threads waiting on the pool — in a drain, or blocked on a full
+     * queue; while any is registered, every submit wakes.
+     */
+    std::atomic<size_t> waiters_{0};
+    /** Ops queued while a worker was parked, since the last wake. */
+    std::atomic<uint64_t> unwokenOps_{0};
 
     std::atomic<uint64_t> batches_{0};
     std::atomic<uint64_t> stallNanos_{0};

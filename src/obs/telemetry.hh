@@ -124,7 +124,13 @@ enum class Counter : uint8_t
     MetricsScrapes,     ///< /metrics + /metrics.json requests served
     WorkersSpawned,     ///< distributed-check worker processes forked
     WorkersFailed,      ///< workers that exited abnormally (status > 1)
-    PoolWakes           ///< EnginePool wakeups issued to a parked worker
+    /**
+     * EnginePool notifies that found a parked worker (a futex-wake
+     * proxy): one per EnginePool::kWakeOps ops of unwoken backlog,
+     * plus one when a thread starts waiting on the pool (a producer
+     * about to block, a drain) and one per submit while it waits.
+     */
+    PoolWakes
 };
 
 inline constexpr size_t kCounterCount = 23;

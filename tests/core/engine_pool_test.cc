@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <mutex>
+#include <thread>
 #include <vector>
+
+#include "obs/telemetry.hh"
 
 namespace pmtest::core
 {
@@ -28,6 +37,60 @@ cleanTrace(uint64_t id)
     t.append(PmOp::sfence());
     t.append(PmOp::isPersist(0x10, 64));
     return t;
+}
+
+/** @p ops ops ending in one failing isPersist check. */
+Trace
+buggyTraceOfSize(uint64_t id, size_t ops)
+{
+    Trace t(id, 0);
+    for (size_t i = 0; i + 1 < ops; i++)
+        t.append(PmOp::write(0x1000 + 64 * (i % 256), 8));
+    t.append(PmOp::isPersist(0x1000, 8));
+    return t;
+}
+
+uint64_t
+poolWakes()
+{
+    return obs::Telemetry::instance().metrics().counter(
+        obs::Counter::PoolWakes);
+}
+
+/**
+ * Run @p body on its own thread and give it @p seconds. A wake-rule
+ * regression strands a waiter forever, so a missed deadline ends the
+ * test binary with a failure instead of hanging it (the stuck thread
+ * cannot be joined).
+ */
+void
+withDeadline(const char *what, std::function<void()> body,
+             std::chrono::seconds seconds = std::chrono::seconds(60))
+{
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    bool done = false;
+    std::thread runner([&] {
+        body();
+        std::lock_guard<std::mutex> lock(mutex);
+        done = true;
+        done_cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!done_cv.wait_for(lock, seconds, [&] { return done; })) {
+        std::fprintf(stderr, "deadline exceeded: %s\n", what);
+        std::fflush(stderr);
+        std::_Exit(1);
+    }
+    lock.unlock();
+    runner.join();
+}
+
+/** Give a fresh pool's workers time to find no work and park. */
+void
+letWorkersPark()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
 }
 
 TEST(EnginePoolTest, SingleWorkerChecksAllTraces)
@@ -228,6 +291,149 @@ TEST(EnginePoolTest, TakeResultsReturnsAndResets)
     EXPECT_EQ(pool.results().failCount(), 0u);
     pool.submit(buggyTrace(2));
     EXPECT_EQ(pool.takeResults().failCount(), 1u);
+}
+
+TEST(EnginePoolTest, SmallTracesWakeByBacklogNotPerTrace)
+{
+    // Unbounded, so no producer ever blocks: only the backlog mark
+    // and the final results() may wake the parked worker.
+    PoolOptions options;
+    options.workers = 1;
+    options.queueCapacity = PoolOptions::kUnboundedQueue;
+    EnginePool pool(options);
+    letWorkersPark();
+
+    constexpr size_t kTraces = 1000;
+    constexpr size_t kOpsPerTrace = 50;
+    const uint64_t wakes_before = poolWakes();
+    withDeadline("backlog-woken results()", [&] {
+        for (uint64_t i = 0; i < kTraces; i++)
+            pool.submit(buggyTraceOfSize(i, kOpsPerTrace));
+        EXPECT_EQ(pool.results().failCount(), kTraces);
+    });
+    const uint64_t total_ops = kTraces * kOpsPerTrace;
+    const uint64_t mark_wakes =
+        (total_ops + EnginePool::kWakeOps - 1) / EnginePool::kWakeOps;
+    EXPECT_LE(poolWakes() - wakes_before, mark_wakes + 1);
+    EXPECT_EQ(pool.tracesChecked(), kTraces);
+}
+
+TEST(EnginePoolTest, TraceAtTheMarkIsCheckedWithoutDrain)
+{
+    EnginePool pool(ModelKind::X86, 1);
+    letWorkersPark();
+    pool.submit(buggyTraceOfSize(1, EnginePool::kWakeOps));
+    withDeadline("check of a kWakeOps-op trace without a drain", [&] {
+        while (pool.tracesChecked() < 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    EXPECT_EQ(pool.opsProcessed(), EnginePool::kWakeOps);
+    EXPECT_EQ(pool.results().failCount(), 1u);
+}
+
+TEST(EnginePoolTest, ProducerBlockedOnFullQueueWakesParkedWorker)
+{
+    // Each trace is far below the mark; only the wake a producer
+    // issues before it blocks lets the one-slot queue drain.
+    PoolOptions options;
+    options.workers = 1;
+    options.queueCapacity = 1;
+    EnginePool pool(options);
+    letWorkersPark();
+    withDeadline("producer on a one-slot queue", [&] {
+        for (uint64_t i = 0; i < 100; i++)
+            pool.submit(buggyTrace(i));
+    });
+    EXPECT_EQ(pool.results().failCount(), 100u);
+
+    // Several producers on tiny queues: between one producer's wake
+    // and its block, the workers may drain, park, and see the queue
+    // refilled by the others below the mark. Those submits must wake
+    // for the blocked producer.
+    PoolOptions many;
+    many.workers = 2;
+    many.queueCapacity = 2;
+    EnginePool shared(many);
+    constexpr size_t kProducers = 4;
+    constexpr uint64_t kBatches = 1000;
+    withDeadline("producers on two-slot queues", [&] {
+        std::vector<std::thread> producers;
+        for (size_t p = 0; p < kProducers; p++) {
+            producers.emplace_back([&, p] {
+                for (uint64_t b = 0; b < kBatches; b++) {
+                    std::vector<Trace> batch;
+                    for (uint64_t i = 0; i < 3; i++)
+                        batch.push_back(buggyTrace(p * 10000 + b * 3 + i));
+                    shared.submitBatch(std::move(batch));
+                }
+            });
+        }
+        for (auto &t : producers)
+            t.join();
+    });
+    EXPECT_EQ(shared.results().failCount(), kProducers * kBatches * 3);
+}
+
+TEST(EnginePoolTest, SubmitDuringResultsWakesForTheDrainer)
+{
+    // Thread A waits in results() while a long trace keeps it
+    // waiting; thread B (this one) submits a small trace after A's
+    // entry wake. A must return with B's trace checked. A round
+    // counts only if the long trace was still unchecked when B's
+    // submit returned; a host that checks it sooner retries longer.
+    EnginePool pool(ModelKind::X86, 2);
+    letWorkersPark();
+    uint64_t submitted = 0;
+    bool conclusive = false;
+    for (size_t long_ops = 16 * EnginePool::kWakeOps;
+         !conclusive && long_ops <= 128 * EnginePool::kWakeOps;
+         long_ops *= 2) {
+        const uint64_t ops_before = pool.opsProcessed();
+        pool.submit(buggyTraceOfSize(submitted++, long_ops));
+        std::atomic<bool> a_waiting{false};
+        Report a_report;
+        withDeadline("results() racing a small submit", [&] {
+            std::thread a([&] {
+                a_waiting.store(true);
+                a_report = pool.results();
+            });
+            while (!a_waiting.load())
+                std::this_thread::yield();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            pool.submit(buggyTrace(submitted++));
+            conclusive = pool.opsProcessed() - ops_before < long_ops;
+            a.join();
+        });
+        if (conclusive) {
+            EXPECT_EQ(a_report.failCount(), submitted);
+        }
+    }
+    EXPECT_TRUE(conclusive) << "the long trace always finished first";
+
+    // The narrow race: a trace is counted but not yet queued when a
+    // drainer's wake runs, and the workers park again. Producers and
+    // a taker run through that window many times; every take must
+    // return, and no finding may be lost between the takes.
+    constexpr size_t kProducers = 4;
+    constexpr uint64_t kPerProducer = 2000;
+    uint64_t observed = 0;
+    withDeadline("takeResults() racing small submits", [&] {
+        std::atomic<size_t> done{0};
+        std::vector<std::thread> producers;
+        for (size_t p = 0; p < kProducers; p++) {
+            producers.emplace_back([&, p] {
+                for (uint64_t i = 0; i < kPerProducer; i++)
+                    pool.submit(buggyTrace(1000 * (p + 1) + i));
+                done.fetch_add(1);
+            });
+        }
+        while (done.load() < kProducers)
+            observed += pool.takeResults().failCount();
+        for (auto &t : producers)
+            t.join();
+        observed += pool.takeResults().failCount();
+    });
+    EXPECT_EQ(observed, submitted + kProducers * kPerProducer);
 }
 
 } // namespace
