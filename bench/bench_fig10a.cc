@@ -10,19 +10,79 @@
  * pmemcheck across the board (paper: 5.2–8.9x, avg 7.1x), and
  * PMTest's overhead shrinks as transactions grow because it tracks
  * PM operations at coarse granularity while pmemcheck pays per byte.
+ *
+ * --json=PATH dumps every row (native seconds, both slowdowns and
+ * their ratio) with the scale and the host's hardware_concurrency,
+ * since the PMTest runs check on engine workers of their own.
  */
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "util/cpu.hh"
 #include "workloads/microbench.hh"
 
-int
-main()
+namespace
 {
-    using namespace pmtest;
+
+using namespace pmtest;
+
+/** One (structure, transaction size) row of the table. */
+struct Row
+{
+    const char *structure;
+    size_t txSize;
+    double nativeSeconds;
+    double pmtestSlowdown;
+    double pmemcheckSlowdown;
+};
+
+bool
+writeJson(const std::string &path, const std::vector<Row> &rows)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.member("bench", "fig10a");
+    w.member("scale", bench::scale());
+    w.member("hardware_concurrency",
+             static_cast<uint64_t>(util::hardwareThreads()));
+    w.key("rows").beginArray();
+    for (const Row &r : rows) {
+        w.beginObject();
+        w.member("structure", r.structure);
+        w.member("tx_size", static_cast<uint64_t>(r.txSize));
+        w.member("native_s", r.nativeSeconds, 6);
+        w.member("pmtest_slowdown", r.pmtestSlowdown, 3);
+        w.member("pmemcheck_slowdown", r.pmemcheckSlowdown, 3);
+        w.member("pmemcheck_over_pmtest",
+                 r.pmemcheckSlowdown / r.pmtestSlowdown, 3);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+    return bench::writeJsonFile(path, w);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
     using namespace pmtest::workloads;
+
+    std::string json_path;
+    for (int i = 1; i < argc; i++) {
+        if (std::strncmp(argv[i], "--json=", 7) == 0) {
+            json_path = argv[i] + 7;
+        } else {
+            std::fprintf(stderr, "usage: %s [--json=PATH]\n",
+                         argv[0]);
+            return 2;
+        }
+    }
 
     bench::banner("Fig. 10a",
                   "microbenchmark slowdown: PMTest vs pmemcheck");
@@ -36,6 +96,7 @@ main()
     table.header({"structure", "txsize(B)", "native(s)", "pmtest",
                   "pmemcheck", "pmemcheck/pmtest"});
 
+    std::vector<Row> rows;
     Stats pmtest_all, pmemcheck_all, ratio_all;
     uint64_t steals = 0, stall_ns = 0;
     for (pmds::MapKind kind : pmds::kAllMapKinds) {
@@ -67,6 +128,8 @@ main()
             pmtest_all.add(s_pmtest);
             pmemcheck_all.add(s_pmemcheck);
             ratio_all.add(s_pmemcheck / s_pmtest);
+            rows.push_back({pmds::mapKindName(kind), tx_size, t_native,
+                            s_pmtest, s_pmemcheck});
 
             table.row({pmds::mapKindName(kind),
                        std::to_string(tx_size),
@@ -94,5 +157,11 @@ main()
                 "queues)\n",
                 static_cast<unsigned long long>(steals),
                 static_cast<double>(stall_ns) * 1e-6);
+
+    if (!json_path.empty()) {
+        if (!writeJson(json_path, rows))
+            return 1;
+        std::printf("wrote %s\n", json_path.c_str());
+    }
     return 0;
 }

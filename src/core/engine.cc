@@ -14,7 +14,7 @@ Engine::TraceState::reset()
     shadow.reset();
     exclusions.clear();
     txDepth = 0;
-    logTree.clear();
+    log.clear();
     txCheckActive = false;
     txWrites.clear();
 }
@@ -51,6 +51,17 @@ Engine::check(const Trace &trace)
         f.hint.action = FixAction::InsertTxEnd;
         f.hint.opIndex = trace.size();
         f.hint.count = static_cast<uint32_t>(state_.txDepth);
+        report.add(std::move(f));
+    }
+    if (state_.txCheckActive) {
+        // The region's writes were never checked: a TX_CHECKER_START
+        // without its END must not pass silently.
+        Finding f;
+        f.severity = Severity::Fail;
+        f.kind = FindingKind::Malformed;
+        f.cause = Cause::TxCheckerOpenAtTraceEnd;
+        f.traceId = trace.id();
+        f.opIndex = trace.size();
         report.add(std::move(f));
     }
 
@@ -166,7 +177,7 @@ Engine::preWriteChecks(const PmOp &op, const AddrRange &range,
 {
     // Transaction-aware rule (§5.1.1): inside a transaction, a
     // modified persistent object must have been backed up first.
-    if (state.txDepth > 0 && !state.logTree.covers(range)) {
+    if (state.txDepth > 0 && !state.log.covers(range)) {
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::MissingLog;
@@ -258,7 +269,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
         state.txDepth--;
         if (state.txDepth == 0) {
             // Outermost commit: undo log entries are retired.
-            state.logTree.clear();
+            state.log.clear();
         }
         return;
 
@@ -277,7 +288,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             report.add(std::move(f));
             return;
         }
-        if (state.logTree.covers(range)) {
+        if (state.log.covers(range)) {
             // §5.1.2: logging the same object twice is a performance
             // bug — the second snapshot is pure overhead.
             Finding f;
@@ -293,7 +304,7 @@ Engine::handleTxEvent(const PmOp &op, size_t index, TraceState &state,
             f.hint.opIndex = index;
             report.add(std::move(f));
         }
-        state.logTree.insert(range, op.loc);
+        state.log.assign(range, true);
         return;
       }
 

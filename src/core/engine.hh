@@ -4,13 +4,14 @@
  * updating shadow-memory persistency status for PM operations and
  * validating checker entries against it. On top of the low-level
  * rules it implements the transaction-aware high-level checkers
- * (§5.1): missing-backup detection via a log tree, incomplete-
- * transaction detection via auto-injected isPersist, and the
- * duplicate-log performance checker.
+ * (§5.1): missing-backup detection against the TX_ADDed ranges
+ * (the paper's "log tree", an IntervalMap like the exclusion list),
+ * incomplete-transaction detection via auto-injected isPersist, and
+ * the duplicate-log performance checker.
  *
  * Hot-path organization:
- *  - The per-trace checking state (shadow memory, exclusion map, log
- *    tree, TX-checker write list) lives in the engine and is reset —
+ *  - The per-trace checking state (shadow memory, exclusion map, TX
+ *    log, TX-checker write list) lives in the engine and is reset —
  *    clearing contents but retaining capacity — rather than rebuilt,
  *    so steady-state checking allocates nothing per trace.
  *  - The per-op loop calls the model through the PersistencyModel
@@ -27,7 +28,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/interval_tree.hh"
 #include "core/persistency_model.hh"
 #include "core/report.hh"
 #include "core/shadow_memory.hh"
@@ -83,8 +83,11 @@ class Engine
         IntervalMap<bool> exclusions;
         /** Current transaction nesting depth. */
         int txDepth = 0;
-        /** Log tree: ranges backed up via TX_ADD in the open TX. */
-        IntervalTree<SourceLocation> logTree;
+        /**
+         * The log tree (§5.1.1): ranges backed up via TX_ADD in the
+         * open TX. Only its union is ever read (covers()).
+         */
+        IntervalMap<bool> log;
         /** Whether a TX_CHECKER region is active. */
         bool txCheckActive = false;
         /** Writes observed inside the active TX_CHECKER region. */

@@ -91,6 +91,8 @@ causeInfo(Cause cause)
       case Cause::OpNotInX86: return {"op-not-in-x86", K::Malformed};
       case Cause::OpNotInHops: return {"op-not-in-hops", K::Malformed};
       case Cause::OpNotInArm: return {"op-not-in-arm", K::Malformed};
+      case Cause::TxCheckerOpenAtTraceEnd:
+        return {"tx-checker-open-at-trace-end", K::Malformed};
     }
     panic("unknown Cause");
 }
@@ -246,6 +248,9 @@ appendMessage(std::string &out, const Finding &f)
         return;
       case Cause::OpNotInArm:
         undefined_op("arm");
+        return;
+      case Cause::TxCheckerOpenAtTraceEnd:
+        t << "trace ends inside a TX_CHECKER region";
         return;
     }
     panic("unknown Cause");

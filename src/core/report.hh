@@ -89,10 +89,12 @@ enum class Cause : uint8_t
     OpNotInX86,           ///< Malformed: op not in the x86 model
     OpNotInHops,          ///< Malformed: op not in the HOPS model
     OpNotInArm,           ///< Malformed: op not in the ARM model
+    TxCheckerOpenAtTraceEnd, ///< Malformed: TX_CHECKER_START never
+                             ///< closed
 };
 
 /** The highest Cause value (wire validation). */
-inline constexpr Cause kLastCause = Cause::OpNotInArm;
+inline constexpr Cause kLastCause = Cause::TxCheckerOpenAtTraceEnd;
 
 /** Stable machine-readable name of a cause ("persist-open", ...). */
 const char *causeName(Cause cause);

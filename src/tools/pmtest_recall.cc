@@ -475,8 +475,8 @@ main(int argc, char **argv)
         return pmtest::util::cliExitCode(status);
 
     // No engine pool or trace source here — the session-services
-    // bracket (the same one CheckSession runs on) still exports the
-    // telemetry counters (oracle states, hint replays), process
+    // bracket (the same one core::runCheckTool runs on) still exports
+    // the telemetry counters (oracle states, hint replays), process
     // gauges, and the run_start/run_stop event pair.
     pmtest::core::SessionServices services;
     pmtest::obs::ServiceOptions service_options;

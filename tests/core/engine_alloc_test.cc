@@ -8,10 +8,9 @@
  * up, then traces of N and 4N ops over the same working set; the
  * allocations of the longer check may not exceed those of the
  * shorter one. A per-trace constant (the report, telemetry) is
- * allowed, a per-op allocation is not. The traces use no
- * transactions: a TX_ADD inserts into the IntervalTree undo-log,
- * which allocates one node per insert — the one per-op allocation
- * the kernel still makes. Nothing else is exempt.
+ * allowed, a per-op allocation is not. Nothing is exempt: the
+ * transaction traces log every line with two TX_ADDs, and the TX log
+ * recycles its storage at each outermost TX_END.
  *
  * Findings are fixed-size evidence, so emitting one allocates
  * nothing either: bug-dense traces of N and 4N findings may differ
@@ -146,6 +145,36 @@ makeTrace(ModelKind kind, size_t rounds)
                                    : strictTrace(kind, rounds);
 }
 
+/**
+ * A finding-free transaction per round: TX_BEGIN, two overlapping
+ * TX_ADDs that only jointly cover the line, the write, its
+ * writeback and fence (a dfence on HOPS), TX_END and isPersist.
+ */
+Trace
+txTrace(ModelKind kind, size_t rounds)
+{
+    const bool hops = kind == ModelKind::Hops;
+    const OpType flush =
+        kind == ModelKind::Arm ? OpType::DcCvap : OpType::Clwb;
+    const OpType fence = kind == ModelKind::Arm   ? OpType::Dsb
+                         : kind == ModelKind::Hops ? OpType::Dfence
+                                                   : OpType::Sfence;
+    Trace trace(1, 0);
+    for (size_t r = 0; r < rounds; r++) {
+        const uint64_t line = 64 * (r % kLines);
+        trace.append(PmOp{OpType::TxBegin, 0, 0, 0, 0, {}});
+        trace.append(PmOp{OpType::TxAdd, line, 40, 0, 0, {}});
+        trace.append(PmOp{OpType::TxAdd, line + 32, 32, 0, 0, {}});
+        trace.append(PmOp::write(line, 64));
+        if (!hops)
+            trace.append(PmOp{flush, line, 64, 0, 0, {}});
+        trace.append(PmOp{fence, 0, 0, 0, 0, {}});
+        trace.append(PmOp{OpType::TxEnd, 0, 0, 0, 0, {}});
+        trace.append(PmOp::isPersist(line, 64));
+    }
+    return trace;
+}
+
 /** Allocations made by one check of @p trace. */
 size_t
 allocsOfCheck(Engine &engine, const Trace &trace)
@@ -158,13 +187,14 @@ allocsOfCheck(Engine &engine, const Trace &trace)
     return g_allocs.load(std::memory_order_relaxed) - before;
 }
 
+template <typename MakeTrace>
 void
-expectNoPerOpAllocation(ModelKind kind)
+expectNoPerOpAllocation(ModelKind kind, MakeTrace make_trace)
 {
     constexpr size_t kRounds = 2000;
-    const Trace warm = makeTrace(kind, kRounds);
-    const Trace small = makeTrace(kind, kRounds);
-    const Trace large = makeTrace(kind, 4 * kRounds);
+    const Trace warm = make_trace(kind, kRounds);
+    const Trace small = make_trace(kind, kRounds);
+    const Trace large = make_trace(kind, 4 * kRounds);
     Engine engine(kind);
     allocsOfCheck(engine, warm);
     const size_t n = allocsOfCheck(engine, small);
@@ -176,17 +206,32 @@ expectNoPerOpAllocation(ModelKind kind)
 
 TEST(EngineAllocTest, X86SteadyStateDoesNotAllocatePerOp)
 {
-    expectNoPerOpAllocation(ModelKind::X86);
+    expectNoPerOpAllocation(ModelKind::X86, makeTrace);
+}
+
+TEST(EngineAllocTest, X86TransactionsDoNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::X86, txTrace);
 }
 
 TEST(EngineAllocTest, ArmSteadyStateDoesNotAllocatePerOp)
 {
-    expectNoPerOpAllocation(ModelKind::Arm);
+    expectNoPerOpAllocation(ModelKind::Arm, makeTrace);
+}
+
+TEST(EngineAllocTest, ArmTransactionsDoNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::Arm, txTrace);
 }
 
 TEST(EngineAllocTest, HopsSteadyStateDoesNotAllocatePerOp)
 {
-    expectNoPerOpAllocation(ModelKind::Hops);
+    expectNoPerOpAllocation(ModelKind::Hops, makeTrace);
+}
+
+TEST(EngineAllocTest, HopsTransactionsDoNotAllocatePerOp)
+{
+    expectNoPerOpAllocation(ModelKind::Hops, txTrace);
 }
 
 /**

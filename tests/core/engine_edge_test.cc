@@ -152,6 +152,35 @@ TEST(EngineEdgeTest, TxCheckRegionWithoutTransaction)
     EXPECT_EQ(report.findings()[0].kind, FindingKind::IncompleteTx);
 }
 
+TEST(EngineEdgeTest, TxCheckRegionOpenAtTraceEnd)
+{
+    // Without its TX_CHECKER_END the region's writes are never
+    // checked, so the open region itself must fail.
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxCheckStart),
+        PmOp::write(0x10, 64), // never flushed
+    }));
+    ASSERT_EQ(report.failCount(), 1u) << report.str();
+    const Finding &f = report.findings()[0];
+    EXPECT_EQ(f.kind, FindingKind::Malformed);
+    EXPECT_EQ(f.cause, Cause::TxCheckerOpenAtTraceEnd);
+    EXPECT_EQ(f.opIndex, 2u);
+    EXPECT_EQ(findingMessage(f), "trace ends inside a TX_CHECKER region");
+}
+
+TEST(EngineEdgeTest, OpenTxAndOpenTxCheckRegionBothReported)
+{
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxCheckStart),
+        op(OpType::TxBegin),
+    }));
+    ASSERT_EQ(report.failCount(), 2u) << report.str();
+    EXPECT_EQ(report.findings()[0].cause, Cause::TxOpenAtTraceEnd);
+    EXPECT_EQ(report.findings()[1].cause, Cause::TxCheckerOpenAtTraceEnd);
+}
+
 TEST(EngineEdgeTest, SecondTxCheckRegionStartsFresh)
 {
     Engine engine(ModelKind::X86);

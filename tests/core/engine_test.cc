@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "util/random.hh"
+
 namespace pmtest::core
 {
 namespace
@@ -155,6 +161,149 @@ TEST(EngineTest, DuplicateLogWarns)
     EXPECT_EQ(report.warnCount(), 1u);
     EXPECT_EQ(report.findings()[0].kind, FindingKind::DuplicateLog);
 }
+
+TEST(EngineTest, TxAddUnionCoversWrite)
+{
+    // Neither TX_ADD covers the write alone; their union does.
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxBegin),
+        op(OpType::TxAdd, 0x10, 0x10), // [0x10,0x20)
+        op(OpType::TxAdd, 0x18, 0x18), // [0x18,0x30)
+        PmOp::write(0x10, 0x20),       // [0x10,0x30)
+        PmOp::clwb(0x10, 0x20),
+        PmOp::sfence(),
+        op(OpType::TxEnd),
+    }));
+    EXPECT_TRUE(report.clean()) << report.str();
+}
+
+TEST(EngineTest, OneByteGapInLogIsMissingLog)
+{
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxBegin),
+        op(OpType::TxAdd, 0x10, 0x10), // [0x10,0x20)
+        op(OpType::TxAdd, 0x21, 0x0f), // [0x21,0x30): 0x20 unlogged
+        PmOp::write(0x10, 0x20),
+        PmOp::clwb(0x10, 0x20),
+        PmOp::sfence(),
+        op(OpType::TxEnd),
+    }));
+    ASSERT_EQ(report.findings().size(), 1u) << report.str();
+    EXPECT_EQ(report.findings()[0].kind, FindingKind::MissingLog);
+    EXPECT_EQ(report.findings()[0].opIndex, 3u);
+}
+
+TEST(EngineTest, TxAddCoveredByUnionIsDuplicateLog)
+{
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxBegin),
+        op(OpType::TxAdd, 0x10, 0x10), // [0x10,0x20)
+        op(OpType::TxAdd, 0x20, 0x10), // [0x20,0x30): adjacent
+        op(OpType::TxAdd, 0x18, 0x10), // [0x18,0x28): in the union
+        op(OpType::TxEnd),
+    }));
+    ASSERT_EQ(report.findings().size(), 1u) << report.str();
+    EXPECT_EQ(report.findings()[0].kind, FindingKind::DuplicateLog);
+    EXPECT_EQ(report.findings()[0].opIndex, 3u);
+}
+
+TEST(EngineTest, LogResetBetweenTraces)
+{
+    // A trace that ends inside its transaction leaves its TX_ADDs in
+    // the log; the next trace on the same engine must not see them.
+    Engine engine(ModelKind::X86);
+    const Report first = engine.check(makeTrace({
+        op(OpType::TxBegin),
+        op(OpType::TxAdd, 0x10, 64),
+    }));
+    ASSERT_EQ(first.findings().size(), 1u);
+    EXPECT_EQ(first.findings()[0].kind, FindingKind::UnmatchedTx);
+    const Report second = engine.check(makeTrace({
+        op(OpType::TxBegin),
+        PmOp::write(0x10, 8),
+        op(OpType::TxEnd),
+    }));
+    ASSERT_EQ(second.findings().size(), 1u) << second.str();
+    EXPECT_EQ(second.findings()[0].kind, FindingKind::MissingLog);
+}
+
+/**
+ * Randomized differential for the TX log: nested and unmatched
+ * transactions, overlapping, adjacent and duplicate TX_ADDs and
+ * writes at byte granularity, against a per-byte "logged" set that
+ * the outermost TX_END clears. MissingLog must fire iff a write
+ * inside a transaction touches an unlogged byte, DuplicateLog iff
+ * every byte of a TX_ADD is already logged.
+ */
+class EngineTxLogRandomTest : public ::testing::TestWithParam<uint64_t>
+{
+};
+
+TEST_P(EngineTxLogRandomTest, MatchesPerByteReference)
+{
+    constexpr uint64_t kSpan = 256;
+    using Hit = std::pair<size_t, FindingKind>;
+    Rng rng(GetParam());
+    size_t missing = 0, duplicate = 0;
+    for (const Engine::Dispatch dispatch :
+         {Engine::Dispatch::Batched, Engine::Dispatch::PerOp}) {
+        Engine engine(ModelKind::X86, dispatch);
+        for (int t = 0; t < 200; t++) {
+            std::vector<bool> logged(kSpan);
+            int depth = 0;
+            std::vector<Hit> want;
+            Trace trace(t, 0);
+            const size_t n = 1 + rng.below(60);
+            for (size_t i = 0; i < n; i++) {
+                const uint64_t addr = rng.below(kSpan - 32);
+                const uint64_t size = 1 + rng.below(32);
+                const auto begin = logged.begin() + addr;
+                const auto end = begin + size;
+                const uint64_t dice = rng.below(10);
+                if (dice < 2) {
+                    trace.append(op(OpType::TxBegin));
+                    depth++;
+                } else if (dice < 3) {
+                    trace.append(op(OpType::TxEnd));
+                    if (depth > 0 && --depth == 0)
+                        logged.assign(kSpan, false);
+                } else if (dice < 6) {
+                    trace.append(op(OpType::TxAdd, addr, size));
+                    if (depth == 0)
+                        continue; // Malformed, not logged
+                    if (std::all_of(begin, end, [](bool b) { return b; }))
+                        want.emplace_back(i, FindingKind::DuplicateLog);
+                    std::fill(begin, end, true);
+                } else {
+                    trace.append(PmOp::write(addr, size));
+                    if (depth > 0 &&
+                        !std::all_of(begin, end, [](bool b) { return b; }))
+                        want.emplace_back(i, FindingKind::MissingLog);
+                }
+            }
+            const Report report = engine.check(trace);
+            std::vector<Hit> got;
+            for (const Finding &f : report.findings()) {
+                if (f.kind == FindingKind::MissingLog ||
+                    f.kind == FindingKind::DuplicateLog)
+                    got.emplace_back(f.opIndex, f.kind);
+            }
+            ASSERT_EQ(got, want) << "trace " << t;
+            for (const Hit &hit : want)
+                (hit.second == FindingKind::MissingLog ? missing
+                                                       : duplicate)++;
+        }
+    }
+    // Both verdicts must actually occur, or the differential is vacuous.
+    EXPECT_GT(missing, 0u);
+    EXPECT_GT(duplicate, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EngineTxLogRandomTest,
+                         ::testing::Values(10, 20, 30));
 
 TEST(EngineTest, TxCheckerDetectsIncompleteTransaction)
 {

@@ -70,6 +70,22 @@ TEST(IntervalMapTest, CoversDetectsGaps)
     EXPECT_TRUE(m.covers(AddrRange(7, 0))); // empty is covered
 }
 
+TEST(IntervalMapTest, EmptyMapCoversOnlyEmptyRanges)
+{
+    // The TX log starts every transaction empty, and clear() must
+    // return it there.
+    IntervalMap<bool> m;
+    EXPECT_TRUE(m.empty());
+    EXPECT_FALSE(m.anyOverlap(AddrRange(0, 100)));
+    EXPECT_FALSE(m.covers(AddrRange(0, 1)));
+    EXPECT_TRUE(m.covers(AddrRange(0, 0)));
+    m.assign(AddrRange(0, 10), true);
+    EXPECT_TRUE(m.covers(AddrRange(0, 10)));
+    m.clear();
+    EXPECT_TRUE(m.empty());
+    EXPECT_FALSE(m.covers(AddrRange(0, 1)));
+}
+
 TEST(IntervalMapTest, MutableIteration)
 {
     IntervalMap<int> m;

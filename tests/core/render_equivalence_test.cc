@@ -296,6 +296,10 @@ frozenMessages(const Trace &trace, ModelKind kind)
         out.emplace_back(ops.size(), "trace ends with " +
                                          std::to_string(depth) +
                                          " unterminated transaction(s)");
+    // Newer than the frozen kernel: an unclosed TX checker region.
+    if (checking)
+        out.emplace_back(ops.size(),
+                         "trace ends inside a TX_CHECKER region");
     return out;
 }
 

@@ -378,6 +378,26 @@ TEST(ReportIoTest, EmptyReportRoundTrips)
     EXPECT_EQ(meta.workerCount, 0u);
 }
 
+TEST(ReportIoTest, TxCheckerOpenAtTraceEndRoundTrips)
+{
+    // The newest cause is appended after the golden sample's, so the
+    // pinned bytes stay v2; it must still survive the wire.
+    Report original;
+    original.add(finding(Severity::Fail, Cause::TxCheckerOpenAtTraceEnd,
+                         nullptr, 0, {}, 2, 9, 14));
+    std::string wire;
+    encodeReport(original, sampleMeta(), &wire);
+    Report decoded;
+    std::string error;
+    ASSERT_TRUE(decodeReport(wire.data(), wire.size(), &decoded, nullptr,
+                             &error))
+        << error;
+    expectSameFindings(decoded, original);
+    EXPECT_EQ(findingMessage(decoded.findings()[0]),
+              "trace ends inside a TX_CHECKER region");
+    EXPECT_EQ(decoded.findings()[0].kind, FindingKind::Malformed);
+}
+
 TEST(ReportIoTest, ReencodeOfDecodeIsByteIdentical)
 {
     std::string wire;
