@@ -152,7 +152,7 @@ runSource(std::string name, std::unique_ptr<TraceSource> source,
     return phase;
 }
 
-/** v2 file → decoder team → engine pool. */
+/** v2 file → core::ingest on an engine pool. */
 Phase
 runPipeline(const std::string &path, size_t decoders, size_t workers)
 {

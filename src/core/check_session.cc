@@ -516,7 +516,6 @@ openSource(Run &run)
     PoolOptions options;
     options.model = plan.model;
     options.workers = run.workers;
-    options.queueCapacity = plan.queueCap;
     run.pool = std::make_unique<EnginePool>(options);
     return true;
 }
@@ -587,7 +586,7 @@ openStage(Run &run)
     return true;
 }
 
-/** ingest: the decoder team drains the source into the pool. */
+/** ingest: the pool's workers and the decoders check the source. */
 bool
 ingestStage(Run &run)
 {
@@ -595,7 +594,6 @@ ingestStage(Run &run)
         return true;
     IngestOptions options;
     options.decoders = run.decoders;
-    options.batch = run.plan.batch;
     options.progress = &run.progress;
     SourceError error;
     if (ingest(*run.source, *run.pool, options, nullptr, &error))

@@ -2,7 +2,7 @@
  * @file
  * The check-session layer: one place that owns the run lifecycle the
  * command-line tools used to hand-wire — open the inputs as
- * TraceSources, drain them through core::ingest into an EnginePool,
+ * TraceSources, check them through core::ingest on an EnginePool,
  * canonicalize the merged Report, and drive every output surface
  * (stdout report, stats, metrics JSON, trace events, fix hints,
  * structured events, live metrics, linger). The tools reduce to flag
@@ -65,7 +65,15 @@ struct CheckPlan
     size_t maxFindings = 50;
     /** SIZE_MAX = no explicit flag (resolve via env/core layout). */
     size_t workers = static_cast<size_t>(-1);
+    /**
+     * Unread: offline checking has no queues. It remains only while
+     * bench/pipeline still assigns it.
+     */
     size_t queueCap = 0;
+    /**
+     * Unread: traces are claimed one at a time, not submitted in
+     * batches. It remains only while bench/pipeline still assigns it.
+     */
     size_t batch = 1;
     /** 0 = no explicit flag (resolve via env/core layout). */
     size_t decoders = 0;

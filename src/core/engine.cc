@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
@@ -27,31 +28,62 @@ Engine::Engine(ModelKind kind, Dispatch dispatch)
     state_.shadow.setTrackOpenWrites(model_->tracksOpenWrites());
 }
 
-Report
-Engine::check(const Trace &trace)
+void
+Engine::begin(uint64_t trace_id, uint32_t file_id)
 {
     // Per-trace, not per-op: the span (and its stage histogram) costs
     // two clock reads per *trace*, leaving the op loop untouched.
-    obs::SpanScope span(obs::Stage::EngineCheck);
-    obs::count(obs::Counter::TracesChecked);
-    obs::count(obs::Counter::OpsChecked, trace.size());
-
-    Report report(trace.id(), trace.fileId());
+    span_.reset();
+    span_.emplace(obs::Stage::EngineCheck);
+    report_ = Report(trace_id, file_id);
+    fed_ = 0;
     state_.reset();
-    runTrace(trace, report);
+}
 
+void
+Engine::feed(const PmOp *ops, size_t count)
+{
+    // Batched write runs are valid precisely because every model
+    // applies OpType::Write as shadow.recordWrite(range) and nothing
+    // else (the PersistencyModel::apply contract); Dispatch::PerOp
+    // keeps the pure per-op loop as the oracle the batched path is
+    // verified against (tests/core/kernel_equivalence_test.cc). A
+    // run cut by the end of a window just flushes early, which the
+    // recordWriteBatch contract makes indistinguishable.
+    size_t i = 0;
+    if (dispatch_ == Dispatch::Batched) {
+        while (i < count) {
+            if (ops[i].type == OpType::Write) {
+                i = runWriteRun(ops, count, i, state_, report_);
+                continue;
+            }
+            handleOp(ops[i], fed_ + i, state_, report_);
+            i++;
+        }
+    } else {
+        for (; i < count; i++)
+            handleOp(ops[i], fed_ + i, state_, report_);
+    }
+    fed_ += count;
+    opsProcessed_ += count;
+}
+
+Report
+Engine::finish(const Report::Arena &arena)
+{
+    const uint64_t trace_id = report_.traceId();
     if (state_.txDepth > 0) {
         Finding f;
         f.severity = Severity::Fail;
         f.kind = FindingKind::UnmatchedTx;
         f.cause = Cause::TxOpenAtTraceEnd;
         f.evidence.epochA = static_cast<Epoch>(state_.txDepth);
-        f.traceId = trace.id();
-        f.opIndex = trace.size();
+        f.traceId = trace_id;
+        f.opIndex = fed_;
         f.hint.action = FixAction::InsertTxEnd;
-        f.hint.opIndex = trace.size();
+        f.hint.opIndex = fed_;
         f.hint.count = static_cast<uint32_t>(state_.txDepth);
-        report.add(std::move(f));
+        report_.add(std::move(f));
     }
     if (state_.txCheckActive) {
         // The region's writes were never checked: a TX_CHECKER_START
@@ -60,60 +92,41 @@ Engine::check(const Trace &trace)
         f.severity = Severity::Fail;
         f.kind = FindingKind::Malformed;
         f.cause = Cause::TxCheckerOpenAtTraceEnd;
-        f.traceId = trace.id();
-        f.opIndex = trace.size();
-        report.add(std::move(f));
+        f.traceId = trace_id;
+        f.opIndex = fed_;
+        report_.add(std::move(f));
     }
 
+    obs::count(obs::Counter::TracesChecked);
+    obs::count(obs::Counter::OpsChecked, fed_);
     tracesChecked_++;
-    report.stampIdentity();
-    // The report owns the trace's string arena from here on, so its
-    // finding locations outlive the trace and any reader/loader.
-    report.holdArena(trace.arena());
-    return report;
+    report_.stampIdentity();
+    // A report with findings owns the trace's string arena from here
+    // on, so its finding locations outlive the trace and any reader;
+    // a clean report has no locations to keep alive.
+    if (!report_.clean())
+        report_.holdArena(arena);
+    span_.reset();
+    return std::move(report_);
 }
 
-void
-Engine::runTrace(const Trace &trace, Report &report)
+Report
+Engine::check(const Trace &trace)
 {
-    const auto &ops = trace.ops();
-
-    // Batched write runs are valid precisely because every model
-    // applies OpType::Write as shadow.recordWrite(range) and nothing
-    // else (the PersistencyModel::apply contract); Dispatch::PerOp
-    // keeps the pure per-op loop as the oracle the batched path is
-    // verified against (tests/core/kernel_equivalence_test.cc).
-    if (dispatch_ == Dispatch::Batched) {
-        size_t i = 0;
-        while (i < ops.size()) {
-            if (ops[i].type == OpType::Write) {
-                i = runWriteRun(trace, i, state_, report);
-                continue;
-            }
-            handleOp(ops[i], i, state_, report);
-            opsProcessed_++;
-            i++;
-        }
-        return;
-    }
-
-    for (size_t i = 0; i < ops.size(); i++) {
-        handleOp(ops[i], i, state_, report);
-        opsProcessed_++;
-    }
+    begin(trace.id(), trace.fileId());
+    feed(trace.ops().data(), trace.size());
+    return finish(trace.arena());
 }
 
 size_t
-Engine::runWriteRun(const Trace &trace, size_t i, TraceState &state,
-                    Report &report)
+Engine::runWriteRun(const PmOp *ops, size_t count, size_t i,
+                    TraceState &state, Report &report)
 {
-    const auto &ops = trace.ops();
     writeBatch_.clear();
     uint64_t lo = 0, hi = 0; // bounding box of the batch
-    while (i < ops.size() && ops[i].type == OpType::Write) {
+    while (i < count && ops[i].type == OpType::Write) {
         const PmOp &op = ops[i];
-        const size_t index = i;
-        opsProcessed_++;
+        const size_t index = fed_ + i;
         i++;
 
         const AddrRange range(op.addr, op.size);
@@ -360,6 +373,19 @@ Engine::handleChecker(const PmOp &op, size_t index, TraceState &state,
       }
 
       case OpType::TxCheckStart:
+        if (state.txCheckActive) {
+            // Regions do not nest: restarting would drop the open
+            // region's writes unchecked. Report the misuse and keep
+            // collecting into the open region.
+            Finding f;
+            f.severity = Severity::Fail;
+            f.kind = FindingKind::Malformed;
+            f.cause = Cause::TxCheckerNestedStart;
+            f.loc = op.loc;
+            f.opIndex = index;
+            report.add(std::move(f));
+            return;
+        }
         state.txCheckActive = true;
         state.txWrites.clear();
         return;

@@ -19,6 +19,9 @@
  *    consecutive writes are batched into one sorted shadow update;
  *    Dispatch::PerOp keeps the plain per-op loop as the oracle the
  *    batched path is verified against.
+ *  - The loop runs over windows of ops (begin/feed/finish), so the
+ *    offline path checks a trace as it is decoded, one fixed window
+ *    at a time, without materializing it; check() is one window.
  */
 
 #ifndef PMTEST_CORE_ENGINE_HH
@@ -26,11 +29,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/persistency_model.hh"
 #include "core/report.hh"
 #include "core/shadow_memory.hh"
+#include "obs/telemetry.hh"
 #include "trace/trace.hh"
 
 namespace pmtest::core
@@ -56,8 +61,29 @@ class Engine
     explicit Engine(ModelKind kind,
                     Dispatch dispatch = Dispatch::Batched);
 
-    /** Check one trace and produce its report. */
+    /** Check one trace and produce its report: begin, feed, finish. */
     Report check(const Trace &trace);
+
+    /**
+     * Start checking a trace that arrives in windows: reset the
+     * per-trace state (discarding any unfinished trace) and open its
+     * report.
+     */
+    void begin(uint64_t trace_id, uint32_t file_id);
+
+    /**
+     * Check the next @p count ops of the begun trace, in program
+     * order; op indices continue across calls. Any split of a trace
+     * into windows yields the same report as check() on it whole.
+     */
+    void feed(const PmOp *ops, size_t count);
+
+    /**
+     * End the begun trace: add the end-of-trace findings and return
+     * its report. A report with findings holds @p arena, the string
+     * arena its source locations point into; a clean one holds none.
+     */
+    Report finish(const Report::Arena &arena);
 
     /** Total PM operations processed across all checked traces. */
     uint64_t opsProcessed() const { return opsProcessed_; }
@@ -97,12 +123,10 @@ class Engine
         void reset();
     };
 
-    /** The per-trace loop. */
-    void runTrace(const Trace &trace, Report &report);
-
     /**
      * Batched write runs (Dispatch::Batched only): consume the
-     * maximal run of consecutive Write ops starting at @p i, applying
+     * maximal run of consecutive Write ops of @p ops[0, @p count)
+     * starting at @p i, applying
      * the per-op transaction checks immediately but deferring the
      * shadow updates into writeBatch_, flushed in one sorted batched
      * assign. A write overlapping a batched one forces a flush first,
@@ -110,7 +134,7 @@ class Engine
      * which leaks into finding messages — is preserved exactly.
      * @return the index of the first op after the run.
      */
-    size_t runWriteRun(const Trace &trace, size_t i,
+    size_t runWriteRun(const PmOp *ops, size_t count, size_t i,
                        TraceState &state, Report &report);
 
     /** Spill writeBatch_ into the shadow memory (sorted, batched). */
@@ -141,6 +165,12 @@ class Engine
     Dispatch dispatch_;
     std::unique_ptr<PersistencyModel> model_;
     TraceState state_;
+    /** Report of the begun trace. */
+    Report report_;
+    /** Ops fed to the begun trace so far (the next op's index). */
+    size_t fed_ = 0;
+    /** The begun trace's engine.check span. */
+    std::optional<obs::SpanScope> span_;
     /** Pending write ranges of the current run (reused storage). */
     std::vector<AddrRange> writeBatch_;
     uint64_t opsProcessed_ = 0;

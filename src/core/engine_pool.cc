@@ -44,7 +44,84 @@ resolveQueueCapacity(size_t requested, size_t workers)
     return std::max(min_per_worker, target_backlog / workers);
 }
 
+/**
+ * The source-job side of an engine: TraceSource::checkNext feeds it a
+ * claimed trace, whole or window by window, and take() hands over the
+ * finished trace's report.
+ */
+class EngineConsumer final : public TraceConsumer
+{
+  public:
+    explicit EngineConsumer(Engine &engine) : engine_(engine) {}
+
+    void consume(const Trace &trace) override
+    {
+        report_ = engine_.check(trace);
+    }
+
+    void begin(uint64_t trace_id, uint32_t file_id) override
+    {
+        engine_.begin(trace_id, file_id);
+    }
+
+    void feed(const PmOp *ops, size_t count) override
+    {
+        engine_.feed(ops, count);
+    }
+
+    void finish(Arena arena) override { report_ = engine_.finish(arena); }
+
+    Report take() { return std::move(report_); }
+
+  private:
+    Engine &engine_;
+    Report report_;
+};
+
 } // namespace
+
+/** One checkSource() run, shared by every thread working on it. */
+struct EnginePool::SourceJob
+{
+    explicit SourceJob(TraceSource &s) : source(s) {}
+
+    TraceSource &source;
+    std::atomic<bool> failed{false};
+    std::atomic<uint64_t> traces{0};
+    std::atomic<uint64_t> decodeNanos{0};
+    std::mutex errorMutex;
+    bool errorSet = false; ///< guarded by errorMutex
+    SourceError error;     ///< guarded by errorMutex
+
+    /** Stop every thread; keep the first error. */
+    void
+    fail(SourceError e)
+    {
+        failed.store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(errorMutex);
+        if (!errorSet) {
+            errorSet = true;
+            error = std::move(e);
+        }
+    }
+};
+
+void
+EnginePool::Lane::publish()
+{
+    opsProcessed.store(engine->opsProcessed(), std::memory_order_relaxed);
+    tracesChecked.store(engine->tracesChecked(),
+                        std::memory_order_relaxed);
+}
+
+WorkerStats
+EnginePool::Lane::snapshot() const
+{
+    WorkerStats w;
+    w.tracesChecked = tracesChecked.load(std::memory_order_relaxed);
+    w.opsProcessed = opsProcessed.load(std::memory_order_relaxed);
+    return w;
+}
 
 EnginePool::EnginePool(const PoolOptions &options)
     : kind_(options.model),
@@ -52,7 +129,8 @@ EnginePool::EnginePool(const PoolOptions &options)
           resolveQueueCapacity(options.queueCapacity, options.workers))
 {
     if (options.workers == 0) {
-        inlineEngine_ = std::make_unique<Engine>(kind_);
+        inlineLane_ = std::make_unique<Lane>();
+        inlineLane_->engine = std::make_unique<Engine>(kind_);
         return;
     }
     workers_.reserve(options.workers);
@@ -208,26 +286,135 @@ EnginePool::workerLoop(Worker &worker)
         std::unique_lock<std::mutex> lock(workMutex_);
         parked_.fetch_add(1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        workCv_.wait(lock, [&] { return stopping_ || anyQueued(); });
+        workCv_.wait(lock, [&] {
+            return stopping_ || anyQueued() ||
+                   (job_ && worker.jobEpoch != jobEpoch_);
+        });
         parked_.fetch_sub(1, std::memory_order_relaxed);
+        if (SourceJob *job = joinJob(worker)) {
+            lock.unlock();
+            runLane(worker, *job);
+            lock.lock();
+            if (--jobWorkers_ == 0)
+                jobCv_.notify_all();
+            continue;
+        }
         if (stopping_ && !anyQueued())
             return; // all pending work drained
     }
+}
+
+EnginePool::SourceJob *
+EnginePool::joinJob(Worker &worker)
+{
+    if (!job_ || worker.jobEpoch == jobEpoch_)
+        return nullptr;
+    worker.jobEpoch = jobEpoch_;
+    jobWorkers_++;
+    return job_;
+}
+
+void
+EnginePool::runLane(Lane &lane, SourceJob &job)
+{
+    EngineConsumer consumer(*lane.engine);
+    uint64_t traces = 0;
+    while (!job.failed.load(std::memory_order_relaxed)) {
+        SourceError error;
+        const TraceSource::Pull result =
+            job.source.checkNext(consumer, &error);
+        if (result == TraceSource::Pull::Error) {
+            job.fail(std::move(error));
+            break;
+        }
+        if (result == TraceSource::Pull::End)
+            break;
+        traces++;
+        lane.publish();
+        recordResult(consumer.take(), /*claimed=*/true);
+    }
+    obs::count(obs::Counter::TracesDecoded, traces);
+    job.traces.fetch_add(traces, std::memory_order_relaxed);
+    job.decodeNanos.fetch_add(consumer.decodeNanos(),
+                              std::memory_order_relaxed);
+}
+
+std::vector<EnginePool::Lane *>
+EnginePool::callerLanes(size_t n)
+{
+    std::lock_guard<std::mutex> lock(lanesMutex_);
+    while (callerLanes_.size() < n) {
+        auto lane = std::make_unique<Lane>();
+        lane->engine = std::make_unique<Engine>(kind_);
+        callerLanes_.push_back(std::move(lane));
+    }
+    std::vector<Lane *> lanes;
+    for (size_t i = 0; i < n; i++)
+        lanes.push_back(callerLanes_[i].get());
+    return lanes;
+}
+
+bool
+EnginePool::checkSource(TraceSource &source, size_t callers,
+                        IngestStats *stats, SourceError *error)
+{
+    std::lock_guard<std::mutex> one_job(jobMutex_);
+    SourceJob job(source);
+    const std::vector<Lane *> lanes =
+        callerLanes(std::max<size_t>(1, callers));
+
+    // Post the job: every worker joins when it next parks (an idle
+    // pool's workers are all parked, so all join at once).
+    if (!workers_.empty()) {
+        {
+            std::lock_guard<std::mutex> lock(workMutex_);
+            job_ = &job;
+            jobEpoch_++;
+        }
+        workCv_.notify_all();
+    }
+
+    std::vector<std::thread> threads;
+    threads.reserve(lanes.size() - 1);
+    for (size_t d = 1; d < lanes.size(); d++) {
+        threads.emplace_back([this, &job, lane = lanes[d], d] {
+            obs::nameThread("ingest-" + std::to_string(d));
+            runLane(*lane, job);
+        });
+    }
+    runLane(*lanes[0], job);
+    for (auto &t : threads)
+        t.join();
+
+    // The source is spent: withdraw the job so a worker that has not
+    // joined yet never will, and wait out those inside it.
+    if (!workers_.empty()) {
+        std::unique_lock<std::mutex> lock(workMutex_);
+        job_ = nullptr;
+        jobCv_.wait(lock, [this] { return jobWorkers_ == 0; });
+    }
+
+    if (stats) {
+        stats->tracesDecoded += job.traces.load();
+        stats->decodeNanos += job.decodeNanos.load();
+    }
+    if (!job.failed.load())
+        return true;
+    if (error)
+        *error = std::move(job.error);
+    return false;
 }
 
 void
 EnginePool::checkOn(Worker &worker, Trace trace)
 {
     Report report = worker.engine->check(trace);
-    worker.opsProcessed.store(worker.engine->opsProcessed(),
-                              std::memory_order_relaxed);
-    worker.tracesChecked.store(worker.engine->tracesChecked(),
-                               std::memory_order_relaxed);
+    worker.publish();
     recordResult(std::move(report));
 }
 
 void
-EnginePool::recordResult(Report report)
+EnginePool::recordResult(Report report, bool claimed)
 {
     obs::count(obs::Counter::ReportsMerged);
     bool drained;
@@ -235,6 +422,8 @@ EnginePool::recordResult(Report report)
         std::lock_guard<std::mutex> lock(resultMutex_);
         obs::SpanScope span(obs::Stage::ReportMerge);
         aggregate_.merge(std::move(report));
+        if (claimed)
+            submitted_++;
         completed_++;
         // The drain predicate can only turn true at the moment the
         // counters meet; notifying on every completion wakes blocked
@@ -251,7 +440,8 @@ EnginePool::checkInline(Trace trace)
     Report report;
     {
         std::lock_guard<std::mutex> lock(inlineMutex_);
-        report = inlineEngine_->check(trace);
+        report = inlineLane_->engine->check(trace);
+        inlineLane_->publish();
     }
     recordResult(std::move(report));
 }
@@ -417,20 +607,10 @@ EnginePool::stats() const
         stats.tracesCompleted = completed_;
         stats.ingest = ingest_;
     }
-    if (workers_.empty()) {
-        std::lock_guard<std::mutex> lock(inlineMutex_);
-        WorkerStats w;
-        w.tracesChecked = inlineEngine_->tracesChecked();
-        w.opsProcessed = inlineEngine_->opsProcessed();
-        stats.workers.push_back(w);
-        return stats;
-    }
+    if (inlineLane_)
+        stats.workers.push_back(inlineLane_->snapshot());
     for (const auto &worker : workers_) {
-        WorkerStats w;
-        w.tracesChecked =
-            worker->tracesChecked.load(std::memory_order_relaxed);
-        w.opsProcessed =
-            worker->opsProcessed.load(std::memory_order_relaxed);
+        WorkerStats w = worker->snapshot();
         w.steals = worker->steals.load(std::memory_order_relaxed);
         w.stealScans =
             worker->stealScans.load(std::memory_order_relaxed);
@@ -439,6 +619,9 @@ EnginePool::stats() const
         stats.stealScans += w.stealScans;
         stats.workers.push_back(w);
     }
+    std::lock_guard<std::mutex> lock(lanesMutex_);
+    for (const auto &lane : callerLanes_)
+        stats.workers.push_back(lane->snapshot());
     return stats;
 }
 
@@ -449,30 +632,35 @@ EnginePool::recordIngest(const IngestStats &ingest)
     ingest_ = ingest;
 }
 
+WorkerStats
+EnginePool::totals() const
+{
+    WorkerStats sum;
+    const auto add = [&sum](const Lane &lane) {
+        const WorkerStats w = lane.snapshot();
+        sum.tracesChecked += w.tracesChecked;
+        sum.opsProcessed += w.opsProcessed;
+    };
+    if (inlineLane_)
+        add(*inlineLane_);
+    for (const auto &w : workers_)
+        add(*w);
+    std::lock_guard<std::mutex> lock(lanesMutex_);
+    for (const auto &lane : callerLanes_)
+        add(*lane);
+    return sum;
+}
+
 uint64_t
 EnginePool::tracesChecked() const
 {
-    if (workers_.empty()) {
-        std::lock_guard<std::mutex> lock(inlineMutex_);
-        return inlineEngine_->tracesChecked();
-    }
-    uint64_t total = 0;
-    for (const auto &w : workers_)
-        total += w->tracesChecked.load(std::memory_order_relaxed);
-    return total;
+    return totals().tracesChecked;
 }
 
 uint64_t
 EnginePool::opsProcessed() const
 {
-    if (workers_.empty()) {
-        std::lock_guard<std::mutex> lock(inlineMutex_);
-        return inlineEngine_->opsProcessed();
-    }
-    uint64_t total = 0;
-    for (const auto &w : workers_)
-        total += w->opsProcessed.load(std::memory_order_relaxed);
-    return total;
+    return totals().opsProcessed;
 }
 
 } // namespace pmtest::core

@@ -1,46 +1,55 @@
 /**
  * @file
  * The multithreaded checking mechanism (paper §4.4, Fig. 8): traces
- * sealed by the program under test are dispatched to a pool of worker
- * threads, each running its own Engine; results flow back to a shared
- * result collector. PMTest_GET_RESULT() maps to drain(). A
- * zero-worker pool checks traces inline on the caller — the
+ * are checked by a pool of worker threads, each running its own
+ * Engine; results flow into one shared aggregate. PMTest_GET_RESULT()
+ * maps to drain(). A zero-worker pool checks on the caller — the
  * configuration used by the decoupling ablation.
  *
- * Dispatch architecture:
- *  - Each worker owns a FIFO trace queue. Submission places traces
- *    round-robin, but an idle worker *steals* from the most-loaded
- *    peer — half the victim's backlog per scan (one runs immediately,
- *    the rest requeue on the thief and stay stealable), so one giant
- *    trace no longer serializes a whole queue of small traces behind
- *    it and deep backlogs rebalance in O(log) scans instead of one
- *    scan per trace.
- *  - Queues are bounded: explicitly (PoolOptions::queueCapacity), via
- *    the PMTEST_QUEUE_CAP environment variable, or by a default
- *    derived from the worker count (a fixed total backlog divided
- *    across queues). A full queue blocks the producer — bounded
- *    backpressure instead of unbounded memory growth when the
- *    program outruns its checkers.
- *  - Parked workers are woken by backlog, not per trace. A worker
- *    parks only once every queue is empty. A submit that finds no
- *    parked worker returns after a fence and one atomic load — an
- *    awake worker scans every queue before it parks. Otherwise the submitted ops
- *    accrue until kWakeOps of them are queued unwoken, and only then
- *    does the producer take the wakeup mutex and wake one worker. So
- *    a queued trace waits for at most kWakeOps ops of later
- *    submissions, a producer about to block on a full queue, or a
- *    drain. Threads that wait on the pool — a producer about to
- *    block, a caller of drain()/results()/takeResults()/
- *    clearResults() — register first, wake on entry, and make every
- *    submit wake while they wait; the destructor wakes all. One rule
- *    covers submit(), submitBatch() and the requeue of stolen
- *    traces.
- *  - submitBatch() enqueues many small traces under one queue lock
- *    acquisition, amortizing dispatch overhead (the paper's §4.2
- *    "divide the program into sections for better testing speed").
- *  - stats() snapshots queue depths, steal counts, producer stall
- *    time and per-worker throughput, so the Fig. 10/11 harnesses can
- *    report *why* a configuration is fast.
+ * Two ways in, one per kind of producer:
+ *  - checkSource() — offline checking (core::ingest). The source can
+ *    hand any thread any whole trace, so there is nothing to queue:
+ *    every worker, and a number of threads on the caller's side,
+ *    loops claiming the next trace from the source, decoding it
+ *    through a fixed window straight into its own engine and merging
+ *    the report, until the source ends. No queues, wakes, steals or
+ *    backpressure; each thread holds one decode window, not traces.
+ *  - submit()/submitBatch() — live capture (api.cc), where the
+ *    application thread produces the traces and must hand them off:
+ *     - Each worker owns a FIFO trace queue. Submission places traces
+ *       round-robin, but an idle worker *steals* from the most-loaded
+ *       peer — half the victim's backlog per scan (one runs
+ *       immediately, the rest requeue on the thief and stay
+ *       stealable), so one giant trace does not serialize a whole
+ *       queue of small traces behind it.
+ *     - Queues are bounded: explicitly (PoolOptions::queueCapacity),
+ *       via the PMTEST_QUEUE_CAP environment variable, or by a
+ *       default derived from the worker count (a fixed total backlog
+ *       divided across queues). A full queue blocks the producer —
+ *       bounded backpressure instead of unbounded memory growth when
+ *       the program outruns its checkers.
+ *     - Parked workers are woken by backlog, not per trace. A worker
+ *       parks only once every queue is empty. A submit that finds no
+ *       parked worker returns after a fence and one atomic load — an
+ *       awake worker scans every queue before it parks. Otherwise the
+ *       submitted ops accrue until kWakeOps of them are queued
+ *       unwoken, and only then does the producer take the wakeup
+ *       mutex and wake one worker. So a queued trace waits for at
+ *       most kWakeOps ops of later submissions, a producer about to
+ *       block on a full queue, or a drain. Threads that wait on the
+ *       pool — a producer about to block, a caller of drain()/
+ *       results()/takeResults()/clearResults() — register first,
+ *       wake on entry, and make every submit wake while they wait;
+ *       the destructor wakes all. One rule covers submit(),
+ *       submitBatch() and the requeue of stolen traces.
+ *     - submitBatch() enqueues many small traces under one queue lock
+ *       acquisition, amortizing dispatch overhead (the paper's §4.2
+ *       "divide the program into sections for better testing
+ *       speed").
+ *  - stats() snapshots per-thread throughput (workers, then the
+ *    caller-side source lanes), queue depths, steal counts and
+ *    producer stall time, so the Fig. 10/11 harnesses can report
+ *    *why* a configuration is fast.
  */
 
 #ifndef PMTEST_CORE_ENGINE_POOL_HH
@@ -57,6 +66,7 @@
 #include "core/engine.hh"
 #include "obs/metrics_doc.hh"
 #include "trace/concurrent_queue.hh"
+#include "trace/trace_source.hh"
 
 namespace pmtest::core
 {
@@ -130,6 +140,22 @@ class EnginePool
     void submitBatch(std::vector<Trace> traces);
 
     /**
+     * Check every trace @p source yields: each worker, and @p callers
+     * threads on this side (the calling thread is the first), loops
+     * claiming the next trace from the source, running it through
+     * its own engine and merging the report, until the source ends or
+     * any thread hits a source error. Returns once every thread has
+     * stopped; a failed trace adds no findings, traces completed
+     * before the failure stay in the aggregate. One source job runs
+     * at a time (concurrent calls serialize). Adds the traces claimed
+     * and the decode time to @p stats when non-null.
+     * @return false on a source error (the first one copied to
+     *         @p error when provided).
+     */
+    bool checkSource(TraceSource &source, size_t callers,
+                     IngestStats *stats, SourceError *error);
+
+    /**
      * Block until every submitted trace has been checked
      * (PMTest_GET_RESULT).
      */
@@ -170,27 +196,52 @@ class EnginePool
     /** Per-worker queue capacity (0 = unbounded). */
     size_t queueCapacity() const { return queueCapacity_; }
 
-    /** Total traces checked so far. */
+    /** Total traces checked so far (workers and source lanes). */
     uint64_t tracesChecked() const;
 
     /** Total PM operations processed so far. */
     uint64_t opsProcessed() const;
 
   private:
-    struct Worker
+    /** A checking thread's engine and its published counters. */
+    struct Lane
+    {
+        std::unique_ptr<Engine> engine;
+        std::atomic<uint64_t> opsProcessed{0};
+        std::atomic<uint64_t> tracesChecked{0};
+
+        /** Copy the engine's counters for stats() (owner thread). */
+        void publish();
+        /** Snapshot for stats(). */
+        WorkerStats snapshot() const;
+    };
+
+    struct Worker : Lane
     {
         explicit Worker(size_t queue_capacity) : queue(queue_capacity) {}
 
-        std::unique_ptr<Engine> engine;
         ConcurrentQueue<Trace> queue;
         std::thread thread;
-        std::atomic<uint64_t> opsProcessed{0};
-        std::atomic<uint64_t> tracesChecked{0};
         std::atomic<uint64_t> steals{0};
         std::atomic<uint64_t> stealScans{0};
+        /** Epoch of the last source job joined (under workMutex_). */
+        uint64_t jobEpoch = 0;
     };
 
+    struct SourceJob;
+
     void workerLoop(Worker &worker);
+    /**
+     * If a source job is posted that @p worker has not joined, join
+     * it (under workMutex_). @return the job, or null.
+     */
+    SourceJob *joinJob(Worker &worker);
+    /** Claim and check traces of @p job on @p lane until it ends. */
+    void runLane(Lane &lane, SourceJob &job);
+    /** The first @p n caller-side lanes, created on demand. */
+    std::vector<Lane *> callerLanes(size_t n);
+    /** Traces and ops checked, summed over every lane. */
+    WorkerStats totals() const;
     /**
      * Steal up to half the most-loaded peer's queue into @p out.
      * @return the number of traces stolen (0 when no peer has work).
@@ -198,7 +249,12 @@ class EnginePool
     size_t stealFrom(const Worker &thief, std::vector<Trace> &out);
     /** Process one trace on @p worker and record its report. */
     void checkOn(Worker &worker, Trace trace);
-    void recordResult(Report report);
+    /**
+     * Merge one checked trace's report. @p claimed: the trace came
+     * from a source job, not a submit, so it is counted submitted
+     * here too.
+     */
+    void recordResult(Report report, bool claimed = false);
     /**
      * The wake rule, run after @p ops ops were queued: wake one
      * parked worker once the unwoken backlog reaches kWakeOps, at
@@ -222,9 +278,9 @@ class EnginePool
     ModelKind kind_;
     size_t queueCapacity_ = 0;
     std::vector<std::unique_ptr<Worker>> workers_;
-    std::unique_ptr<Engine> inlineEngine_; ///< used when workers_ empty
-    std::atomic<size_t> nextWorker_{0};    ///< round-robin cursor
-    mutable std::mutex inlineMutex_;       ///< guards inline engine
+    std::unique_ptr<Lane> inlineLane_;  ///< used when workers_ empty
+    std::atomic<size_t> nextWorker_{0}; ///< round-robin cursor
+    std::mutex inlineMutex_;            ///< guards the inline engine
 
     std::mutex workMutex_; ///< wakeup coordination for idle workers
     std::condition_variable workCv_;
@@ -248,6 +304,15 @@ class EnginePool
     uint64_t submitted_ = 0; ///< guarded by resultMutex_
     uint64_t completed_ = 0; ///< guarded by resultMutex_
     IngestStats ingest_;     ///< guarded by resultMutex_
+
+    std::mutex jobMutex_;        ///< one source job at a time
+    SourceJob *job_ = nullptr;   ///< posted job; guarded by workMutex_
+    uint64_t jobEpoch_ = 0;      ///< guarded by workMutex_
+    size_t jobWorkers_ = 0;      ///< workers inside job_ (workMutex_)
+    std::condition_variable jobCv_; ///< jobWorkers_ dropped to 0
+    mutable std::mutex lanesMutex_; ///< guards callerLanes_ growth
+    /** Source-job lanes of the calling side; never shrinks. */
+    std::vector<std::unique_ptr<Lane>> callerLanes_;
 };
 
 } // namespace pmtest::core

@@ -93,6 +93,8 @@ causeInfo(Cause cause)
       case Cause::OpNotInArm: return {"op-not-in-arm", K::Malformed};
       case Cause::TxCheckerOpenAtTraceEnd:
         return {"tx-checker-open-at-trace-end", K::Malformed};
+      case Cause::TxCheckerNestedStart:
+        return {"tx-checker-nested-start", K::Malformed};
     }
     panic("unknown Cause");
 }
@@ -251,6 +253,9 @@ appendMessage(std::string &out, const Finding &f)
         return;
       case Cause::TxCheckerOpenAtTraceEnd:
         t << "trace ends inside a TX_CHECKER region";
+        return;
+      case Cause::TxCheckerNestedStart:
+        t << "TX_CHECKER_START inside an open TX_CHECKER region";
         return;
     }
     panic("unknown Cause");

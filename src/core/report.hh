@@ -91,10 +91,12 @@ enum class Cause : uint8_t
     OpNotInArm,           ///< Malformed: op not in the ARM model
     TxCheckerOpenAtTraceEnd, ///< Malformed: TX_CHECKER_START never
                              ///< closed
+    TxCheckerNestedStart,    ///< Malformed: TX_CHECKER_START inside an
+                             ///< open TX_CHECKER region
 };
 
 /** The highest Cause value (wire validation). */
-inline constexpr Cause kLastCause = Cause::TxCheckerOpenAtTraceEnd;
+inline constexpr Cause kLastCause = Cause::TxCheckerNestedStart;
 
 /** Stable machine-readable name of a cause ("persist-open", ...). */
 const char *causeName(Cause cause);

@@ -1,17 +1,21 @@
 /**
  * @file
- * The one ingest implementation: a decoder thread team pulls batches
- * of decoded traces from a TraceSource — a whole v2 file, a byte-
- * range shard, a multi-file set, or the live in-process capture
- * sink — and feeds the engine pool. Decode of
- * trace N+1 overlaps checking of trace N, and the pool's bounded
- * queues backpressure the decoders, so peak memory is the in-flight
- * window — not the whole input, as with the old sequential path.
+ * The one ingest implementation: check every trace of a TraceSource —
+ * a whole v2 file, a byte-range shard, a multi-file set, or the live
+ * in-process capture sink — on an engine pool. Traces are independent
+ * (paper §4.4), so any thread can check any whole trace: every pool
+ * worker and every ingest-side thread claims the next trace from the
+ * source's shared cursor, decodes it through a fixed window of ops
+ * into its own engine and merges the report (EnginePool::
+ * checkSource). Decode and check happen on the same thread with no
+ * queue between them, so all cores decode and check, and peak memory
+ * is one decode window per thread — not the whole input, nor a
+ * backlog of decoded traces.
  *
- * Every trace arrives identity-stamped (fileId, traceId) with its
- * string arena attached, so the merged report canonicalizes to the
- * same bytes regardless of how sources, shards and decoder threads
- * interleaved.
+ * Every trace is identity-stamped (fileId, traceId), and a report
+ * with findings holds the string arena its locations point into, so
+ * the merged report canonicalizes to the same bytes regardless of
+ * how sources, shards and threads interleaved.
  *
  * Used by pmtest_check (--decoders=N, multi-file, --worker=i/N),
  * examples/offline_check, bench_ingest, and the determinism tests.
@@ -28,8 +32,8 @@ namespace pmtest::core
 
 /**
  * Live progress of one ingest() call, safe to read from any thread
- * while the decoders run. The metrics publisher samples it to tell
- * "source still has traces" from "decoders finished" — the EOF and
+ * while it runs. The metrics publisher samples it to tell
+ * "source still has traces" from "ingest finished" — the EOF and
  * stall-watchdog signals the drained TraceSource alone can't give.
  */
 struct IngestProgress
@@ -41,19 +45,24 @@ struct IngestProgress
 struct IngestOptions
 {
     /**
-     * Decoder→engine placement. Every decoder pulls the source's one
-     * shared cursor and submitBatch places batches round-robin, so
-     * there is a single policy. ingest() does not read this member;
-     * it remains only while bench/pipeline still assigns it.
+     * Unread: every thread claims from the source's one shared
+     * cursor, so there is no placement to choose. It remains only
+     * while bench/pipeline still assigns it.
      */
     enum class Affinity
     {
         Shared,
     };
 
-    /** Decoder threads (>= 1). */
+    /**
+     * Ingest-side threads that claim and check traces next to the
+     * pool's workers (>= 1; the first is the calling thread).
+     */
     size_t decoders = 1;
-    /** Traces submitted to the pool per submitBatch() call. */
+    /**
+     * Unread: traces are claimed one at a time, not submitted in
+     * batches. It remains only while bench/pipeline still assigns it.
+     */
     size_t batch = 8;
     /** Unread; see Affinity. */
     Affinity affinity = Affinity::Shared;
@@ -62,15 +71,16 @@ struct IngestOptions
 };
 
 /**
- * Drain @p source on @p options.decoders threads and submit every
- * trace to @p pool. Returns once all traces are *submitted* (call
- * pool.results() to also wait for checking). Records the decode/
- * stall counters on @p pool (its stats() carries them) and copies
- * them to @p ingest when non-null.
+ * Check every trace of @p source on @p pool's workers and
+ * @p options.decoders ingest-side threads (see EnginePool::
+ * checkSource). Returns once every trace is *checked*: the findings
+ * are in pool.results(). Records the ingest counters on @p pool (its
+ * stats() carries them) and copies them to @p ingest when non-null.
  *
  * @return false when the source reports an error (the first error is
- *         copied to @p error when provided; remaining work is
- *         abandoned, already-submitted traces still drain).
+ *         copied to @p error when provided; remaining traces are
+ *         abandoned, the failed trace adds no findings, and traces
+ *         checked before it keep theirs).
  */
 bool ingest(TraceSource &source, EnginePool &pool,
             const IngestOptions &options, IngestStats *ingest,

@@ -30,11 +30,9 @@ PoolStats::str() const
         out << "ingest: " << ingest.bytesMapped << " bytes "
             << (ingest.mmapBacked ? "mmapped" : "buffered")
             << " from " << ingest.sources << " source(s), "
-            << ingest.tracesDecoded << " traces decoded on "
+            << ingest.tracesDecoded << " traces checked with "
             << ingest.decoders << " decoder(s), decode "
             << static_cast<double>(ingest.decodeNanos) * 1e-6
-            << " ms, ingest stalled "
-            << static_cast<double>(ingest.stallNanos) * 1e-6
             << " ms\n";
     }
     for (size_t i = 0; i < workers.size(); i++) {
@@ -130,8 +128,6 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
         w.member("traces_decoded", in.tracesDecoded);
         w.member("decode_ms",
                  static_cast<double>(in.decodeNanos) * 1e-6, 3);
-        w.member("stall_ms",
-                 static_cast<double>(in.stallNanos) * 1e-6, 3);
         w.endObject();
     }
     w.key("workers").beginArray();

@@ -37,31 +37,36 @@ struct WorkerStats
 };
 
 /**
- * Counters of the ingest stage feeding a pool: core::ingest()
+ * Counters of the ingest stage checking on a pool: core::ingest()
  * records them on the pool, so one PoolStats snapshot describes the
- * whole load→verdict pipeline — how the bytes came in, how long
- * decoding took, how long decoders stalled on backpressure.
+ * whole load→verdict pipeline — how the bytes came in and how long
+ * decoding took.
  */
 struct IngestStats
 {
     bool active = false;      ///< an ingest stage ran (renders stats)
     bool mmapBacked = false;  ///< all bytes were mmap'd (vs buffers)
-    uint32_t decoders = 0;    ///< decoder threads used
+    uint32_t decoders = 0;    ///< ingest-side checking threads used
     size_t sources = 1;       ///< leaf sources (files/shards) drained
     uint64_t bytesMapped = 0; ///< file bytes mapped/buffered
-    uint64_t tracesDecoded = 0;
-    uint64_t decodeNanos = 0; ///< summed decode time across decoders
-    uint64_t stallNanos = 0;  ///< summed time decoders were blocked
-                              ///< submitting into full pool queues
+    uint64_t tracesDecoded = 0; ///< traces claimed from the source
+    uint64_t decodeNanos = 0; ///< decode time summed over threads
+    /**
+     * Always 0: ingest has no queues to stall on. It remains only
+     * while bench/pipeline still reads it.
+     */
+    uint64_t stallNanos = 0;
 };
 
 /** Point-in-time snapshot of an engine pool's dispatch behaviour. */
 struct PoolStats
 {
     bool valid = false;             ///< taken from a live pool
+    /** Pool workers (or the inline engine), then source lanes. */
     std::vector<WorkerStats> workers;
     IngestStats ingest;             ///< offline file-ingest counters
     uint64_t tracesSubmitted = 0;   ///< traces accepted by submit*()
+                                    ///< or claimed from a source
     uint64_t tracesCompleted = 0;   ///< traces fully checked
     uint64_t batchesSubmitted = 0;  ///< submitBatch() calls
     uint64_t steals = 0;            ///< total stolen traces

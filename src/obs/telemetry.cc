@@ -22,8 +22,6 @@ stageName(Stage stage)
         return "pool.steal_scan";
       case Stage::IngestDecode:
         return "ingest.decode";
-      case Stage::IngestSubmit:
-        return "ingest.submit";
       case Stage::EngineCheck:
         return "engine.check";
       case Stage::ReportMerge:
@@ -76,8 +74,6 @@ counterName(Counter counter)
         return "steal_scans";
       case Counter::TracesStolen:
         return "traces_stolen";
-      case Counter::ChunksDecoded:
-        return "chunks_decoded";
       case Counter::TracesDecoded:
         return "traces_decoded";
       case Counter::TracesChecked:

@@ -74,8 +74,7 @@ enum class Stage : uint8_t
     PoolSubmit,        ///< EnginePool::submitBatch enqueue
     PoolStall,         ///< producer blocked on full queues (backpressure)
     StealScan,         ///< idle worker scanning peers for work to steal
-    IngestDecode,      ///< decoder team: one claimed chunk of traces
-    IngestSubmit,      ///< decoder flushing a batch into the pool
+    IngestDecode,      ///< one decode window of a claimed file trace
     EngineCheck,       ///< Engine::check — one trace through the kernel
     ReportMerge,       ///< merging a per-trace report into the aggregate
     ReportCanonicalize,///< sorting the merged report into canonical order
@@ -84,7 +83,7 @@ enum class Stage : uint8_t
     OracleEnumerate,   ///< crash-state oracle: one crash point explored
     // The check run's stage sequence (core::runCheckTool), in order.
     SessionOpen,        ///< sources, pool (or forked workers), services
-    SessionIngest,      ///< decoder team drains the source into the pool
+    SessionIngest,      ///< every pipeline thread claims and checks traces
     SessionGather,      ///< coordinator: reap workers, load their reports
     SessionDrain,       ///< wait for the pool, final gauge sample
     SessionMerge,       ///< take the pool aggregate / merge worker reports
@@ -94,7 +93,7 @@ enum class Stage : uint8_t
     SessionOutput       ///< stdout, exit metrics, timeline, finding events
 };
 
-inline constexpr size_t kStageCount = 21;
+inline constexpr size_t kStageCount = 20;
 
 /** Stable span/metric name of @p stage (e.g. "engine.check"). */
 const char *stageName(Stage stage);
@@ -109,8 +108,7 @@ enum class Counter : uint8_t
     SubmitStalls,    ///< producer-side backpressure stalls
     StealScans,      ///< successful steal sweeps
     TracesStolen,    ///< traces moved by stealing
-    ChunksDecoded,   ///< ingest decoder chunk claims
-    TracesDecoded,   ///< traces decoded from a file
+    TracesDecoded,   ///< traces ingest() claimed from its source
     TracesChecked,   ///< traces through Engine::check
     OpsChecked,      ///< PM ops through Engine::check
     ReportsMerged,   ///< per-trace reports merged into aggregates
@@ -133,7 +131,7 @@ enum class Counter : uint8_t
     PoolWakes
 };
 
-inline constexpr size_t kCounterCount = 23;
+inline constexpr size_t kCounterCount = 22;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);

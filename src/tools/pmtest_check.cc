@@ -79,12 +79,8 @@ main(int argc, char **argv)
                 "findings listed before truncating (default 50)");
     cli.addSize("--workers", &plan.workers,
                 "engine pool workers (0 = inline checking)");
-    cli.addSize("--queue-cap", &plan.queueCap,
-                "per-worker queue bound (0 = default)");
-    cli.addSize("--batch", &plan.batch,
-                "traces submitted to the pool at a time", 1);
     cli.addSize("--decoders", &plan.decoders,
-                "decoder threads feeding the pool", 1);
+                "checking threads besides the pool workers", 1);
     cli.addFlag("--stats", &plan.showStats,
                 "print dispatch/ingest counters (wins over --quiet)");
     cli.addString("--metrics-json", &plan.metricsJsonPath,

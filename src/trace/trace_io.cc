@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -144,51 +145,14 @@ encodeTraceBody(const Trace &trace, std::string *buf)
 }
 
 bool
-decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
-                std::deque<std::string> *arena)
+OpCursor::next(PmOp *out, size_t max, size_t *count)
 {
-    BodyCursor cursor(data, len);
-    uint64_t id;
-    uint32_t thread_id, op_count, string_count;
-    if (!cursor.read(&id) || !cursor.read(&thread_id) ||
-        !cursor.read(&op_count) || !cursor.read(&string_count)) {
-        return false;
-    }
-
-    // Each string costs at least its 4-byte length field, so a count
-    // the remaining bytes cannot hold is corrupt — reject it before
-    // it sizes an allocation.
-    if (string_count > cursor.remaining() / 4)
-        return false;
-    std::vector<const char *> files;
-    files.reserve(string_count);
-    for (uint32_t s = 0; s < string_count; s++) {
-        uint32_t name_len;
-        const uint8_t *bytes;
-        if (!cursor.read(&name_len) || name_len > kMaxNameLen ||
-            !cursor.readBytes(name_len, &bytes)) {
-            return false;
-        }
-        arena->emplace_back(reinterpret_cast<const char *>(bytes),
-                            name_len);
-        files.push_back(arena->back().c_str());
-    }
-
-    // Ops are fixed-width records, so one exact-size check covers
-    // the whole array — it also rejects trailing junk in the frame —
-    // and the per-op loop can read without further bounds checks.
-    // This is the hot loop of parallel ingest: seven field reads per
-    // op, ~25 M ops/s/decoder with per-field checks hoisted out.
-    constexpr size_t kOpBytes = 1 + 4 + 4 + 8 + 8 + 8 + 8;
-    if (cursor.remaining() != uint64_t{op_count} * kOpBytes)
-        return false;
-    const uint8_t *p;
-    if (!cursor.readBytes(op_count * kOpBytes, &p))
-        return false;
-
-    Trace trace(id, thread_id);
-    trace.reserve(op_count);
-    for (uint32_t i = 0; i < op_count; i++, p += kOpBytes) {
+    // The hot loop of offline checking: seven field reads per op,
+    // with every bounds check hoisted into openTraceBody's one
+    // exact-size check of the op array.
+    const size_t n = std::min<size_t>(max, remaining_);
+    const uint8_t *p = ops_;
+    for (size_t i = 0; i < n; i++, p += kOpBytes) {
         uint32_t file_idx, line;
         PmOp op;
         std::memcpy(&file_idx, p + 1, sizeof(file_idx));
@@ -198,13 +162,70 @@ decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
         std::memcpy(&op.addrB, p + 25, sizeof(op.addrB));
         std::memcpy(&op.sizeB, p + 33, sizeof(op.sizeB));
         op.type = static_cast<OpType>(*p);
-        if (file_idx >= files.size())
+        if (file_idx >= files_.size())
             return false;
         if (line != 0)
-            op.loc = SourceLocation(files[file_idx], line);
-        trace.append(op);
+            op.loc = SourceLocation(files_[file_idx], line);
+        out[i] = op;
     }
+    ops_ = p;
+    remaining_ -= n;
+    *count = n;
+    return true;
+}
+
+bool
+OpCursor::decodeAll(Trace *out)
+{
+    Trace trace(id_, threadId_);
+    std::vector<PmOp> &ops = trace.mutableOps();
+    ops.resize(remaining_);
+    size_t count;
+    if (!next(ops.data(), ops.size(), &count))
+        return false;
     *out = std::move(trace);
+    return true;
+}
+
+bool
+openTraceBody(const uint8_t *data, size_t len, OpCursor *out,
+              std::deque<std::string> *arena)
+{
+    BodyCursor cursor(data, len);
+    uint32_t string_count;
+    if (!cursor.read(&out->id_) || !cursor.read(&out->threadId_) ||
+        !cursor.read(&out->opCount_) || !cursor.read(&string_count)) {
+        return false;
+    }
+
+    // Each string costs at least its 4-byte length field, so a count
+    // the remaining bytes cannot hold is corrupt — reject it before
+    // it sizes an allocation.
+    if (string_count > cursor.remaining() / 4)
+        return false;
+    out->files_.clear();
+    out->files_.reserve(string_count);
+    for (uint32_t s = 0; s < string_count; s++) {
+        uint32_t name_len;
+        const uint8_t *bytes;
+        if (!cursor.read(&name_len) || name_len > kMaxNameLen ||
+            !cursor.readBytes(name_len, &bytes)) {
+            return false;
+        }
+        arena->emplace_back(reinterpret_cast<const char *>(bytes),
+                            name_len);
+        out->files_.push_back(arena->back().c_str());
+    }
+
+    // Ops are fixed-width records, so one exact-size check covers
+    // the whole array — it also rejects trailing junk in the frame —
+    // and next() can read without further bounds checks.
+    const uint64_t op_bytes = uint64_t{out->opCount_} * OpCursor::kOpBytes;
+    if (cursor.remaining() != op_bytes ||
+        !cursor.readBytes(static_cast<size_t>(op_bytes), &out->ops_)) {
+        return false;
+    }
+    out->remaining_ = out->opCount_;
     return true;
 }
 

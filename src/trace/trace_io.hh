@@ -78,14 +78,67 @@ uint32_t crc32(const void *data, size_t len, uint32_t crc = 0);
 void encodeTraceBody(const Trace &trace, std::string *buf);
 
 /**
- * Decode one trace body from memory with strict bounds checking:
- * never reads past data+len, and fails (returning false) on any
- * malformed field instead of guessing. File-name strings are
- * appended to @p arena (a deque: stable addresses under growth), and
- * the decoded ops point into it.
+ * One trace body opened for streaming: openTraceBody decodes the
+ * header and string table and checks the op array's exact size up
+ * front, then next() decodes the fixed-width op records a window at
+ * a time. The one op decode loop: decodeAll() runs it once over the
+ * whole array, windowed checking once per window.
  */
-bool decodeTraceBody(const uint8_t *data, size_t len, Trace *out,
-                     std::deque<std::string> *arena);
+class OpCursor
+{
+  public:
+    /** Bytes of one op record on the wire. */
+    static constexpr size_t kOpBytes = 1 + 4 + 4 + 8 + 8 + 8 + 8;
+
+    /** Trace id from the body header. */
+    uint64_t traceId() const { return id_; }
+
+    /** Producing thread id from the body header. */
+    uint32_t threadId() const { return threadId_; }
+
+    /** Op count from the body header. */
+    uint32_t opCount() const { return opCount_; }
+
+    /** Ops not yet decoded. */
+    size_t remaining() const { return remaining_; }
+
+    /**
+     * Decode the next min(@p max, remaining()) ops into @p out and
+     * set *@p count to that number.
+     * @return false when an op names a file index outside the string
+     *         table (the cursor is then unusable).
+     */
+    bool next(PmOp *out, size_t max, size_t *count);
+
+    /**
+     * Decode every remaining op into a fresh trace with this body's
+     * identity, replacing *@p out (untouched on failure).
+     */
+    bool decodeAll(Trace *out);
+
+  private:
+    friend bool openTraceBody(const uint8_t *data, size_t len,
+                              OpCursor *out,
+                              std::deque<std::string> *arena);
+
+    const uint8_t *ops_ = nullptr; ///< next undecoded op record
+    size_t remaining_ = 0;
+    uint64_t id_ = 0;
+    uint32_t threadId_ = 0;
+    uint32_t opCount_ = 0;
+    std::vector<const char *> files_; ///< string table, into the arena
+};
+
+/**
+ * Open one trace body for streaming, with strict bounds checking:
+ * never reads past data+len, and fails (returning false) on a
+ * malformed header or string table, or an op array whose size is
+ * not exactly the header's op count. File-name strings are appended
+ * to @p arena (a deque: stable addresses under growth), and the ops
+ * next() decodes point into it.
+ */
+bool openTraceBody(const uint8_t *data, size_t len, OpCursor *out,
+                   std::deque<std::string> *arena);
 
 /** Serialize traces to a binary stream. @return bytes written. */
 size_t saveTraces(std::ostream &out, const std::vector<Trace> &traces);

@@ -212,7 +212,9 @@ TraceFileReader::totalOps() const
 }
 
 bool
-TraceFileReader::decode(size_t i, DecodedTrace *out) const
+TraceFileReader::openTrace(
+    size_t i, OpCursor *cursor,
+    std::shared_ptr<std::deque<std::string>> *strings) const
 {
     if (i >= index_.size())
         return false;
@@ -220,19 +222,28 @@ TraceFileReader::decode(size_t i, DecodedTrace *out) const
     const size_t offset = static_cast<size_t>(e.offset);
     const uint64_t frame_len = load<uint64_t>(data_, offset);
 
-    out->strings = std::make_shared<std::deque<std::string>>();
-    if (!decodeTraceBody(data_ + offset + sizeof(uint64_t),
-                         static_cast<size_t>(frame_len), &out->trace,
-                         out->strings.get())) {
+    *strings = std::make_shared<std::deque<std::string>>();
+    // Cross-check the body against the index: a mismatch means the
+    // frame and the footer disagree — treat as corruption.
+    return openTraceBody(data_ + offset + sizeof(uint64_t),
+                         static_cast<size_t>(frame_len), cursor,
+                         strings->get()) &&
+           cursor->opCount() == e.opCount &&
+           cursor->threadId() == e.threadId;
+}
+
+bool
+TraceFileReader::decode(size_t i, DecodedTrace *out) const
+{
+    OpCursor cursor;
+    if (!openTrace(i, &cursor, &out->strings) ||
+        !cursor.decodeAll(&out->trace)) {
         return false;
     }
     // The trace co-owns its string arena, so a Report holding the
     // trace's arena stays valid after this reader is destroyed.
     out->trace.setArena(out->strings);
-    // Cross-check the decode against the index: a mismatch means the
-    // frame and the footer disagree — treat as corruption.
-    return out->trace.size() == e.opCount &&
-           out->trace.threadId() == e.threadId;
+    return true;
 }
 
 } // namespace pmtest

@@ -7,11 +7,10 @@
  * exact size accounting, frame chaining — and then decodes *one
  * trace per call* straight from its framed slice.
  *
- * That per-trace decode granularity is what enables pipelined
- * offline checking: a decoder thread team can fan the calls out and
- * feed the engine pool while later traces are still being decoded,
- * so peak memory is the in-flight window rather than the whole file
- * (pmtest_check --decoders=N; see core/trace_ingest.hh).
+ * Per-trace access is what lets every checking thread claim a whole
+ * trace and check it where it is decoded; openTrace() streams one
+ * trace's ops a fixed window at a time, so peak memory is one window
+ * per thread rather than whole traces (see core/trace_ingest.hh).
  *
  * Safety contract: open() fails closed on any structural damage
  * (truncation, corrupt footer, CRC mismatch, frame lengths that do
@@ -106,6 +105,18 @@ class TraceFileReader
 
     /** Bytes mapped (or buffered) for the whole file. */
     size_t sizeBytes() const { return size_; }
+
+    /**
+     * Open trace @p i for windowed decoding: the body header, string
+     * table and op-array size are validated, and the op count and
+     * thread id cross-checked against the index, before any op is
+     * decoded. The cursor's ops point into *@p strings (a fresh
+     * per-trace arena). Thread-safe like decode().
+     * @return false when the body is malformed (fails closed).
+     */
+    bool openTrace(size_t i, OpCursor *cursor,
+                   std::shared_ptr<std::deque<std::string>> *strings)
+        const;
 
     /**
      * Decode trace @p i from its framed slice. Thread-safe: the

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "obs/telemetry.hh"
+#include "util/clock.hh"
 
 namespace pmtest
 {
@@ -12,6 +13,14 @@ SourceError::str() const
 {
     return file + ": trace #" + std::to_string(traceIndex) + ": " +
            message;
+}
+
+PmOp *
+TraceConsumer::window()
+{
+    if (window_.empty())
+        window_.resize(kWindowOps);
+    return window_.data();
 }
 
 // ---------------------------------------------------------------------------
@@ -65,6 +74,24 @@ V2FileSource::sizeBytes() const
     return total;
 }
 
+void
+V2FileSource::decodeError(size_t index, SourceError *error) const
+{
+    if (error) {
+        error->file = path_;
+        error->traceIndex = index;
+        error->message = "corrupt trace body (decode failed)";
+    }
+}
+
+void
+V2FileSource::consumed(size_t index)
+{
+    consumedTraces_.fetch_add(1, std::memory_order_relaxed);
+    consumedBytes_.fetch_add(reader_->frameBytes(index),
+                             std::memory_order_relaxed);
+}
+
 TraceSource::Pull
 V2FileSource::pull(size_t max, std::vector<Trace> *out,
                    SourceError *error)
@@ -76,23 +103,50 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
     if (first >= end_)
         return Pull::End;
     const size_t last = std::min(end_, first + max);
-    uint64_t pulled_bytes = 0;
     for (size_t i = first; i < last; i++) {
         DecodedTrace decoded;
         if (!reader_->decode(i, &decoded)) {
-            if (error) {
-                error->file = path_;
-                error->traceIndex = i;
-                error->message = "corrupt trace body (decode failed)";
-            }
+            decodeError(i, error);
             return Pull::Error;
         }
         decoded.trace.setFileId(fileId_);
-        pulled_bytes += reader_->frameBytes(i);
         out->push_back(std::move(decoded.trace));
+        consumed(i);
     }
-    consumedTraces_.fetch_add(last - first, std::memory_order_relaxed);
-    consumedBytes_.fetch_add(pulled_bytes, std::memory_order_relaxed);
+    return Pull::Items;
+}
+
+TraceSource::Pull
+V2FileSource::checkNext(TraceConsumer &consumer, SourceError *error)
+{
+    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= end_)
+        return Pull::End;
+    Timer timer;
+    OpCursor ops;
+    std::shared_ptr<std::deque<std::string>> strings;
+    if (!reader_->openTrace(i, &ops, &strings)) {
+        decodeError(i, error);
+        return Pull::Error;
+    }
+    consumer.begin(ops.traceId(), fileId_);
+    PmOp *window = consumer.window();
+    while (ops.remaining() > 0) {
+        size_t count;
+        {
+            obs::SpanScope span(obs::Stage::IngestDecode);
+            if (!ops.next(window, TraceConsumer::kWindowOps, &count)) {
+                decodeError(i, error);
+                return Pull::Error;
+            }
+        }
+        consumer.addDecodeNanos(timer.elapsedNs());
+        consumer.feed(window, count);
+        timer.reset();
+    }
+    consumer.addDecodeNanos(timer.elapsedNs());
+    consumer.finish(std::move(strings));
+    consumed(i);
     return Pull::Items;
 }
 
@@ -154,6 +208,16 @@ CaptureTraceSource::pull(size_t max, std::vector<Trace> *out,
         head_ = 0;
     }
     return Pull::Items;
+}
+
+TraceSource::Pull
+CaptureTraceSource::checkNext(TraceConsumer &consumer, SourceError *error)
+{
+    std::vector<Trace> one;
+    const Pull result = pull(1, &one, error);
+    if (result == Pull::Items)
+        consumer.consume(one.front());
+    return result;
 }
 
 uint64_t
@@ -241,23 +305,40 @@ MultiTraceSource::consumedBytes() const
     return total;
 }
 
+template <typename Call>
 TraceSource::Pull
-MultiTraceSource::pull(size_t max, std::vector<Trace> *out,
-                       SourceError *error)
+MultiTraceSource::route(const Call &call)
 {
     size_t i = current_.load(std::memory_order_acquire);
     while (i < children_.size()) {
-        const Pull result = children_[i]->pull(max, out, error);
+        const Pull result = call(*children_[i]);
         if (result != Pull::End)
             return result;
         // This child is exhausted: advance the shared cursor past it
-        // (first puller to notice wins; losers just reload) and keep
-        // pulling from the next one.
+        // (first caller to notice wins; losers just reload) and keep
+        // claiming from the next one.
         current_.compare_exchange_strong(i, i + 1,
                                          std::memory_order_acq_rel);
         i = current_.load(std::memory_order_acquire);
     }
     return Pull::End;
+}
+
+TraceSource::Pull
+MultiTraceSource::pull(size_t max, std::vector<Trace> *out,
+                       SourceError *error)
+{
+    return route([&](TraceSource &child) {
+        return child.pull(max, out, error);
+    });
+}
+
+TraceSource::Pull
+MultiTraceSource::checkNext(TraceConsumer &consumer, SourceError *error)
+{
+    return route([&](TraceSource &child) {
+        return child.checkNext(consumer, error);
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,34 +1,40 @@
 /**
  * @file
- * TraceSource: the one abstraction every ingest path feeds through.
+ * TraceSource: the one abstraction every checking path reads traces
+ * through.
  *
  * The offline/online checking pipeline has two entry paths — the v2
  * indexed file reader and the in-process capture sink. A TraceSource
- * turns both into one shape: a thread-safe
- * provider that yields batches of decoded, identity-stamped traces,
- * so `core::ingest(TraceSource&, EnginePool&, …)` is the *only*
- * decoder-team/backpressure implementation in the repo.
+ * turns both into one thread-safe shape with two ways to consume it:
+ *  - checkNext() claims the next whole trace and runs it through the
+ *    caller's TraceConsumer (a checking engine). File sources decode
+ *    it a fixed window of ops at a time straight into the consumer,
+ *    so any number of threads can each claim, decode and check
+ *    traces with no queue between decode and check — the offline
+ *    path of `core::ingest` (paper §4.4: traces are independent, so
+ *    any thread can check any whole trace).
+ *  - pull() decodes whole traces into a vector, for callers that
+ *    want the Trace objects themselves (benches, tests).
  *
- * Identity model: every yielded trace carries a stable
- * (fileId, traceId) pair — fileId assigned per input source in input
- * order, traceId recorded by the producer — and every trace co-owns
- * the string arena its SourceLocations point into. Because
+ * Identity model: every trace carries a stable (fileId, traceId)
+ * pair — fileId assigned per input source in input order, traceId
+ * recorded by the producer — and its source locations point into a
+ * string arena the consumer receives with the trace. Because
  * `Report::canonicalize()` sorts findings by (fileId, traceId,
- * opIndex), any assignment of sources/shards to decoder threads
- * produces a byte-identical merged report.
+ * opIndex), any assignment of sources/shards to threads produces a
+ * byte-identical merged report.
  *
  * Implementations:
  *  - V2FileSource      whole v2 file, or a byte-range shard of one
  *                      ([begin, end) slice of the index footer);
- *                      decode happens on the *pulling* thread, so N
- *                      pullers decode N traces concurrently.
+ *                      decode happens on the claiming thread, so N
+ *                      threads decode N traces concurrently.
  *  - CaptureTraceSource the in-process capture sink: the program
- *                      under test pushes sealed traces, the ingest
- *                      pulls them — the online path rides the same
- *                      ingest loop as the offline one.
+ *                      under test pushes sealed traces, the checking
+ *                      threads claim them.
  *  - MultiTraceSource  an ordered set of child sources (multiple
  *                      files, or the shards of one file), drained in
- *                      order with cross-child pull parallelism.
+ *                      order with cross-child parallelism.
  */
 
 #ifndef PMTEST_TRACE_TRACE_SOURCE_HH
@@ -37,6 +43,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -65,9 +72,56 @@ struct SourceError
 };
 
 /**
- * A thread-safe provider of decoded traces. pull() may be called
- * concurrently from any number of decoder threads; each call claims
- * and decodes a disjoint batch.
+ * The checking side of TraceSource::checkNext: receives one claimed
+ * trace, either whole (consume) or as begin, one feed() per decode
+ * window, then finish. A trace whose decode fails part-way gets no
+ * finish(); the next begin() or consume() discards what it was fed.
+ * core's engine adapter implements it.
+ */
+class TraceConsumer
+{
+  public:
+    /** Ops one decode window holds (~112 KiB of PmOps). */
+    static constexpr size_t kWindowOps = 2048;
+
+    /** Arena a decoded trace's source locations point into. */
+    using Arena = std::shared_ptr<const std::deque<std::string>>;
+
+    virtual ~TraceConsumer() = default;
+
+    /** Consume a whole in-memory trace. */
+    virtual void consume(const Trace &trace) = 0;
+
+    /** Start a windowed trace; its ops follow through feed(). */
+    virtual void begin(uint64_t trace_id, uint32_t file_id) = 0;
+
+    /** The next @p count ops of the begun trace, in program order. */
+    virtual void feed(const PmOp *ops, size_t count) = 0;
+
+    /** The begun trace is complete; its locations live in @p arena. */
+    virtual void finish(Arena arena) = 0;
+
+    /**
+     * Reusable decode storage of kWindowOps ops for windowed sources,
+     * allocated on first use and kept for this consumer's lifetime.
+     */
+    PmOp *window();
+
+    /** Time sources spent decoding into this consumer (ns). */
+    uint64_t decodeNanos() const { return decodeNanos_; }
+
+    /** Account @p nanos of decode time (sources call this). */
+    void addDecodeNanos(uint64_t nanos) { decodeNanos_ += nanos; }
+
+  private:
+    std::vector<PmOp> window_;
+    uint64_t decodeNanos_ = 0;
+};
+
+/**
+ * A thread-safe provider of traces. checkNext() and pull() may be
+ * called concurrently from any number of threads; each call claims
+ * disjoint traces.
  */
 class TraceSource
 {
@@ -126,14 +180,25 @@ class TraceSource
      */
     virtual Pull pull(size_t max, std::vector<Trace> *out,
                       SourceError *error) = 0;
+
+    /**
+     * Claim the next trace and run it through @p consumer: Items when
+     * one trace was consumed to its end (stamped with its fileId),
+     * End when the source is exhausted, Error (with *error set, and
+     * no finish() for the failed trace) when it failed to decode.
+     * Blocks like pull().
+     */
+    virtual Pull checkNext(TraceConsumer &consumer,
+                           SourceError *error) = 0;
 };
 
 /**
  * A whole v2 indexed file, or a [begin, end) index slice of one
  * (a byte-range shard). Shards of the same file share one reader —
- * one mapping, one validation — via the shared_ptr. pull() claims a
- * run of indices from an atomic cursor and decodes outside any lock,
- * so concurrent pullers decode different traces in parallel.
+ * one mapping, one validation — via the shared_ptr. pull() and
+ * checkNext() claim indices from one atomic cursor and decode
+ * outside any lock, so concurrent callers decode different traces in
+ * parallel.
  */
 class V2FileSource final : public TraceSource
 {
@@ -159,6 +224,9 @@ class V2FileSource final : public TraceSource
     Pull pull(size_t max, std::vector<Trace> *out,
               SourceError *error) override;
 
+    /** Decodes the claimed trace a window at a time into @p consumer. */
+    Pull checkNext(TraceConsumer &consumer, SourceError *error) override;
+
     uint64_t consumedTraces() const override
     {
         return consumedTraces_.load(std::memory_order_relaxed);
@@ -175,6 +243,11 @@ class V2FileSource final : public TraceSource
     size_t end() const { return end_; }
 
   private:
+    /** Set *error to trace @p index's decode failure. */
+    void decodeError(size_t index, SourceError *error) const;
+    /** Count trace @p index as consumed. */
+    void consumed(size_t index);
+
     std::shared_ptr<const TraceFileReader> reader_;
     std::string path_; ///< bare file path (for SourceError)
     std::string name_; ///< path, possibly with a [shard/shards] tag
@@ -189,8 +262,9 @@ class V2FileSource final : public TraceSource
 /**
  * The in-process capture sink as a TraceSource: the program under
  * test pushes sealed traces (install sink() via pmtestSetTraceSink),
- * the checking side pulls them through the same ingest() loop the
- * offline paths use. pull() blocks until traces arrive or close().
+ * the checking side claims them through the same ingest() loop the
+ * offline paths use. pull() and checkNext() block until traces
+ * arrive or close().
  */
 class CaptureTraceSource final : public TraceSource
 {
@@ -216,6 +290,9 @@ class CaptureTraceSource final : public TraceSource
     Pull pull(size_t max, std::vector<Trace> *out,
               SourceError *error) override;
 
+    /** Checks the next pushed trace whole (consumer.consume). */
+    Pull checkNext(TraceConsumer &consumer, SourceError *error) override;
+
     uint64_t consumedTraces() const override;
 
   private:
@@ -232,7 +309,7 @@ class CaptureTraceSource final : public TraceSource
 /**
  * An ordered set of child sources drained front to back. Identity
  * comes from the children (each stamps its own fileId), so the
- * composite only routes pulls: concurrent pullers drain the current
+ * composite only routes claims: concurrent callers drain the current
  * child together and roll over to the next when it ends — shards and
  * multi-file sets parallelize across children with no barrier.
  */
@@ -261,7 +338,13 @@ class MultiTraceSource final : public TraceSource
     Pull pull(size_t max, std::vector<Trace> *out,
               SourceError *error) override;
 
+    Pull checkNext(TraceConsumer &consumer, SourceError *error) override;
+
   private:
+    /** Route @p call to the current child, rolling over ended ones. */
+    template <typename Call>
+    Pull route(const Call &call);
+
     std::vector<std::unique_ptr<TraceSource>> children_;
     std::string name_;
     std::atomic<size_t> current_{0}; ///< first non-exhausted child

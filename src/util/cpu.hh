@@ -38,7 +38,7 @@ size_t configuredWorkers();
 struct PipelineLayout
 {
     size_t workers;  ///< pool workers (0 = inline checking)
-    size_t decoders; ///< decoder threads (>= 1)
+    size_t decoders; ///< ingest-side checking threads (>= 1)
 };
 
 /**
@@ -46,8 +46,10 @@ struct PipelineLayout
  * single-core host checks inline with one decoder — extra threads
  * only add context switching (EXPERIMENTS.md, decoder scaling). A
  * multi-core host gives roughly a quarter of the cores (clamped to
- * 1..4) to decoding and the rest to engine workers, matching the
- * measured decode:check cost ratio. PMTEST_WORKERS / PMTEST_DECODERS
+ * 1..4) to the ingest side and the rest to engine workers; offline,
+ * every one of those threads claims, decodes and checks traces, so
+ * the split only sizes the pool for live checking. PMTEST_WORKERS /
+ * PMTEST_DECODERS
  * override the respective halves; explicit tool flags override both
  * (applied by the callers).
  */

@@ -181,6 +181,30 @@ TEST(EngineEdgeTest, OpenTxAndOpenTxCheckRegionBothReported)
     EXPECT_EQ(report.findings()[1].cause, Cause::TxCheckerOpenAtTraceEnd);
 }
 
+TEST(EngineEdgeTest, NestedTxCheckStartFails)
+{
+    // Regions do not nest. A second START must not silently drop the
+    // open region's writes: it is reported, and the open region keeps
+    // its write, which END then finds unpersisted.
+    Engine engine(ModelKind::X86);
+    const Report report = engine.check(makeTrace({
+        op(OpType::TxCheckStart),
+        PmOp::write(0x10, 64), // never flushed
+        op(OpType::TxCheckStart),
+        op(OpType::TxCheckEnd),
+    }));
+    ASSERT_EQ(report.failCount(), 2u) << report.str();
+    const Finding &nested = report.findings()[0];
+    EXPECT_EQ(nested.kind, FindingKind::Malformed);
+    EXPECT_EQ(nested.cause, Cause::TxCheckerNestedStart);
+    EXPECT_EQ(nested.opIndex, 2u);
+    EXPECT_EQ(findingMessage(nested),
+              "TX_CHECKER_START inside an open TX_CHECKER region");
+    EXPECT_STREQ(causeName(nested.cause), "tx-checker-nested-start");
+    EXPECT_EQ(report.findings()[1].kind, FindingKind::IncompleteTx);
+    EXPECT_EQ(report.findings()[1].opIndex, 3u);
+}
+
 TEST(EngineEdgeTest, SecondTxCheckRegionStartsFresh)
 {
     Engine engine(ModelKind::X86);

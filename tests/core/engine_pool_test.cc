@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/telemetry.hh"
+#include "trace/trace_source.hh"
 
 namespace pmtest::core
 {
@@ -434,6 +435,67 @@ TEST(EnginePoolTest, SubmitDuringResultsWakesForTheDrainer)
         observed += pool.takeResults().failCount();
     });
     EXPECT_EQ(observed, submitted + kProducers * kPerProducer);
+}
+
+/** A closed capture source holding @p n buggy traces. */
+std::unique_ptr<CaptureTraceSource>
+closedSource(uint64_t first_id, size_t n)
+{
+    auto source = std::make_unique<CaptureTraceSource>();
+    for (size_t i = 0; i < n; i++)
+        source->push(buggyTrace(first_id + i));
+    source->close();
+    return source;
+}
+
+TEST(EnginePoolTest, SourceJobRunsOnTheCallerOfAnInlinePool)
+{
+    EnginePool pool(ModelKind::X86, 0);
+    auto source = closedSource(0, 5);
+    IngestStats ingest;
+    ASSERT_TRUE(pool.checkSource(*source, 1, &ingest, nullptr));
+    EXPECT_EQ(ingest.tracesDecoded, 5u);
+    const PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.tracesSubmitted, 5u);
+    EXPECT_EQ(stats.tracesCompleted, 5u);
+    // The inline pseudo-worker, then the one caller lane that did
+    // the checking.
+    ASSERT_EQ(stats.workers.size(), 2u);
+    EXPECT_EQ(stats.workers[0].tracesChecked, 0u);
+    EXPECT_EQ(stats.workers[1].tracesChecked, 5u);
+    EXPECT_EQ(pool.tracesChecked(), 5u);
+    EXPECT_EQ(pool.results().failCount(), 5u);
+}
+
+TEST(EnginePoolTest, SourceJobsWhileAProducerSubmits)
+{
+    // Source jobs back to back on one pool — each posted to workers
+    // that may be parked, busy with queued live traces, or still
+    // leaving the previous job — while another thread keeps
+    // submitting: every trace is checked exactly once and every job
+    // returns.
+    EnginePool pool(ModelKind::X86, 3);
+    constexpr uint64_t kSubmitted = 300;
+    constexpr size_t kJobs = 20;
+    constexpr size_t kPerJob = 10;
+    withDeadline("source jobs racing live submits", [&] {
+        std::thread producer([&] {
+            for (uint64_t i = 0; i < kSubmitted; i++)
+                pool.submit(buggyTrace(100000 + i));
+        });
+        for (size_t job = 0; job < kJobs; job++) {
+            auto source = closedSource(job * kPerJob, kPerJob);
+            EXPECT_TRUE(
+                pool.checkSource(*source, 1 + job % 2, nullptr, nullptr));
+        }
+        producer.join();
+        pool.drain();
+    });
+    const PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.tracesSubmitted, kSubmitted + kJobs * kPerJob);
+    EXPECT_EQ(stats.tracesCompleted, stats.tracesSubmitted);
+    EXPECT_EQ(pool.tracesChecked(), stats.tracesSubmitted);
+    EXPECT_EQ(pool.takeResults().failCount(), stats.tracesSubmitted);
 }
 
 } // namespace

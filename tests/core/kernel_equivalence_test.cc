@@ -5,8 +5,10 @@
  * oracle (Dispatch::PerOp), and a reused (state-retaining) engine
  * must all emit byte-identical reports — (kind, opIndex, message) —
  * on random traces, on the Table 1 data-structure workloads, and on
- * the seeded-bug corpus, for every model. Batching and state reuse
- * are performance features, never semantic ones.
+ * the seeded-bug corpus, for every model; and a trace fed in windows
+ * (Engine::begin/feed/finish, the offline path) must report exactly
+ * what check() reports on it whole. Batching, state reuse and
+ * windowing are performance features, never semantic ones.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "core/engine.hh"
 #include "pmds/pm_map.hh"
 #include "trace/seed_corpus.hh"
+#include "trace/trace_source.hh"
 #include "txlib/obj_pool.hh"
 #include "util/random.hh"
 
@@ -200,6 +203,43 @@ TEST_P(KernelEquivalenceTest, ReusedEngineMatchesFreshEngine)
         // be idempotent.
         ASSERT_EQ(signature(reused.check(trace)), expected)
             << "round " << round;
+    }
+}
+
+TEST_P(KernelEquivalenceTest, WindowedFeedMatchesWholeTrace)
+{
+    // Every window size cuts write runs, TX regions and checker
+    // regions at different ops: 1 and 2 cut everything, 7 is coprime
+    // to the generator's shapes, the offline default covers most
+    // traces whole, and one larger than the trace is a single feed.
+    const ModelKind kind = GetParam();
+    Rng rng(0xd00d + static_cast<uint64_t>(kind));
+    for (const Engine::Dispatch dispatch :
+         {Engine::Dispatch::Batched, Engine::Dispatch::PerOp}) {
+        Engine whole(kind, dispatch);
+        Engine windowed(kind, dispatch);
+        for (int round = 0; round < 40; round++) {
+            // Several random traces back to back: long enough (~100-
+            // 300 ops) for small windows to cut every kind of run.
+            Trace trace(round, 0);
+            trace.setFileId(3);
+            for (int part = 0; part < 8; part++)
+                trace.append(randomTrace(rng, round, kind).ops());
+            const Report expected = whole.check(trace);
+            for (const size_t window :
+                 {size_t{1}, size_t{2}, size_t{7},
+                  TraceConsumer::kWindowOps, trace.size() + 5}) {
+                windowed.begin(trace.id(), trace.fileId());
+                for (size_t at = 0; at < trace.size(); at += window)
+                    windowed.feed(trace.ops().data() + at,
+                                  std::min(window, trace.size() - at));
+                const Report got = windowed.finish(trace.arena());
+                ASSERT_EQ(signature(got), signature(expected))
+                    << "round " << round << " window " << window;
+                ASSERT_EQ(got.str(), expected.str())
+                    << "round " << round << " window " << window;
+            }
+        }
     }
 }
 

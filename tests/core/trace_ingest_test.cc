@@ -2,8 +2,9 @@
  * @file
  * Unified-ingest tests: the arena-ownership regression (a Report
  * must stay valid after every pipeline object that produced it is
- * destroyed), multi-source ingest stats, and the engine's fileId
- * stamping of findings under every placement policy.
+ * destroyed, and only reports with findings hold arenas), multi-
+ * source ingest stats, the engine's fileId stamping of findings at
+ * every thread layout, and fail-closed decode errors mid-trace.
  */
 
 #include "core/trace_ingest.hh"
@@ -12,12 +13,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.hh"
 #include "trace/trace_io.hh"
+#include "trace/trace_reader.hh"
 
 namespace pmtest::core
 {
@@ -87,6 +90,128 @@ TEST(TraceIngestTest, ReportOutlivesEveryPipelineObject)
     }
 }
 
+/** A trace with no findings. */
+Trace
+cleanTrace(uint64_t id)
+{
+    Trace t(id, 0);
+    t.append(PmOp::write(0x2000, 64, SourceLocation("clean.cc", 1)));
+    t.append(PmOp::clwb(0x2000, 64, SourceLocation("clean.cc", 2)));
+    t.append(PmOp::sfence(SourceLocation("clean.cc", 3)));
+    t.append(PmOp::isPersist(0x2000, 64, SourceLocation("clean.cc", 4)));
+    return t;
+}
+
+TEST(TraceIngestTest, OnlyReportsWithFindingsHoldArenas)
+{
+    const std::string path = tmpPath("arena_clean");
+    {
+        std::vector<Trace> traces{cleanTrace(0), buggyTrace(1),
+                                  cleanTrace(2), cleanTrace(3)};
+        ASSERT_TRUE(saveTracesToFile(path, traces));
+    }
+
+    // Engine::check on decoded traces: the clean report drops its
+    // trace's arena, the buggy one keeps it — and still renders once
+    // the reader and the decoded trace are gone.
+    Report clean;
+    Report buggy;
+    {
+        auto reader = TraceFileReader::open(path);
+        ASSERT_TRUE(reader);
+        Engine engine(ModelKind::X86);
+        DecodedTrace decoded;
+        ASSERT_TRUE(reader->decode(0, &decoded));
+        clean = engine.check(decoded.trace);
+        ASSERT_TRUE(reader->decode(1, &decoded));
+        buggy = engine.check(decoded.trace);
+    }
+    EXPECT_TRUE(clean.clean());
+    EXPECT_TRUE(clean.arenas().empty());
+    ASSERT_EQ(buggy.failCount(), 1u);
+    EXPECT_EQ(buggy.arenas().size(), 1u);
+    EXPECT_NE(buggy.str().find("checker.cc:9"), std::string::npos)
+        << buggy.str();
+
+    // Through ingest, the aggregate keeps only the buggy trace's.
+    Report merged;
+    {
+        std::string error;
+        auto source =
+            openTraceSource(path, IngestMode::Auto, 0, &error);
+        ASSERT_TRUE(source) << error;
+        PoolOptions options;
+        options.workers = 2;
+        EnginePool pool(options);
+        IngestOptions ingest_options;
+        ingest_options.decoders = 2;
+        ASSERT_TRUE(
+            ingest(*source, pool, ingest_options, nullptr, nullptr));
+        merged = pool.takeResults();
+    }
+    std::remove(path.c_str());
+    EXPECT_EQ(merged.arenas().size(), 1u);
+    ASSERT_EQ(merged.failCount(), 1u);
+    EXPECT_NE(merged.str().find("checker.cc:9"), std::string::npos)
+        << merged.str();
+}
+
+TEST(TraceIngestTest, CorruptLastOpFailsWithoutPartialFindings)
+{
+    // Trace 1 spans several decode windows and has a finding in its
+    // first window; only its very last op is corrupt (a file index
+    // outside its string table), which open-time validation cannot
+    // see. The run must fail with the usual error, trace 1 must add
+    // no finding, and trace 0's finding stays.
+    const std::string path = tmpPath("corrupt_last_op");
+    {
+        Trace big = buggyTrace(1);
+        while (big.size() < 2 * TraceConsumer::kWindowOps + 100)
+            big.append(PmOp::sfence(SourceLocation("workload.cc", 44)));
+        std::vector<Trace> traces{buggyTrace(0), big};
+        ASSERT_TRUE(saveTracesToFile(path, traces));
+        // The last op record ends where the index begins.
+        std::fstream f(path, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        f.seekg(0, std::ios::end);
+        const std::streamoff index_offset =
+            static_cast<std::streamoff>(f.tellg()) -
+            static_cast<std::streamoff>(TraceWire::kFooterBytes +
+                                        2 * TraceWire::kIndexEntryBytes);
+        f.seekp(index_offset -
+                static_cast<std::streamoff>(OpCursor::kOpBytes) + 1);
+        const uint32_t bogus = 7;
+        f.write(reinterpret_cast<const char *>(&bogus), sizeof(bogus));
+    }
+
+    for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+        for (const size_t decoders : {size_t{1}, size_t{2}}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " decoders=" + std::to_string(decoders));
+            std::string open_error;
+            auto source =
+                openTraceSource(path, IngestMode::Auto, 0, &open_error);
+            ASSERT_TRUE(source) << open_error;
+            PoolOptions pool_options;
+            pool_options.workers = workers;
+            EnginePool pool(pool_options);
+            IngestOptions options;
+            options.decoders = decoders;
+            SourceError error;
+            EXPECT_FALSE(ingest(*source, pool, options, nullptr, &error));
+            EXPECT_EQ(error.str(), path + ": trace #1: corrupt trace "
+                                          "body (decode failed)");
+            const Report merged = pool.takeResults();
+            ASSERT_EQ(merged.findings().size(), 1u) << merged.str();
+            EXPECT_EQ(merged.findings()[0].traceId, 0u);
+            const PoolStats stats = pool.stats();
+            EXPECT_EQ(stats.tracesSubmitted, 1u);
+            EXPECT_EQ(stats.tracesCompleted, 1u);
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(TraceIngestTest, MergePropagatesHeldArenas)
 {
     const std::string path = tmpPath("merge_arenas");
@@ -126,9 +251,10 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
         ASSERT_TRUE(saveTracesToFile(path_a, a));
     }
 
-    // The one placement (shared cursor, round-robin submitBatch) at
-    // every decoder/worker width, inline pools included, over the same
-    // two-child source: identical canonical reports and counters.
+    // The pull path — every worker and decoder claims traces from
+    // the one shared cursor — at every decoder/worker width, inline
+    // pools included, over the same file + capture source: identical
+    // canonical reports and counters.
     std::string first_report;
     for (const size_t decoders : {size_t{1}, size_t{2}, size_t{4}}) {
         for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
@@ -177,6 +303,15 @@ TEST(TraceIngestTest, MultiSourceStatsAndFileIdStamping)
                       stats.tracesDecoded);
             EXPECT_EQ(pool_stats.ingest.sources, stats.sources);
             EXPECT_EQ(pool_stats.ingest.decoders, stats.decoders);
+
+            // Claimed traces count as submitted and completed, and
+            // the per-thread counters cover every checking thread.
+            EXPECT_EQ(pool_stats.tracesSubmitted, 3u);
+            EXPECT_EQ(pool_stats.tracesCompleted, 3u);
+            uint64_t per_thread = 0;
+            for (const WorkerStats &w : pool_stats.workers)
+                per_thread += w.tracesChecked;
+            EXPECT_EQ(per_thread, 3u);
 
             Report merged = pool.results();
             EXPECT_EQ(pool.tracesChecked(), 3u);

@@ -331,8 +331,9 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
     t.resetForTest();
     t.enableSpans();
 
-    // capture → file → mmap ingest → pool → merged report, all in
-    // this process so one export sees every stage.
+    // capture → file → mmap ingest → merged report, and the same
+    // traces through the live submit path, all in this process so one
+    // export sees every stage of both.
     TraceCapture capture(0);
     capture.start();
     std::vector<Trace> traces;
@@ -360,9 +361,9 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
         core::EnginePool pool(options);
         core::IngestOptions ingest;
         ingest.decoders = 2;
-        ingest.batch = 4;
         ASSERT_TRUE(
             core::ingest(*source, pool, ingest, nullptr, nullptr));
+        pool.submitBatch(traces);
         core::Report merged = pool.results();
         merged.canonicalize();
     }
@@ -375,10 +376,10 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
     ASSERT_TRUE(JsonParser(w.str()).parse(&doc));
 
     // Stall and steal stages only fire under backpressure/imbalance,
-    // so assert the seven deterministic stages of this pipeline.
+    // so assert the six deterministic stages of this pipeline.
     for (const Stage stage :
          {Stage::CaptureSeal, Stage::PoolSubmit, Stage::IngestDecode,
-          Stage::IngestSubmit, Stage::EngineCheck, Stage::ReportMerge,
+          Stage::EngineCheck, Stage::ReportMerge,
           Stage::ReportCanonicalize}) {
         EXPECT_NE(w.str().find(std::string{"\"name\":\""} +
                                stageName(stage) + "\""),
@@ -389,8 +390,9 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
     const MetricsSnapshot snap = t.metrics();
     EXPECT_EQ(snap.counter(Counter::TracesSealed), 16u);
     EXPECT_EQ(snap.counter(Counter::TracesDecoded), 16u);
-    EXPECT_EQ(snap.counter(Counter::TracesChecked), 16u);
-    EXPECT_EQ(snap.counter(Counter::ReportsMerged), 16u);
+    EXPECT_EQ(snap.counter(Counter::TracesSubmitted), 16u);
+    EXPECT_EQ(snap.counter(Counter::TracesChecked), 32u);
+    EXPECT_EQ(snap.counter(Counter::ReportsMerged), 32u);
     t.resetForTest();
 }
 #endif // PMTEST_TELEMETRY_ENABLED

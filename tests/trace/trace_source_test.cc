@@ -89,7 +89,6 @@ checkVerdict(TraceSource &source, size_t decoders, size_t workers)
     core::EnginePool pool(options);
     core::IngestOptions ingest_options;
     ingest_options.decoders = decoders;
-    ingest_options.batch = 4;
     SourceError error;
     EXPECT_TRUE(core::ingest(source, pool, ingest_options, nullptr,
                              &error))
@@ -368,6 +367,103 @@ TEST(TraceSourceTest, DecodeErrorNamesFileAndTraceIndex)
         << error.str();
 
     std::remove(path.c_str());
+}
+
+/** Rebuilds what checkNext() streams into it, window by window. */
+class RecordingConsumer final : public TraceConsumer
+{
+  public:
+    void consume(const Trace &trace) override
+    {
+        got = trace;
+        windows.assign(1, trace.size());
+        whole = true;
+    }
+
+    void begin(uint64_t trace_id, uint32_t file_id) override
+    {
+        got = Trace(trace_id, 0);
+        got.setFileId(file_id);
+        windows.clear();
+        whole = false;
+    }
+
+    void feed(const PmOp *ops, size_t count) override
+    {
+        got.append(std::vector<PmOp>(ops, ops + count));
+        windows.push_back(count);
+    }
+
+    void finish(Arena a) override { arena = std::move(a); }
+
+    Trace got;
+    std::vector<size_t> windows;
+    bool whole = false;
+    Arena arena;
+};
+
+TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
+{
+    // Trace 1 spans several windows; traces 0 and 2 fit in one.
+    constexpr size_t kWindow = TraceConsumer::kWindowOps;
+    std::vector<Trace> traces{sampleTrace(0, 1, 2),
+                              sampleTrace(1, 2, kWindow),
+                              sampleTrace(2, 3, 1)};
+    const std::string path = tmpPath("check_next");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+    std::string error;
+    auto source = openTraceSource(path, IngestMode::Auto, 5, &error);
+    ASSERT_TRUE(source) << error;
+
+    RecordingConsumer consumer;
+    for (const Trace &expected : traces) {
+        SourceError source_error;
+        ASSERT_EQ(source->checkNext(consumer, &source_error),
+                  TraceSource::Pull::Items);
+        EXPECT_FALSE(consumer.whole);
+        EXPECT_EQ(consumer.got.id(), expected.id());
+        EXPECT_EQ(consumer.got.fileId(), 5u);
+        ASSERT_EQ(consumer.got.size(), expected.size());
+        for (size_t i = 0; i < expected.size(); i++) {
+            const PmOp &a = consumer.got.ops()[i];
+            const PmOp &b = expected.ops()[i];
+            ASSERT_EQ(a.type, b.type) << i;
+            ASSERT_EQ(a.addr, b.addr) << i;
+            ASSERT_EQ(a.size, b.size) << i;
+            ASSERT_EQ(a.loc.str(), b.loc.str()) << i;
+        }
+        // Full windows, then the remainder.
+        const size_t full = expected.size() / kWindow;
+        ASSERT_EQ(consumer.windows.size(),
+                  full + (expected.size() % kWindow != 0));
+        for (size_t w = 0; w < full; w++)
+            EXPECT_EQ(consumer.windows[w], kWindow);
+        // The locations point into the arena handed to finish().
+        ASSERT_TRUE(consumer.arena);
+        EXPECT_FALSE(consumer.arena->empty());
+    }
+    EXPECT_EQ(source->consumedTraces(), traces.size());
+    EXPECT_EQ(source->consumedBytes(), source->sizeBytes() -
+                                           TraceWire::kHeaderBytes -
+                                           TraceWire::kFooterBytes -
+                                           3 * TraceWire::kIndexEntryBytes);
+    SourceError source_error;
+    EXPECT_EQ(source->checkNext(consumer, &source_error),
+              TraceSource::Pull::End);
+    std::remove(path.c_str());
+
+    // A capture source hands each pushed trace over whole.
+    CaptureTraceSource capture("<capture>", 4);
+    capture.push(sampleTrace(9, 0, 3));
+    capture.close();
+    ASSERT_EQ(capture.checkNext(consumer, &source_error),
+              TraceSource::Pull::Items);
+    EXPECT_TRUE(consumer.whole);
+    EXPECT_EQ(consumer.got.id(), 9u);
+    EXPECT_EQ(consumer.got.fileId(), 4u);
+    EXPECT_EQ(capture.consumedTraces(), 1u);
+    EXPECT_EQ(capture.checkNext(consumer, &source_error),
+              TraceSource::Pull::End);
 }
 
 TEST(TraceSourceTest, SourceErrorRendersFileAndIndex)
