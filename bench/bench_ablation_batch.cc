@@ -38,13 +38,11 @@ emitTransaction(uint8_t *heap, size_t tx_index)
 }
 
 double
-run(size_t n_tx, size_t batch, size_t trace_batch = 1)
+run(size_t n_tx, size_t batch)
 {
     std::vector<uint8_t> heap(1 << 20, 0);
 
-    Config config;
-    config.traceBatch = trace_batch;
-    pmtestInit(config);
+    pmtestInit(Config{});
     pmtestThreadInit();
     pmtestStart();
 
@@ -83,24 +81,6 @@ main()
     std::printf("%s\n", table.str().c_str());
     std::printf("Expected shape: a moderate batch is fastest; "
                 "per-transaction traces pay dispatch cost, giant "
-                "traces lose pipelining.\n\n");
-
-    // Producer-side dispatch batching (Config::traceBatch): traces
-    // stay small (1 tx each, best checking granularity) but are
-    // submitted N at a time under one queue lock.
-    bench::banner("Ablation A3b",
-                  "dispatch batching: traces per submit (1 tx/trace)");
-    const size_t trace_batches[] = {1, 4, 16, 64};
-    TextTable table2;
-    table2.header({"traces/submit", "time(s)", "ktx/s"});
-    for (size_t trace_batch : trace_batches) {
-        const double sec = run(n_tx, 1, trace_batch);
-        table2.row({std::to_string(trace_batch), fmtDouble(sec, 4),
-                    fmtDouble(n_tx / sec / 1e3, 1)});
-    }
-    std::printf("%s\n", table2.str().c_str());
-    std::printf("Expected shape: batching amortizes per-submit queue "
-                "locking without giving up per-transaction checking "
-                "granularity.\n");
+                "traces lose pipelining.\n");
     return 0;
 }

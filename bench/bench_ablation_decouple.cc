@@ -7,9 +7,9 @@
  * two workers, quantifying what decoupling buys.
  *
  * Two dispatch experiments follow:
- *  - skewed trace sizes: one 100k-op trace among thousands of 100-op
- *    traces, dispatched round-robin to 4 workers. A quarter of the
- *    small traces queue behind the giant; idle workers steal them, so
+ *  - skewed trace sizes: one 100k-op trace, then a thousand 100-op
+ *    traces, submitted one at a time to 4 workers sharing one queue.
+ *    The giant pins one worker; the others take the small traces, so
  *    every small result is ready long before the giant's.
  *  - bounded backpressure: a fast producer against a single worker
  *    with a small queue capacity — the queue depth stays at the
@@ -75,34 +75,28 @@ runSkewed(size_t giant_ops, size_t smalls)
     options.workers = 4;
     core::EnginePool pool(options);
 
-    // The giant goes first (round-robin lands it on worker 0); the
-    // smalls follow in dispatch batches so the producer keeps every
-    // queue backlogged — the measurement is then checking-bound and
-    // the small-trace latency shows who drains the giant's queue.
-    constexpr size_t kDispatchBatch = 64;
+    // The giant goes first and pins the worker that takes it; the
+    // producer outruns the checkers, so the queue stays backlogged —
+    // the measurement is then checking-bound and the small-trace
+    // latency shows whether the other workers serve the queue.
     Timer timer;
-    pool.submit(std::move(traces[0]));
-    std::vector<Trace> batch;
-    batch.reserve(kDispatchBatch);
-    for (size_t i = 1; i < traces.size(); i++) {
-        batch.push_back(std::move(traces[i]));
-        if (batch.size() == kDispatchBatch) {
-            pool.submitBatch(std::move(batch));
-            batch.clear();
-        }
-    }
-    pool.submitBatch(std::move(batch));
-
+    for (Trace &trace : traces)
+        pool.submit(std::move(trace));
+    // A concurrent drain wakes a parked worker for a backlog left
+    // below the wake mark.
     SkewResult result;
+    std::thread drainer([&] {
+        pool.drain();
+        result.totalSeconds = timer.elapsedSec();
+    });
+
     // Head-of-line metric: when is every *small* trace's result
-    // ready? Round-robin parks a quarter of them behind the giant
-    // (checked >= smalls leaves at most one trace outstanding, so the
-    // error is one small trace).
+    // ready? (checked >= smalls leaves at most one trace outstanding,
+    // so the error is one small trace.)
     while (pool.tracesChecked() < smalls)
         std::this_thread::sleep_for(std::chrono::microseconds(100));
     result.smallsSeconds = timer.elapsedSec();
-    pool.drain();
-    result.totalSeconds = timer.elapsedSec();
+    drainer.join();
     result.stats = pool.stats();
     return result;
 }
@@ -120,7 +114,7 @@ runBackpressure(size_t capacity, size_t traces)
     Timer timer;
     for (size_t i = 0; i < traces; i++) {
         pool.submit(makeTrace(i, 300, 64));
-        max_depth = std::max(max_depth, pool.stats().queuedTraces());
+        max_depth = std::max(max_depth, pool.stats().queuedTraces);
     }
     pool.drain();
     const double sec = timer.elapsedSec();
@@ -185,16 +179,15 @@ main()
     const size_t giant_ops = 100000 * bench::scale();
     const size_t smalls = 1000 * bench::scale();
     // Best-of-3 (on the head-of-line metric) to de-noise.
-    SkewResult stealing = runSkewed(giant_ops, smalls);
+    SkewResult skew = runSkewed(giant_ops, smalls);
     for (int rep = 1; rep < 3; rep++) {
         SkewResult s = runSkewed(giant_ops, smalls);
-        if (s.smallsSeconds < stealing.smallsSeconds)
-            stealing = s;
+        if (s.smallsSeconds < skew.smallsSeconds)
+            skew = s;
     }
-    std::printf("smalls done %s s, all done %s s, %llu steals\n",
-                fmtDouble(stealing.smallsSeconds, 3).c_str(),
-                fmtDouble(stealing.totalSeconds, 3).c_str(),
-                static_cast<unsigned long long>(stealing.stats.steals));
+    std::printf("smalls done %s s, all done %s s\n",
+                fmtDouble(skew.smallsSeconds, 3).c_str(),
+                fmtDouble(skew.totalSeconds, 3).c_str());
     // 4 workers + 1 producer want 5 cores; below that, go through
     // the shared detection helper (PMTEST_WORKERS overrides it, so a
     // CI pin or a big-machine run can force either note path).
@@ -205,9 +198,9 @@ main()
                     "speedup shows in 'all done' too.\n",
                     cores);
     }
-    std::printf("%s\n", stealing.stats.str().c_str());
+    std::printf("%s\n", skew.stats.str().c_str());
     std::printf("Expected shape: smalls done well before all done — "
-                "idle workers steal the small traces round-robined "
+                "the idle workers take the small traces queued "
                 "behind the 100k-op trace while the giant is still "
                 "being checked.\n\n");
 

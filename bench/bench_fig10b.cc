@@ -34,7 +34,7 @@ main()
                   "checker-share"});
 
     Stats share_all;
-    uint64_t steals = 0, stall_ns = 0;
+    uint64_t stall_ns = 0;
     for (pmds::MapKind kind : pmds::kAllMapKinds) {
         for (size_t tx_size : tx_sizes) {
             MicrobenchConfig config;
@@ -47,10 +47,8 @@ main()
                 for (int rep = 0; rep < kReps; rep++) {
                     const auto run = runMicrobench(config, tool);
                     sec = std::min(sec, run.seconds);
-                    if (tool == Tool::PMTest) {
-                        steals += run.poolStats.steals;
+                    if (tool == Tool::PMTest)
                         stall_ns += run.poolStats.producerStallNanos;
-                    }
                 }
                 return sec;
             };
@@ -78,9 +76,8 @@ main()
     std::printf("Checker share of total overhead: avg %.1f%% "
                 "(paper: 18.9-37.8%%)\n",
                 share_all.mean());
-    std::printf("dispatch: %llu steals, %.1f ms producer stall across "
-                "the PMTest runs\n",
-                static_cast<unsigned long long>(steals),
+    std::printf("dispatch: %.1f ms producer stall across the PMTest "
+                "runs\n",
                 static_cast<double>(stall_ns) * 1e-6);
     return 0;
 }

@@ -94,7 +94,6 @@ pmfsWorkload(bool oltp)
     };
 }
 
-uint64_t g_steals = 0;   ///< stolen traces across PMTest runs
 uint64_t g_stall_ns = 0; ///< producer stall across PMTest runs
 
 double
@@ -104,10 +103,8 @@ bestOf(Tool tool, const StagedWorkload &workload, int reps)
     for (int i = 0; i < reps; i++) {
         const RunResult run = runStaged(tool, workload);
         best = std::min(best, run.seconds);
-        if (tool == Tool::PMTest) {
-            g_steals += run.poolStats.steals;
+        if (tool == Tool::PMTest)
             g_stall_ns += run.poolStats.producerStallNanos;
-        }
     }
     return best;
 }
@@ -158,9 +155,8 @@ main()
     std::printf("PMTest slowdown on real workloads: avg %s "
                 "(paper: 1.69x avg, 1.33-1.98x range)\n",
                 bench::fmtSlowdown(pmtest_all.mean()).c_str());
-    std::printf("dispatch: %llu steals, %.1f ms producer stall across "
-                "the PMTest runs\n",
-                static_cast<unsigned long long>(g_steals),
+    std::printf("dispatch: %.1f ms producer stall across the PMTest "
+                "runs\n",
                 static_cast<double>(g_stall_ns) * 1e-6);
     return 0;
 }

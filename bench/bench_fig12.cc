@@ -10,9 +10,9 @@
  *      inter-thread communication.
  *
  * Each measured point also snapshots the engine pool's dispatch
- * statistics (steals, steal scans, producer stall time, queue
- * capacity, batch count) from its fastest tool run, so a slowdown can
- * be attributed to backpressure or load imbalance instead of guessed
+ * statistics (per-worker traces and ops, producer stall time, queue
+ * capacity) from its fastest tool run, so a slowdown can be
+ * attributed to backpressure or load imbalance instead of guessed
  * at. --json=PATH dumps points + dispatch stats for CI trend
  * tracking, plus the process's voluntary and involuntary context
  * switches over each measured run (getrusage deltas) and, for tool
@@ -184,7 +184,7 @@ sweep(const char *tag, const char *title,
     std::printf("%s\n", title);
     TextTable table;
     table.header({"app-threads", "engine-workers", "memslap", "ycsb",
-                  "steals", "stall-ms"});
+                  "stall-ms"});
     for (const auto &[threads, workers] : grid) {
         Point p;
         p.sweep = tag;
@@ -196,7 +196,6 @@ sweep(const char *tag, const char *title,
         table.row({std::to_string(threads), std::to_string(workers),
                    pmtest::bench::fmtSlowdown(p.memslap.slowdown),
                    pmtest::bench::fmtSlowdown(p.ycsb.slowdown),
-                   std::to_string(stats.steals),
                    fmtDouble(stats.producerStallNanos / 1e6, 1)});
         points.push_back(std::move(p));
     }

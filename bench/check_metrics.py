@@ -33,7 +33,7 @@ REQUIRED_PROM = [
     "pmtest_snapshot_nanoseconds",
     "pmtest_traces_checked_total",
     "pmtest_pool_inflight_traces",
-    "pmtest_worker_queue_depth",
+    "pmtest_pool_queued_traces",
     "pmtest_ingest_traces_consumed",
     "pmtest_ingest_bytes_consumed",
     "pmtest_process_resident_bytes",

@@ -15,10 +15,6 @@ namespace pmtest
 namespace
 {
 
-/**
- * The process-wide framework state behind the PMTest_* API. One
- * instance exists at a time; pmtestInit()/pmtestExit() manage it.
- */
 /** Build engine-pool options from the public config. */
 core::PoolOptions
 poolOptions(const Config &config)
@@ -30,61 +26,18 @@ poolOptions(const Config &config)
     return options;
 }
 
+/**
+ * The process-wide framework state behind the PMTest_* API. One
+ * instance exists at a time; pmtestInit()/pmtestExit() manage it.
+ */
 class Framework
 {
   public:
-    explicit Framework(const Config &config)
-        : config_(config), pool_(poolOptions(config))
+    explicit Framework(const Config &config) : pool_(poolOptions(config))
     {
     }
 
-    /** Pending batched traces must reach the pool before it drains. */
-    ~Framework() { flushBatches(); }
-
-    const Config &config() const { return config_; }
     core::EnginePool &enginePool() { return pool_; }
-
-    /**
-     * Submit one sealed trace, honoring Config::traceBatch: small
-     * traces accumulate in a per-thread buffer and go to the pool as
-     * one dispatch unit.
-     */
-    void
-    submitSealed(Trace trace)
-    {
-        if (config_.traceBatch <= 1) {
-            pool_.submit(std::move(trace));
-            return;
-        }
-        ThreadBatch &batch = threadBatch();
-        std::vector<Trace> full;
-        {
-            std::lock_guard<std::mutex> lock(batch.mutex);
-            batch.traces.push_back(std::move(trace));
-            if (batch.traces.size() >= config_.traceBatch)
-                full = std::move(batch.traces);
-        }
-        if (!full.empty())
-            pool_.submitBatch(std::move(full));
-    }
-
-    /** Push every thread's batched traces into the pool. */
-    void
-    flushBatches()
-    {
-        if (config_.traceBatch <= 1)
-            return;
-        std::lock_guard<std::mutex> lock(captureMutex_);
-        for (auto &batch : batches_) {
-            std::vector<Trace> pending;
-            {
-                std::lock_guard<std::mutex> bl(batch->mutex);
-                pending = std::move(batch->traces);
-            }
-            if (!pending.empty())
-                pool_.submitBatch(std::move(pending));
-        }
-    }
 
     /** Get or create the calling thread's capture. */
     TraceCapture &
@@ -144,34 +97,10 @@ class Framework
     std::mutex traceSinkMutex;
 
   private:
-    /** One thread's not-yet-submitted sealed traces. */
-    struct ThreadBatch
-    {
-        std::mutex mutex;
-        std::vector<Trace> traces;
-    };
-
-    /** Get or create the calling thread's batch buffer. */
-    ThreadBatch &
-    threadBatch()
-    {
-        thread_local ThreadBatch *tls = nullptr;
-        thread_local uint64_t tls_generation = 0;
-        if (tls == nullptr || tls_generation != generation_) {
-            std::lock_guard<std::mutex> lock(captureMutex_);
-            batches_.push_back(std::make_unique<ThreadBatch>());
-            tls = batches_.back().get();
-            tls_generation = generation_;
-        }
-        return *tls;
-    }
-
-    Config config_;
     uint64_t generation_ = 0;
     core::EnginePool pool_;
     std::mutex captureMutex_;
     std::vector<std::unique_ptr<TraceCapture>> captures_;
-    std::vector<std::unique_ptr<ThreadBatch>> batches_;
     std::mutex varMutex_;
     std::unordered_map<std::string, std::pair<const void *, size_t>> vars_;
 };
@@ -320,7 +249,7 @@ pmtestSendTrace()
         fw->traceSink(cap.seal());
         return;
     }
-    fw->submitSealed(cap.seal());
+    fw->enginePool().submit(cap.seal());
 }
 
 void
@@ -339,7 +268,6 @@ pmtestGetResult()
     Framework *fw = framework();
     if (!fw)
         return;
-    fw->flushBatches();
     fw->enginePool().drain();
 }
 
@@ -368,7 +296,6 @@ pmtestResults()
     Framework *fw = framework();
     if (!fw)
         return core::Report();
-    fw->flushBatches();
     return fw->enginePool().results();
 }
 
@@ -378,7 +305,6 @@ pmtestClearResults()
     Framework *fw = framework();
     if (!fw)
         return;
-    fw->flushBatches();
     fw->enginePool().clearResults();
 }
 

@@ -38,19 +38,12 @@ struct Config
     /** Engine worker threads; 0 checks traces inline (ablation). */
     size_t workers = 1;
     /**
-     * Per-worker trace queue bound; a full queue blocks the producer
-     * (backpressure). 0 = automatic: PMTEST_QUEUE_CAP when it parses
-     * as a whole number (0 there means unbounded), else
-     * max(16, 1024 / workers) — a fixed total backlog split across
-     * the queues.
+     * Bound of the trace queue all workers pop, in traces; a full
+     * queue blocks the producer (backpressure). 0 = the paper's
+     * 1,024-entry FIFO (core::PoolOptions::kDefaultQueueCapacity);
+     * core::PoolOptions::kUnboundedQueue = no bound.
      */
     size_t queueCapacity = 0;
-    /**
-     * Seal-side batching: sealed traces accumulate per thread and are
-     * submitted N at a time as one dispatch unit, amortizing queue
-     * locking for workloads that seal many small traces. 1 disables.
-     */
-    size_t traceBatch = 1;
 };
 
 /** @{ Framework lifecycle (paper: PMTest_INIT / PMTest_EXIT). */
@@ -158,8 +151,8 @@ pmem::PmPool *pmtestAttachedPool();
 uint64_t pmtestTracesSubmitted();
 uint64_t pmtestOpsRecorded();
 /**
- * Dispatch statistics of the engine pool (queue depths, steals,
- * producer stall time). Empty when the framework is not initialized.
+ * Dispatch statistics of the engine pool (queue depth, producer
+ * stall time). Empty when the framework is not initialized.
  */
 core::PoolStats pmtestPoolStats();
 /** @} */

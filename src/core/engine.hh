@@ -46,9 +46,11 @@ namespace pmtest::core
  * worker thread owns one. check() is stateless across traces — every
  * trace observes a pristine shadow memory, matching the paper's
  * independence of traces — but the backing storage of that state is
- * reused from trace to trace.
+ * reused from trace to trace. Engines of different threads are
+ * allocated side by side and write their members on every op, so each
+ * starts on its own cache line and shares none with its neighbours.
  */
-class Engine
+class alignas(64) Engine
 {
   public:
     /** How the per-op model rules are invoked. */

@@ -1,9 +1,5 @@
 #include "core/engine_pool.hh"
 
-#include <charconv>
-#include <cstdlib>
-#include <cstring>
-
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
 
@@ -13,35 +9,14 @@ namespace pmtest::core
 namespace
 {
 
-/**
- * Resolve the per-worker queue bound: explicit option, else the
- * PMTEST_QUEUE_CAP environment variable when it parses, else a
- * default derived from the worker count. The default bounds the
- * *total* backlog (and so the memory a stalled checker pipeline can
- * pin) at a fixed number of traces split across the queues — more
- * workers means shallower queues, not more queued traces.
- */
+/** Resolve the live queue's bound (0 = unbounded). */
 size_t
 resolveQueueCapacity(size_t requested, size_t workers)
 {
-    if (workers == 0)
-        return 0; // inline mode has no queues
-    if (requested == PoolOptions::kUnboundedQueue)
-        return 0;
-    if (requested != 0)
-        return requested;
-    if (const char *env = std::getenv("PMTEST_QUEUE_CAP")) {
-        // The whole value must be a number (0 = unbounded); anything
-        // else is ignored and the default below applies.
-        size_t parsed = 0;
-        const char *end = env + std::strlen(env);
-        const auto [ptr, ec] = std::from_chars(env, end, parsed);
-        if (ec == std::errc{} && ptr == end)
-            return parsed;
-    }
-    constexpr size_t target_backlog = 1024; ///< total queued traces
-    constexpr size_t min_per_worker = 16;
-    return std::max(min_per_worker, target_backlog / workers);
+    if (workers == 0 || requested == PoolOptions::kUnboundedQueue)
+        return 0; // inline mode has no queue
+    return requested != 0 ? requested
+                          : PoolOptions::kDefaultQueueCapacity;
 }
 
 /**
@@ -109,16 +84,17 @@ struct EnginePool::SourceJob
 void
 EnginePool::Lane::publish()
 {
+    // Release/acquire: a snapshot that counts a trace counts its ops.
     opsProcessed.store(engine->opsProcessed(), std::memory_order_relaxed);
     tracesChecked.store(engine->tracesChecked(),
-                        std::memory_order_relaxed);
+                        std::memory_order_release);
 }
 
 WorkerStats
 EnginePool::Lane::snapshot() const
 {
     WorkerStats w;
-    w.tracesChecked = tracesChecked.load(std::memory_order_relaxed);
+    w.tracesChecked = tracesChecked.load(std::memory_order_acquire);
     w.opsProcessed = opsProcessed.load(std::memory_order_relaxed);
     return w;
 }
@@ -126,7 +102,8 @@ EnginePool::Lane::snapshot() const
 EnginePool::EnginePool(const PoolOptions &options)
     : kind_(options.model),
       queueCapacity_(
-          resolveQueueCapacity(options.queueCapacity, options.workers))
+          resolveQueueCapacity(options.queueCapacity, options.workers)),
+      queue_(queueCapacity_)
 {
     if (options.workers == 0) {
         inlineLane_ = std::make_unique<Lane>();
@@ -135,7 +112,7 @@ EnginePool::EnginePool(const PoolOptions &options)
     }
     workers_.reserve(options.workers);
     for (size_t i = 0; i < options.workers; i++) {
-        auto w = std::make_unique<Worker>(queueCapacity_);
+        auto w = std::make_unique<Worker>();
         w->engine = std::make_unique<Engine>(kind_);
         workers_.push_back(std::move(w));
     }
@@ -159,10 +136,9 @@ EnginePool::~EnginePool()
         std::lock_guard<std::mutex> lock(workMutex_);
         stopping_ = true;
     }
-    // Closing the queues releases any producer still blocked on a
-    // full queue (no new submissions may race destruction, as before).
-    for (auto &w : workers_)
-        w->queue.close();
+    // Closing the queue releases any producer still blocked on a
+    // full queue (no new submissions may race destruction).
+    queue_.close();
     workCv_.notify_all();
     for (auto &w : workers_) {
         if (w->thread.joinable())
@@ -170,26 +146,16 @@ EnginePool::~EnginePool()
     }
 }
 
-bool
-EnginePool::anyQueued() const
-{
-    for (const auto &w : workers_) {
-        if (!w->queue.empty())
-            return true;
-    }
-    return false;
-}
-
 void
 EnginePool::notifyWork(uint64_t ops, bool force)
 {
     // Pairs with the fence in workerLoop: a worker bumps parked_
-    // before it scans the queues, and the producer queued before it
-    // reads parked_, so either the scan sees the new work or this
-    // load sees the worker parked. (The scan and the push also lock
-    // the same queue mutex, which orders them too; that is the edge
+    // before it looks at the queue, and the producer queued before it
+    // reads parked_, so either the look sees the new work or this
+    // load sees the worker parked. (The look and the push also lock
+    // the queue mutex, which orders them too; that is the edge
     // ThreadSanitizer checks, as it does not model fences.) An awake
-    // worker scans every queue before it parks, so with none parked
+    // worker looks at the queue before it parks, so with none parked
     // there is nothing to do.
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (parked_.load(std::memory_order_relaxed) == 0)
@@ -210,84 +176,38 @@ EnginePool::notifyWork(uint64_t ops, bool force)
             return;
     }
     // Taking the mutex orders this wakeup against a worker between
-    // its scan and its wait: either it sees the new work in its
+    // its look and its wait: either it sees the new work in its
     // predicate check, or it is already waiting and gets the notify.
     {
         std::lock_guard<std::mutex> lock(workMutex_);
     }
     // A notify with a parked worker is a futex wake; counting those
-    // is the pool's futex-wake proxy. Any worker can serve any queue
-    // (stealing), so one wakeup is enough: a woken worker that
-    // steals and requeues runs this rule again.
+    // is the pool's futex-wake proxy. Every worker pops the one
+    // queue, so one wake serves a backlog that keeps growing; a
+    // thread that starts waiting on the pool wakes every parked
+    // worker, so the backlog it waits for is checked in parallel.
     obs::count(obs::Counter::PoolWakes);
-    workCv_.notify_one();
-}
-
-size_t
-EnginePool::stealFrom(const Worker &thief, std::vector<Trace> &out)
-{
-    Worker *victim = nullptr;
-    size_t deepest = 0;
-    for (const auto &w : workers_) {
-        if (w.get() == &thief)
-            continue;
-        const size_t depth = w->queue.size();
-        if (depth > deepest) {
-            deepest = depth;
-            victim = w.get();
-        }
-    }
-    if (!victim)
-        return 0;
-    return victim->queue.tryPopHalf(out);
+    if (force)
+        workCv_.notify_all();
+    else
+        workCv_.notify_one();
 }
 
 void
 EnginePool::workerLoop(Worker &worker)
 {
-    // Reused steal buffer: one victim scan grabs up to half the
-    // deepest peer queue instead of a single trace per scan.
-    std::vector<Trace> stolen;
     for (;;) {
-        std::optional<Trace> trace = worker.queue.tryPop();
-        if (!trace) {
-            stolen.clear();
-            obs::SpanScope scan_span(obs::Stage::StealScan);
-            if (const size_t got = stealFrom(worker, stolen)) {
-                worker.steals.fetch_add(got,
-                                        std::memory_order_relaxed);
-                worker.stealScans.fetch_add(
-                    1, std::memory_order_relaxed);
-                obs::count(obs::Counter::StealScans);
-                obs::count(obs::Counter::TracesStolen, got);
-                // The first stolen trace runs now; the rest requeue
-                // on the thief, where they stay stealable by other
-                // idle workers.
-                trace = std::move(stolen.front());
-                uint64_t requeued_ops = 0;
-                for (size_t i = 1; i < stolen.size(); i++) {
-                    const size_t ops = stolen[i].size();
-                    if (worker.queue.tryPush(stolen[i])) {
-                        requeued_ops += ops;
-                        continue;
-                    }
-                    // Own queue full (tiny capacity): check directly
-                    // rather than blocking a worker on a push.
-                    checkOn(worker, std::move(stolen[i]));
-                }
-                if (requeued_ops)
-                    notifyWork(requeued_ops);
-            }
-        }
-        if (trace) {
-            checkOn(worker, std::move(*trace));
+        if (std::optional<Trace> trace = queue_.tryPop()) {
+            Report report = worker.engine->check(*trace);
+            worker.publish();
+            recordResult(std::move(report));
             continue;
         }
         std::unique_lock<std::mutex> lock(workMutex_);
         parked_.fetch_add(1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
         workCv_.wait(lock, [&] {
-            return stopping_ || anyQueued() ||
+            return stopping_ || !queue_.empty() ||
                    (job_ && worker.jobEpoch != jobEpoch_);
         });
         parked_.fetch_sub(1, std::memory_order_relaxed);
@@ -299,7 +219,7 @@ EnginePool::workerLoop(Worker &worker)
                 jobCv_.notify_all();
             continue;
         }
-        if (stopping_ && !anyQueued())
+        if (stopping_ && queue_.empty())
             return; // all pending work drained
     }
 }
@@ -406,14 +326,6 @@ EnginePool::checkSource(TraceSource &source, size_t callers,
 }
 
 void
-EnginePool::checkOn(Worker &worker, Trace trace)
-{
-    Report report = worker.engine->check(trace);
-    worker.publish();
-    recordResult(std::move(report));
-}
-
-void
 EnginePool::recordResult(Report report, bool claimed)
 {
     obs::count(obs::Counter::ReportsMerged);
@@ -435,18 +347,6 @@ EnginePool::recordResult(Report report, bool claimed)
 }
 
 void
-EnginePool::checkInline(Trace trace)
-{
-    Report report;
-    {
-        std::lock_guard<std::mutex> lock(inlineMutex_);
-        report = inlineLane_->engine->check(trace);
-        inlineLane_->publish();
-    }
-    recordResult(std::move(report));
-}
-
-void
 EnginePool::submit(Trace trace)
 {
     obs::count(obs::Counter::TracesSubmitted);
@@ -457,93 +357,36 @@ EnginePool::submit(Trace trace)
 
     if (workers_.empty()) {
         // Inline (coupled) mode: check on the calling thread.
-        checkInline(std::move(trace));
-        return;
-    }
-
-    const size_t start =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    const uint64_t ops = trace.size();
-    // Round-robin target first; if it is full, try the other queues
-    // before stalling.
-    for (size_t i = 0; i < workers_.size(); i++) {
-        Worker &w = *workers_[(start + i) % workers_.size()];
-        if (w.queue.tryPush(trace)) {
-            notifyWork(ops);
-            return;
+        Report report;
+        {
+            std::lock_guard<std::mutex> lock(inlineMutex_);
+            report = inlineLane_->engine->check(trace);
+            inlineLane_->publish();
         }
+        recordResult(std::move(report));
+        return;
     }
-    // Every queue full: backpressure. Block on the original target
-    // and account the stall.
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
-    obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    pushBlocking(*workers_[start], std::move(trace));
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
+
+    const uint64_t ops = trace.size();
+    if (!queue_.tryPush(trace)) {
+        // Queue full: backpressure. Register as a waiter before the
+        // last try, like a drainer: the queue may drain, the workers
+        // park and other producers refill it below the mark between
+        // a wake and the block, and their submits must then wake for
+        // this producer.
+        obs::SpanScope stall_span(obs::Stage::PoolStall);
+        obs::count(obs::Counter::SubmitStalls);
+        Timer timer;
+        waiters_.fetch_add(1, std::memory_order_seq_cst);
+        if (!queue_.tryPush(trace)) {
+            notifyWork(0, /*force=*/true);
+            queue_.push(std::move(trace));
+        }
+        waiters_.fetch_sub(1, std::memory_order_relaxed);
+        stallNanos_.fetch_add(timer.elapsedNs(),
+                              std::memory_order_relaxed);
+    }
     notifyWork(ops);
-}
-
-void
-EnginePool::pushBlocking(Worker &target, Trace trace)
-{
-    // Register before the last try, like a drainer: the queue may
-    // drain, its workers park and other producers refill it below
-    // the mark between a wake and the block, and their submits must
-    // then wake for this producer.
-    waiters_.fetch_add(1, std::memory_order_seq_cst);
-    if (!target.queue.tryPush(trace)) {
-        notifyWork(0, /*force=*/true);
-        target.queue.push(std::move(trace));
-    }
-    waiters_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void
-EnginePool::submitBatch(std::vector<Trace> traces)
-{
-    if (traces.empty())
-        return;
-    obs::SpanScope span(obs::Stage::PoolSubmit);
-    obs::count(obs::Counter::TracesSubmitted, traces.size());
-    obs::count(obs::Counter::BatchesSubmitted);
-    {
-        std::lock_guard<std::mutex> lock(resultMutex_);
-        submitted_ += traces.size();
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-
-    if (workers_.empty()) {
-        for (auto &t : traces)
-            checkInline(std::move(t));
-        return;
-    }
-
-    const size_t start =
-        nextWorker_.fetch_add(1, std::memory_order_relaxed) %
-        workers_.size();
-    Worker &target = *workers_[start];
-    uint64_t batch_ops = 0;
-    for (const Trace &t : traces)
-        batch_ops += t.size();
-    if (target.queue.tryPushAll(traces)) {
-        notifyWork(batch_ops);
-        return;
-    }
-    // The batch does not fit at once: feed it item by item so the
-    // workers can drain concurrently (each push is individually
-    // released by pops), and account the producer stall.
-    obs::SpanScope stall_span(obs::Stage::PoolStall);
-    obs::count(obs::Counter::SubmitStalls);
-    Timer timer;
-    for (auto &t : traces) {
-        const uint64_t ops = t.size();
-        if (!target.queue.tryPush(t))
-            pushBlocking(target, std::move(t));
-        notifyWork(ops);
-    }
-    traces.clear();
-    stallNanos_.fetch_add(timer.elapsedNs(), std::memory_order_relaxed);
 }
 
 std::unique_lock<std::mutex>
@@ -598,7 +441,7 @@ EnginePool::stats() const
     PoolStats stats;
     stats.valid = true;
     stats.queueCapacity = queueCapacity_;
-    stats.batchesSubmitted = batches_.load(std::memory_order_relaxed);
+    stats.queuedTraces = queue_.size();
     stats.producerStallNanos =
         stallNanos_.load(std::memory_order_relaxed);
     {
@@ -609,16 +452,8 @@ EnginePool::stats() const
     }
     if (inlineLane_)
         stats.workers.push_back(inlineLane_->snapshot());
-    for (const auto &worker : workers_) {
-        WorkerStats w = worker->snapshot();
-        w.steals = worker->steals.load(std::memory_order_relaxed);
-        w.stealScans =
-            worker->stealScans.load(std::memory_order_relaxed);
-        w.queueDepth = worker->queue.size();
-        stats.steals += w.steals;
-        stats.stealScans += w.stealScans;
-        stats.workers.push_back(w);
-    }
+    for (const auto &worker : workers_)
+        stats.workers.push_back(worker->snapshot());
     std::lock_guard<std::mutex> lock(lanesMutex_);
     for (const auto &lane : callerLanes_)
         stats.workers.push_back(lane->snapshot());

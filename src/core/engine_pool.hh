@@ -12,44 +12,34 @@
  *    every worker, and a number of threads on the caller's side,
  *    loops claiming the next trace from the source, decoding it
  *    through a fixed window straight into its own engine and merging
- *    the report, until the source ends. No queues, wakes, steals or
+ *    the report, until the source ends. No queue, wakes or
  *    backpressure; each thread holds one decode window, not traces.
- *  - submit()/submitBatch() — live capture (api.cc), where the
- *    application thread produces the traces and must hand them off:
- *     - Each worker owns a FIFO trace queue. Submission places traces
- *       round-robin, but an idle worker *steals* from the most-loaded
- *       peer — half the victim's backlog per scan (one runs
- *       immediately, the rest requeue on the thief and stay
- *       stealable), so one giant trace does not serialize a whole
- *       queue of small traces behind it.
- *     - Queues are bounded: explicitly (PoolOptions::queueCapacity),
- *       via the PMTEST_QUEUE_CAP environment variable, or by a
- *       default derived from the worker count (a fixed total backlog
- *       divided across queues). A full queue blocks the producer —
- *       bounded backpressure instead of unbounded memory growth when
- *       the program outruns its checkers.
+ *  - submit() — live capture (api.cc), where the application thread
+ *    produces the traces and must hand them off:
+ *     - Every worker pops the one FIFO trace queue, so an idle worker
+ *       takes the next trace and one giant trace cannot serialize the
+ *       small traces queued behind it.
+ *     - The queue is bounded (PoolOptions::queueCapacity, by default
+ *       the paper's 1,024 traces, §4.5). A full queue blocks the
+ *       producer — bounded backpressure instead of unbounded memory
+ *       growth when the program outruns its checkers.
  *     - Parked workers are woken by backlog, not per trace. A worker
- *       parks only once every queue is empty. A submit that finds no
+ *       parks only once the queue is empty. A submit that finds no
  *       parked worker returns after a fence and one atomic load — an
- *       awake worker scans every queue before it parks. Otherwise the
- *       submitted ops accrue until kWakeOps of them are queued
+ *       awake worker looks at the queue before it parks. Otherwise
+ *       the submitted ops accrue until kWakeOps of them are queued
  *       unwoken, and only then does the producer take the wakeup
  *       mutex and wake one worker. So a queued trace waits for at
  *       most kWakeOps ops of later submissions, a producer about to
  *       block on a full queue, or a drain. Threads that wait on the
  *       pool — a producer about to block, a caller of drain()/
  *       results()/takeResults()/clearResults() — register first,
- *       wake on entry, and make every submit wake while they wait;
- *       the destructor wakes all. One rule covers submit(),
- *       submitBatch() and the requeue of stolen traces.
- *     - submitBatch() enqueues many small traces under one queue lock
- *       acquisition, amortizing dispatch overhead (the paper's §4.2
- *       "divide the program into sections for better testing
- *       speed").
+ *       wake every parked worker on entry, and make every submit
+ *       wake one while they wait; the destructor wakes all.
  *  - stats() snapshots per-thread throughput (workers, then the
- *    caller-side source lanes), queue depths, steal counts and
- *    producer stall time, so the Fig. 10/11 harnesses can report
- *    *why* a configuration is fast.
+ *    caller-side source lanes), the queue depth and producer stall
+ *    time, so the Fig. 10/11 harnesses can report *why* a
+ *    configuration is fast.
  */
 
 #ifndef PMTEST_CORE_ENGINE_POOL_HH
@@ -80,14 +70,12 @@ struct PoolOptions
     size_t workers = 1;
     /** queueCapacity value requesting an explicitly unbounded queue. */
     static constexpr size_t kUnboundedQueue = ~size_t{0};
+    /** Default queue bound: the paper's 1,024-entry FIFO (§4.5). */
+    static constexpr size_t kDefaultQueueCapacity = 1024;
     /**
-     * Per-worker queue capacity in traces. 0 = automatic: the
-     * PMTEST_QUEUE_CAP environment variable if it parses as a whole
-     * number (0 there means unbounded), else a default derived from
-     * the worker count — a fixed total backlog divided across the
-     * queues, so adding workers does not grow the in-flight trace
-     * count.
-     * kUnboundedQueue requests no bound at all.
+     * Bound of the live trace queue, in traces, shared by all
+     * workers. 0 = kDefaultQueueCapacity; kUnboundedQueue requests no
+     * bound at all.
      */
     size_t queueCapacity = 0;
 };
@@ -112,8 +100,8 @@ class EnginePool
     explicit EnginePool(const PoolOptions &options);
 
     /**
-     * Convenience constructor kept source-compatible with the
-     * original round-robin pool.
+     * Convenience constructor: default options but for the model
+     * and the worker count.
      * @param kind persistency model all engines use
      * @param workers number of worker threads; 0 = inline checking
      */
@@ -126,18 +114,11 @@ class EnginePool
     EnginePool &operator=(const EnginePool &) = delete;
 
     /**
-     * Submit one trace for checking (PMTest_SEND_TRACE). Blocks when
-     * the target queue is full (bounded mode); checks inline when the
-     * pool has no workers.
+     * Submit one trace for checking (PMTest_SEND_TRACE). Blocks while
+     * the queue is full (bounded mode); checks inline when the pool
+     * has no workers.
      */
     void submit(Trace trace);
-
-    /**
-     * Submit a batch of traces as one dispatch unit: one queue lock
-     * acquisition, and the batch's ops count toward the wake mark
-     * once. The traces remain individually stealable once queued.
-     */
-    void submitBatch(std::vector<Trace> traces);
 
     /**
      * Check every trace @p source yields: each worker, and @p callers
@@ -193,7 +174,7 @@ class EnginePool
     /** Number of worker threads (0 = inline mode). */
     size_t workerCount() const { return workers_.size(); }
 
-    /** Per-worker queue capacity (0 = unbounded). */
+    /** Queue capacity in traces (0 = unbounded). */
     size_t queueCapacity() const { return queueCapacity_; }
 
     /** Total traces checked so far (workers and source lanes). */
@@ -218,12 +199,7 @@ class EnginePool
 
     struct Worker : Lane
     {
-        explicit Worker(size_t queue_capacity) : queue(queue_capacity) {}
-
-        ConcurrentQueue<Trace> queue;
         std::thread thread;
-        std::atomic<uint64_t> steals{0};
-        std::atomic<uint64_t> stealScans{0};
         /** Epoch of the last source job joined (under workMutex_). */
         uint64_t jobEpoch = 0;
     };
@@ -243,13 +219,6 @@ class EnginePool
     /** Traces and ops checked, summed over every lane. */
     WorkerStats totals() const;
     /**
-     * Steal up to half the most-loaded peer's queue into @p out.
-     * @return the number of traces stolen (0 when no peer has work).
-     */
-    size_t stealFrom(const Worker &thief, std::vector<Trace> &out);
-    /** Process one trace on @p worker and record its report. */
-    void checkOn(Worker &worker, Trace trace);
-    /**
      * Merge one checked trace's report. @p claimed: the trace came
      * from a source job, not a submit, so it is counted submitted
      * here too.
@@ -258,28 +227,22 @@ class EnginePool
     /**
      * The wake rule, run after @p ops ops were queued: wake one
      * parked worker once the unwoken backlog reaches kWakeOps, at
-     * once when @p force is set or a thread waits on the pool.
+     * once when a thread waits on the pool; wake every parked worker
+     * when @p force is set (a thread starts waiting).
      */
     void notifyWork(uint64_t ops, bool force = false);
-    /**
-     * Push @p trace onto @p target's queue, blocking while it is
-     * full, as a registered waiter.
-     */
-    void pushBlocking(Worker &target, Trace trace);
     /**
      * Wait for every submitted trace to be checked, as a registered
      * waiter. @return the held result lock.
      */
     std::unique_lock<std::mutex> waitDrained();
-    /** True when any queue holds work (racy; wakeup predicate). */
-    bool anyQueued() const;
-    void checkInline(Trace trace);
 
     ModelKind kind_;
     size_t queueCapacity_ = 0;
+    /** Submitted traces every worker pops (unused inline). */
+    ConcurrentQueue<Trace> queue_;
     std::vector<std::unique_ptr<Worker>> workers_;
     std::unique_ptr<Lane> inlineLane_;  ///< used when workers_ empty
-    std::atomic<size_t> nextWorker_{0}; ///< round-robin cursor
     std::mutex inlineMutex_;            ///< guards the inline engine
 
     std::mutex workMutex_; ///< wakeup coordination for idle workers
@@ -295,7 +258,6 @@ class EnginePool
     /** Ops queued while a worker was parked, since the last wake. */
     std::atomic<uint64_t> unwokenOps_{0};
 
-    std::atomic<uint64_t> batches_{0};
     std::atomic<uint64_t> stallNanos_{0};
 
     mutable std::mutex resultMutex_;

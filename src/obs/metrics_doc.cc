@@ -5,23 +5,13 @@
 namespace pmtest::obs
 {
 
-size_t
-PoolStats::queuedTraces() const
-{
-    size_t total = 0;
-    for (const auto &w : workers)
-        total += w.queueDepth;
-    return total;
-}
-
 std::string
 PoolStats::str() const
 {
     std::ostringstream out;
     out << "pool: " << tracesSubmitted << " submitted, "
-        << tracesCompleted << " completed, " << batchesSubmitted
-        << " batches, " << steals << " stolen traces in " << stealScans
-        << " scans, producer stalled "
+        << tracesCompleted << " completed, " << queuedTraces
+        << " queued, producer stalled "
         << static_cast<double>(producerStallNanos) * 1e-6 << " ms"
         << " (capacity "
         << (queueCapacity ? std::to_string(queueCapacity) : "unbounded")
@@ -38,9 +28,7 @@ PoolStats::str() const
     for (size_t i = 0; i < workers.size(); i++) {
         const WorkerStats &w = workers[i];
         out << "  worker " << i << ": " << w.tracesChecked
-            << " traces, " << w.opsProcessed << " ops, " << w.steals
-            << " stolen (" << w.stealScans << " scans), depth "
-            << w.queueDepth << "\n";
+            << " traces, " << w.opsProcessed << " ops\n";
     }
     return out.str();
 }
@@ -111,10 +99,7 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
     w.member("traces_submitted", stats.tracesSubmitted);
     w.member("traces_completed", stats.tracesCompleted);
     w.member("in_flight", stats.inFlight());
-    w.member("queued_traces", stats.queuedTraces());
-    w.member("batches", stats.batchesSubmitted);
-    w.member("steals", stats.steals);
-    w.member("steal_scans", stats.stealScans);
+    w.member("queued_traces", stats.queuedTraces);
     w.member("producer_stall_ms",
              static_cast<double>(stats.producerStallNanos) * 1e-6, 3);
     w.member("queue_capacity", stats.queueCapacity);
@@ -135,9 +120,6 @@ writePoolStatsJson(JsonWriter &w, const PoolStats &stats)
         w.beginObject();
         w.member("traces", worker.tracesChecked);
         w.member("ops", worker.opsProcessed);
-        w.member("steals", worker.steals);
-        w.member("steal_scans", worker.stealScans);
-        w.member("queue_depth", worker.queueDepth);
         w.endObject();
     }
     w.endArray();

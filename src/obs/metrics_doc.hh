@@ -30,10 +30,6 @@ struct WorkerStats
 {
     uint64_t tracesChecked = 0; ///< traces this worker completed
     uint64_t opsProcessed = 0;  ///< PM ops this worker processed
-    uint64_t steals = 0;        ///< traces this worker stole from peers
-    uint64_t stealScans = 0;    ///< successful steal sweeps (each
-                                ///< grabs up to half a victim queue)
-    size_t queueDepth = 0;      ///< traces currently queued to it
 };
 
 /**
@@ -65,18 +61,18 @@ struct PoolStats
     /** Pool workers (or the inline engine), then source lanes. */
     std::vector<WorkerStats> workers;
     IngestStats ingest;             ///< offline file-ingest counters
-    uint64_t tracesSubmitted = 0;   ///< traces accepted by submit*()
+    uint64_t tracesSubmitted = 0;   ///< traces accepted by submit()
                                     ///< or claimed from a source
     uint64_t tracesCompleted = 0;   ///< traces fully checked
-    uint64_t batchesSubmitted = 0;  ///< submitBatch() calls
-    uint64_t steals = 0;            ///< total stolen traces
-    uint64_t stealScans = 0;        ///< total successful steal sweeps
     uint64_t producerStallNanos = 0;///< time producers blocked on
-                                    ///< full queues (backpressure)
-    size_t queueCapacity = 0;       ///< per-worker bound (0 = none)
-
-    /** Sum of current queue depths. */
-    size_t queuedTraces() const;
+                                    ///< the full queue (backpressure)
+    size_t queueCapacity = 0;       ///< queue bound (0 = none)
+    size_t queuedTraces = 0;        ///< traces waiting in the queue
+    /**
+     * Always 0: the pool does not steal. It remains only while
+     * bench/pipeline still reads it.
+     */
+    uint64_t steals = 0;
 
     /** Traces submitted but not yet fully checked. */
     uint64_t

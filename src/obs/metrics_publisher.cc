@@ -268,7 +268,7 @@ MetricsPublisher::runWatchdog(const GaugeSample &sample)
                 w.member("stale_ms",
                          staleTicks_ * options_.intervalMs);
                 w.member("in_flight", sample.pool.inFlight());
-                w.member("queued", sample.pool.queuedTraces());
+                w.member("queued", sample.pool.queuedTraces);
                 w.member("sources_drained",
                          static_cast<uint64_t>(
                              sample.ingest.drainedSources()));
@@ -318,7 +318,7 @@ MetricsPublisher::paintProgress(const GaugeSample &sample) const
     if (sample.pool.valid) {
         line += " | in-flight " + std::to_string(sample.pool.inFlight());
         line += " | queued " +
-                std::to_string(sample.pool.queuedTraces());
+                std::to_string(sample.pool.queuedTraces);
     }
     char buf[64];
     std::snprintf(buf, sizeof(buf), " | %.0f tr/s",
@@ -396,16 +396,11 @@ MetricsPublisher::renderPrometheus() const
         promLine(out, "pmtest_pool_inflight_traces",
                  sample.pool.inFlight());
         promLine(out, "pmtest_pool_queued_traces",
-                 sample.pool.queuedTraces());
+                 sample.pool.queuedTraces);
         promLine(out, "pmtest_pool_traces_submitted",
                  sample.pool.tracesSubmitted);
         promLine(out, "pmtest_pool_traces_completed",
                  sample.pool.tracesCompleted);
-        for (size_t i = 0; i < sample.pool.workers.size(); i++)
-            promLine(out,
-                     "pmtest_worker_queue_depth{worker=\"" +
-                         std::to_string(i) + "\"}",
-                     sample.pool.workers[i].queueDepth);
     }
 
     if (sample.ingest.valid) {

@@ -14,12 +14,8 @@ stageName(Stage stage)
     switch (stage) {
       case Stage::CaptureSeal:
         return "capture.seal";
-      case Stage::PoolSubmit:
-        return "pool.submit";
       case Stage::PoolStall:
         return "pool.stall";
-      case Stage::StealScan:
-        return "pool.steal_scan";
       case Stage::IngestDecode:
         return "ingest.decode";
       case Stage::EngineCheck:
@@ -66,14 +62,8 @@ counterName(Counter counter)
         return "ops_sealed";
       case Counter::TracesSubmitted:
         return "traces_submitted";
-      case Counter::BatchesSubmitted:
-        return "batches_submitted";
       case Counter::SubmitStalls:
         return "submit_stalls";
-      case Counter::StealScans:
-        return "steal_scans";
-      case Counter::TracesStolen:
-        return "traces_stolen";
       case Counter::TracesDecoded:
         return "traces_decoded";
       case Counter::TracesChecked:

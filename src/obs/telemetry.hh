@@ -71,9 +71,7 @@ namespace pmtest::obs
 enum class Stage : uint8_t
 {
     CaptureSeal,       ///< TraceCapture::seal — buffer → immutable Trace
-    PoolSubmit,        ///< EnginePool::submitBatch enqueue
-    PoolStall,         ///< producer blocked on full queues (backpressure)
-    StealScan,         ///< idle worker scanning peers for work to steal
+    PoolStall,         ///< producer blocked on the full queue (backpressure)
     IngestDecode,      ///< one decode window of a claimed file trace
     EngineCheck,       ///< Engine::check — one trace through the kernel
     ReportMerge,       ///< merging a per-trace report into the aggregate
@@ -93,7 +91,7 @@ enum class Stage : uint8_t
     SessionOutput       ///< stdout, exit metrics, timeline, finding events
 };
 
-inline constexpr size_t kStageCount = 20;
+inline constexpr size_t kStageCount = 18;
 
 /** Stable span/metric name of @p stage (e.g. "engine.check"). */
 const char *stageName(Stage stage);
@@ -103,11 +101,8 @@ enum class Counter : uint8_t
 {
     TracesSealed,    ///< TraceCapture::seal calls
     OpsSealed,       ///< PM ops in sealed traces
-    TracesSubmitted, ///< traces accepted by EnginePool::submit*
-    BatchesSubmitted,///< submitBatch calls
+    TracesSubmitted, ///< traces accepted by EnginePool::submit
     SubmitStalls,    ///< producer-side backpressure stalls
-    StealScans,      ///< successful steal sweeps
-    TracesStolen,    ///< traces moved by stealing
     TracesDecoded,   ///< traces ingest() claimed from its source
     TracesChecked,   ///< traces through Engine::check
     OpsChecked,      ///< PM ops through Engine::check
@@ -131,7 +126,7 @@ enum class Counter : uint8_t
     PoolWakes
 };
 
-inline constexpr size_t kCounterCount = 22;
+inline constexpr size_t kCounterCount = 19;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);

@@ -2,14 +2,14 @@
  * @file
  * A thread-safe, closeable FIFO queue. This is the user-space channel
  * between the program under test and the checking engine (the paper's
- * §4.5): producers push sealed traces, engine workers pop them.
+ * §4.5): producers push sealed traces, and every engine worker pops
+ * the one queue.
  *
  * The queue supports an optional capacity bound. A bounded queue
  * exerts backpressure: push() blocks the producer while the queue is
  * full, so a program that outruns its checkers stalls instead of
  * growing memory without limit. tryPush() is the non-blocking probe
- * used by dispatchers that want to account stall time or fall back to
- * another queue.
+ * the engine pool uses to account stall time before it blocks.
  *
  * A bounded queue may additionally set a *wake mark* below its
  * capacity: a producer that blocked on a full queue is only resumed
@@ -18,7 +18,7 @@
  * /proc/PMTest FIFO is less than half full) — KernelFifo is now a
  * thin adapter over this primitive, so the kernel path shares the
  * same backpressure machinery and stall statistics as the engine
- * pool's dispatch queues.
+ * pool's trace queue.
  */
 
 #ifndef PMTEST_TRACE_CONCURRENT_QUEUE_HH
@@ -31,7 +31,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "util/clock.hh"
 
@@ -115,49 +114,6 @@ class ConcurrentQueue
     }
 
     /**
-     * Push a batch of items under one lock acquisition (amortizes
-     * locking for producers that submit many small traces). On a
-     * bounded queue the batch is enqueued in chunks, waiting for
-     * space between chunks; items keep their order.
-     */
-    void
-    pushAll(std::vector<T> items)
-    {
-        size_t next = 0;
-        while (next < items.size()) {
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                waitNotFull(lock);
-                do {
-                    items_.push_back(std::move(items[next++]));
-                } while (next < items.size() && !fullLocked());
-            }
-            cv_.notify_all();
-        }
-    }
-
-    /**
-     * Non-blocking batch push: succeeds only when the whole batch
-     * fits (or the queue is unbounded/closed).
-     */
-    bool
-    tryPushAll(std::vector<T> &items)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (capacity_ != 0 && !closed_ &&
-                items_.size() + items.size() > capacity_) {
-                return false;
-            }
-            for (auto &item : items)
-                items_.push_back(std::move(item));
-        }
-        items.clear();
-        cv_.notify_all();
-        return true;
-    }
-
-    /**
      * Pop the head item, blocking while the queue is open and empty.
      * @return the item, or std::nullopt once closed and drained.
      */
@@ -178,34 +134,6 @@ class ConcurrentQueue
         }
         notifyProducers(depth);
         return item;
-    }
-
-    /**
-     * Non-blocking bulk pop of the front half: removes
-     * ceil(size / 2) items (at least one when non-empty) and appends
-     * them to @p out in FIFO order. One lock acquisition regardless
-     * of how many items move — this is the work-stealing primitive:
-     * a thief drains half the victim's backlog per scan instead of
-     * re-scanning per trace.
-     * @return the number of items appended.
-     */
-    size_t
-    tryPopHalf(std::vector<T> &out)
-    {
-        size_t popped = 0;
-        size_t depth = 0;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const size_t take = (items_.size() + 1) / 2;
-            for (; popped < take; popped++) {
-                out.push_back(std::move(items_.front()));
-                items_.pop_front();
-            }
-            depth = items_.size();
-        }
-        if (popped)
-            notifyProducers(depth, /*all=*/true);
-        return popped;
     }
 
     /** Non-blocking pop. */
@@ -239,14 +167,6 @@ class ConcurrentQueue
         }
         cv_.notify_all();
         notFullCv_.notify_all();
-    }
-
-    /** Reopen a closed queue (used when a framework is re-initialized). */
-    void
-    reopen()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        closed_ = false;
     }
 
     /** Capacity bound (0 = unbounded). */
@@ -325,13 +245,11 @@ class ConcurrentQueue
      * slot.
      */
     void
-    notifyProducers(size_t depth, bool all = false)
+    notifyProducers(size_t depth)
     {
         if (wakeMark_ != 0) {
             if (depth < wakeMark_)
                 notFullCv_.notify_all();
-        } else if (all) {
-            notFullCv_.notify_all();
         } else {
             notFullCv_.notify_one();
         }

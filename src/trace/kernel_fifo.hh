@@ -10,7 +10,7 @@
  * Implementation-wise this is now a thin adapter over
  * ConcurrentQueue's bounded-backpressure primitives (capacity bound
  * + half-capacity wake mark + stall accounting) — the same machinery
- * the engine pool's dispatch queues use — so the kernel path reports
+ * the engine pool's trace queue uses — so the kernel path reports
  * the same backpressure statistics (stall count, stall time, queue
  * depth) as the user-space path instead of keeping a private buffer
  * implementation.

@@ -166,30 +166,6 @@ TEST(EnginePoolTest, OpsProcessedAggregates)
     EXPECT_EQ(pool.opsProcessed(), 8u);
 }
 
-TEST(EnginePoolTest, SubmitBatchChecksEveryTrace)
-{
-    EnginePool pool(ModelKind::X86, 2);
-    std::vector<Trace> batch;
-    for (uint64_t i = 0; i < 25; i++)
-        batch.push_back(buggyTrace(i));
-    pool.submitBatch(std::move(batch));
-    pool.submitBatch({}); // empty batch is a no-op
-    const Report report = pool.results();
-    EXPECT_EQ(report.failCount(), 25u);
-    EXPECT_EQ(pool.tracesChecked(), 25u);
-    EXPECT_EQ(pool.stats().batchesSubmitted, 1u);
-}
-
-TEST(EnginePoolTest, SubmitBatchInlineMode)
-{
-    EnginePool pool(ModelKind::X86, 0);
-    std::vector<Trace> batch;
-    for (uint64_t i = 0; i < 5; i++)
-        batch.push_back(buggyTrace(i));
-    pool.submitBatch(std::move(batch));
-    EXPECT_EQ(pool.results().failCount(), 5u);
-}
-
 TEST(EnginePoolTest, StatsCountersAreConsistent)
 {
     PoolOptions options;
@@ -206,7 +182,7 @@ TEST(EnginePoolTest, StatsCountersAreConsistent)
     EXPECT_EQ(stats.tracesSubmitted, 30u);
     EXPECT_EQ(stats.tracesCompleted, 30u);
     EXPECT_EQ(stats.queueCapacity, 128u);
-    EXPECT_EQ(stats.queuedTraces(), 0u); // drained
+    EXPECT_EQ(stats.queuedTraces, 0u); // drained
 
     uint64_t checked = 0, ops = 0;
     for (const auto &w : stats.workers) {
@@ -229,59 +205,23 @@ TEST(EnginePoolTest, InlineModeStatsReportOnePseudoWorker)
     EXPECT_EQ(stats.tracesCompleted, 1u);
 }
 
-TEST(EnginePoolTest, QueueCapacityFromEnvironment)
+TEST(EnginePoolTest, QueueCapacityIsExplicitDefaultOrUnbounded)
 {
-    setenv("PMTEST_QUEUE_CAP", "7", /*overwrite=*/1);
-    EnginePool pool(ModelKind::X86, 1);
-    EXPECT_EQ(pool.queueCapacity(), 7u);
-
-    // PMTEST_QUEUE_CAP=0 forces an unbounded queue.
-    setenv("PMTEST_QUEUE_CAP", "0", /*overwrite=*/1);
-    EnginePool unbounded(ModelKind::X86, 1);
-    EXPECT_EQ(unbounded.queueCapacity(), 0u);
-
-    // A malformed value is ignored: the worker-derived default
-    // applies, so bad input never silently removes backpressure.
-    unsetenv("PMTEST_QUEUE_CAP");
-    const size_t fallback = EnginePool(ModelKind::X86, 1).queueCapacity();
-    ASSERT_GT(fallback, 0u);
-    for (const char *bad : {"abc", "-5", "12x", "", " 7", "+7"}) {
-        SCOPED_TRACE(bad);
-        setenv("PMTEST_QUEUE_CAP", bad, /*overwrite=*/1);
-        EnginePool pool_bad(ModelKind::X86, 1);
-        EXPECT_EQ(pool_bad.queueCapacity(), fallback);
-    }
-    unsetenv("PMTEST_QUEUE_CAP");
-}
-
-TEST(EnginePoolTest, DefaultCapacityDerivedFromWorkerCount)
-{
-    // The default bounds the total backlog, splitting it across the
-    // per-worker queues: more workers -> shallower queues.
-    EnginePool one(ModelKind::X86, 1);
-    EnginePool four(ModelKind::X86, 4);
-    ASSERT_GT(one.queueCapacity(), 0u);
-    ASSERT_GT(four.queueCapacity(), 0u);
-    EXPECT_EQ(one.queueCapacity(), 4 * four.queueCapacity());
-    EXPECT_GE(four.queueCapacity(), 16u);
-
-    // An explicitly unbounded queue is still available.
     PoolOptions options;
     options.workers = 2;
-    options.queueCapacity = PoolOptions::kUnboundedQueue;
-    EnginePool unbounded(options);
-    EXPECT_EQ(unbounded.queueCapacity(), 0u);
-}
-
-TEST(EnginePoolTest, ExplicitCapacityBeatsEnvironment)
-{
-    setenv("PMTEST_QUEUE_CAP", "7", /*overwrite=*/1);
-    PoolOptions options;
-    options.workers = 1;
     options.queueCapacity = 3;
-    EnginePool pool(options);
-    EXPECT_EQ(pool.queueCapacity(), 3u);
-    unsetenv("PMTEST_QUEUE_CAP");
+    EXPECT_EQ(EnginePool(options).queueCapacity(), 3u);
+
+    // The default is the paper's 1,024-entry FIFO for the whole pool,
+    // whatever the worker count.
+    for (size_t workers : {1, 4}) {
+        EXPECT_EQ(EnginePool(ModelKind::X86, workers).queueCapacity(),
+                  PoolOptions::kDefaultQueueCapacity);
+    }
+    EXPECT_EQ(PoolOptions::kDefaultQueueCapacity, 1024u);
+
+    options.queueCapacity = PoolOptions::kUnboundedQueue;
+    EXPECT_EQ(EnginePool(options).queueCapacity(), 0u);
 }
 
 TEST(EnginePoolTest, TakeResultsReturnsAndResets)
@@ -332,6 +272,32 @@ TEST(EnginePoolTest, TraceAtTheMarkIsCheckedWithoutDrain)
     EXPECT_EQ(pool.results().failCount(), 1u);
 }
 
+TEST(EnginePoolTest, DrainWakesEveryParkedWorker)
+{
+    // A backlog below the wake mark waits for the drain, which wakes
+    // every parked worker, so more than one worker checks it; a
+    // single wake would leave it all to one. A round can still end
+    // with one worker if it empties the queue before the others run,
+    // so a few rounds are allowed.
+    constexpr uint64_t kTraces = 8;
+    constexpr size_t kOps = EnginePool::kWakeOps / (kTraces + 1);
+    bool shared = false;
+    for (int round = 0; round < 20 && !shared; round++) {
+        EnginePool pool(ModelKind::X86, 4);
+        letWorkersPark();
+        withDeadline("drain of a backlog below the mark", [&] {
+            for (uint64_t i = 0; i < kTraces; i++)
+                pool.submit(buggyTraceOfSize(i, kOps));
+            pool.drain();
+        });
+        size_t busy = 0;
+        for (const WorkerStats &w : pool.stats().workers)
+            busy += w.tracesChecked != 0;
+        shared = busy > 1;
+    }
+    EXPECT_TRUE(shared) << "one worker checked every drained backlog";
+}
+
 TEST(EnginePoolTest, ProducerBlockedOnFullQueueWakesParkedWorker)
 {
     // Each trace is far below the mark; only the wake a producer
@@ -347,7 +313,7 @@ TEST(EnginePoolTest, ProducerBlockedOnFullQueueWakesParkedWorker)
     });
     EXPECT_EQ(pool.results().failCount(), 100u);
 
-    // Several producers on tiny queues: between one producer's wake
+    // Several producers on a tiny queue: between one producer's wake
     // and its block, the workers may drain, park, and see the queue
     // refilled by the others below the mark. Those submits must wake
     // for the blocked producer.
@@ -356,23 +322,71 @@ TEST(EnginePoolTest, ProducerBlockedOnFullQueueWakesParkedWorker)
     many.queueCapacity = 2;
     EnginePool shared(many);
     constexpr size_t kProducers = 4;
-    constexpr uint64_t kBatches = 1000;
-    withDeadline("producers on two-slot queues", [&] {
+    constexpr uint64_t kPerProducer = 3000;
+    withDeadline("producers on a two-slot queue", [&] {
         std::vector<std::thread> producers;
         for (size_t p = 0; p < kProducers; p++) {
             producers.emplace_back([&, p] {
-                for (uint64_t b = 0; b < kBatches; b++) {
-                    std::vector<Trace> batch;
-                    for (uint64_t i = 0; i < 3; i++)
-                        batch.push_back(buggyTrace(p * 10000 + b * 3 + i));
-                    shared.submitBatch(std::move(batch));
-                }
+                for (uint64_t i = 0; i < kPerProducer; i++)
+                    shared.submit(buggyTrace(p * 10000 + i));
             });
         }
         for (auto &t : producers)
             t.join();
     });
-    EXPECT_EQ(shared.results().failCount(), kProducers * kBatches * 3);
+    EXPECT_EQ(shared.results().failCount(), kProducers * kPerProducer);
+}
+
+TEST(EnginePoolTest, IdleWorkerTakesTracesQueuedBehindAGiant)
+{
+    // One giant trace pins the worker that pops it; the small traces
+    // queued behind it must be checked by the other worker meanwhile
+    // instead of waiting for the giant. A round counts only if every
+    // small trace was seen checked while the giant still ran; a host
+    // that checks the giant sooner retries with a larger one.
+    constexpr uint64_t kSmalls = 200;
+    bool conclusive = false;
+    for (size_t giant_ops = 4 * EnginePool::kWakeOps;
+         !conclusive && giant_ops <= 32 * EnginePool::kWakeOps;
+         giant_ops *= 2) {
+        EnginePool pool(ModelKind::X86, 2);
+        letWorkersPark();
+        withDeadline("small traces queued behind a giant", [&] {
+            // At least kWakeOps ops: this submit wakes a worker.
+            pool.submit(buggyTraceOfSize(0, giant_ops));
+            for (uint64_t i = 1; i <= kSmalls; i++)
+                pool.submit(buggyTrace(i));
+            // The drain wakes the parked worker for the small traces.
+            std::thread drainer([&] { pool.drain(); });
+            for (;;) {
+                const PoolStats stats = pool.stats();
+                uint64_t checked = 0;
+                bool giant_done = false;
+                for (const WorkerStats &w : stats.workers) {
+                    checked += w.tracesChecked;
+                    giant_done |= w.opsProcessed >= giant_ops;
+                }
+                if (checked >= kSmalls) {
+                    conclusive = !giant_done;
+                    break;
+                }
+                std::this_thread::yield();
+            }
+            drainer.join();
+        });
+        if (!conclusive)
+            continue;
+        // The giant's worker checked the giant alone; the other
+        // worker checked every small trace.
+        const PoolStats stats = pool.stats();
+        ASSERT_EQ(stats.workers.size(), 2u);
+        for (const WorkerStats &w : stats.workers) {
+            const bool giant = w.opsProcessed >= giant_ops;
+            EXPECT_EQ(w.tracesChecked, giant ? 1u : kSmalls);
+        }
+        EXPECT_EQ(pool.results().failCount(), kSmalls + 1);
+    }
+    EXPECT_TRUE(conclusive) << "the giant always finished first";
 }
 
 TEST(EnginePoolTest, SubmitDuringResultsWakesForTheDrainer)

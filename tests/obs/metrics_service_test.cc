@@ -61,7 +61,7 @@ struct FakeGauges
         g.tracesSubmitted = submitted.load();
         g.tracesCompleted = completed.load();
         g.workers.resize(2);
-        g.workers[0].queueDepth = g.tracesSubmitted - g.tracesCompleted;
+        g.queuedTraces = g.tracesSubmitted - g.tracesCompleted;
         return g;
     }
 
@@ -190,8 +190,6 @@ TEST(MetricsPublisherTest, PrometheusExpositionIsStrictlyParsable)
           "# TYPE pmtest_traces_checked_total counter",
           "pmtest_pool_inflight_traces 6",
           "pmtest_pool_queued_traces 6",
-          "pmtest_worker_queue_depth{worker=\"0\"} 6",
-          "pmtest_worker_queue_depth{worker=\"1\"} 0",
           "pmtest_ingest_traces_consumed 42",
           "pmtest_ingest_traces_total 100",
           "pmtest_source_traces_consumed{source=\"fake.trace\"} 42",

@@ -363,7 +363,8 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
         ingest.decoders = 2;
         ASSERT_TRUE(
             core::ingest(*source, pool, ingest, nullptr, nullptr));
-        pool.submitBatch(traces);
+        for (Trace &trace : traces)
+            pool.submit(std::move(trace));
         core::Report merged = pool.results();
         merged.canonicalize();
     }
@@ -375,12 +376,11 @@ TEST(TelemetryTest, PipelineExportCoversEveryStage)
     Json doc;
     ASSERT_TRUE(JsonParser(w.str()).parse(&doc));
 
-    // Stall and steal stages only fire under backpressure/imbalance,
-    // so assert the six deterministic stages of this pipeline.
+    // The stall stage only fires under backpressure, so assert the
+    // five deterministic stages of this pipeline.
     for (const Stage stage :
-         {Stage::CaptureSeal, Stage::PoolSubmit, Stage::IngestDecode,
-          Stage::EngineCheck, Stage::ReportMerge,
-          Stage::ReportCanonicalize}) {
+         {Stage::CaptureSeal, Stage::IngestDecode, Stage::EngineCheck,
+          Stage::ReportMerge, Stage::ReportCanonicalize}) {
         EXPECT_NE(w.str().find(std::string{"\"name\":\""} +
                                stageName(stage) + "\""),
                   std::string::npos)

@@ -72,16 +72,6 @@ TEST(ConcurrentQueueTest, MultiProducerAllItemsArrive)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(ConcurrentQueueTest, ReopenAfterClose)
-{
-    ConcurrentQueue<int> q;
-    q.close();
-    EXPECT_FALSE(q.pop().has_value());
-    q.reopen();
-    q.push(7);
-    EXPECT_EQ(q.pop().value(), 7);
-}
-
 TEST(ConcurrentQueueTest, TryPushRespectsCapacity)
 {
     ConcurrentQueue<int> q(/*capacity=*/2);
@@ -142,35 +132,6 @@ TEST(ConcurrentQueueTest, CloseReleasesBlockedProducer)
     EXPECT_EQ(q.pop().value(), 1);
     EXPECT_EQ(q.pop().value(), 2);
     EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(ConcurrentQueueTest, PushAllKeepsOrderAcrossCapacityChunks)
-{
-    ConcurrentQueue<int> q(/*capacity=*/4);
-    std::vector<int> items;
-    for (int i = 0; i < 20; i++)
-        items.push_back(i);
-
-    std::thread producer([&] { q.pushAll(std::move(items)); });
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(q.pop().value(), i);
-    producer.join();
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(ConcurrentQueueTest, TryPushAllIsAllOrNothing)
-{
-    ConcurrentQueue<int> q(/*capacity=*/3);
-    std::vector<int> batch = {1, 2, 3, 4};
-    EXPECT_FALSE(q.tryPushAll(batch));
-    EXPECT_EQ(batch.size(), 4u); // rejected batch untouched
-    EXPECT_TRUE(q.empty());
-
-    batch.pop_back();
-    EXPECT_TRUE(q.tryPushAll(batch));
-    EXPECT_TRUE(batch.empty());
-    EXPECT_EQ(q.size(), 3u);
-    EXPECT_EQ(q.pop().value(), 1);
 }
 
 TEST(ConcurrentQueueTest, ProducerStallsAreCounted)

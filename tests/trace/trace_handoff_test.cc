@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <utility>
-#include <vector>
 
 #include "trace/concurrent_queue.hh"
 #include "trace/trace.hh"
@@ -76,42 +75,6 @@ TEST(TraceHandoffTest, QueueTransportPreservesTheBuffer)
     ASSERT_TRUE(popped.has_value());
     EXPECT_EQ(popped->ops().data(), data);
     EXPECT_EQ(popped->size(), 150u);
-}
-
-TEST(TraceHandoffTest, BatchTransportPreservesEveryBuffer)
-{
-    ConcurrentQueue<Trace> queue;
-    std::vector<Trace> batch;
-    std::vector<const PmOp *> data;
-    for (uint64_t i = 0; i < 8; i++) {
-        batch.push_back(makeTrace(i, 40 + 10 * i));
-        data.push_back(batch.back().ops().data());
-    }
-
-    queue.pushAll(std::move(batch));
-    for (uint64_t i = 0; i < 8; i++) {
-        auto popped = queue.pop();
-        ASSERT_TRUE(popped.has_value());
-        EXPECT_EQ(popped->ops().data(), data[i]) << "trace " << i;
-    }
-}
-
-TEST(TraceHandoffTest, StealPathPreservesTheBuffer)
-{
-    // tryPopHalf is the work-stealing hand-off; stolen traces must
-    // move out of the victim queue, not copy.
-    ConcurrentQueue<Trace> queue;
-    std::vector<const PmOp *> data;
-    for (uint64_t i = 0; i < 6; i++) {
-        Trace t = makeTrace(i, 30);
-        data.push_back(t.ops().data());
-        queue.push(std::move(t));
-    }
-
-    std::vector<Trace> stolen;
-    ASSERT_EQ(queue.tryPopHalf(stolen), 3u);
-    for (size_t i = 0; i < stolen.size(); i++)
-        EXPECT_EQ(stolen[i].ops().data(), data[i]) << "stolen " << i;
 }
 
 TEST(TraceHandoffTest, AppendGrowsInChunksFromInitialCapacity)
