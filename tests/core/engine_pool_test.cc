@@ -205,23 +205,31 @@ TEST(EnginePoolTest, InlineModeStatsReportOnePseudoWorker)
     EXPECT_EQ(stats.tracesCompleted, 1u);
 }
 
-TEST(EnginePoolTest, QueueCapacityIsExplicitDefaultOrUnbounded)
+TEST(EnginePoolTest, DefaultCapacityDerivedFromWorkerCount)
 {
-    PoolOptions options;
-    options.workers = 2;
-    options.queueCapacity = 3;
-    EXPECT_EQ(EnginePool(options).queueCapacity(), 3u);
-
-    // The default is the paper's 1,024-entry FIFO for the whole pool,
-    // whatever the worker count.
+    // The default is the paper's 1,024-entry FIFO for the whole pool:
+    // one queue, so the bound is the same at every worker count.
+    EXPECT_EQ(PoolOptions::kDefaultQueueCapacity, 1024u);
     for (size_t workers : {1, 4}) {
         EXPECT_EQ(EnginePool(ModelKind::X86, workers).queueCapacity(),
                   PoolOptions::kDefaultQueueCapacity);
     }
-    EXPECT_EQ(PoolOptions::kDefaultQueueCapacity, 1024u);
 
+    // An explicitly unbounded queue is still available.
+    PoolOptions options;
+    options.workers = 2;
     options.queueCapacity = PoolOptions::kUnboundedQueue;
     EXPECT_EQ(EnginePool(options).queueCapacity(), 0u);
+}
+
+TEST(EnginePoolTest, ExplicitCapacityBeatsEnvironment)
+{
+    // The capacity comes only from PoolOptions; nothing in the
+    // environment overrides an explicit value.
+    PoolOptions options;
+    options.workers = 2;
+    options.queueCapacity = 3;
+    EXPECT_EQ(EnginePool(options).queueCapacity(), 3u);
 }
 
 TEST(EnginePoolTest, TakeResultsReturnsAndResets)
