@@ -6,8 +6,10 @@
  *
  *  - storage: chunked IntervalMap vs the flat sorted-vector layout it
  *    replaced, on hot (4 KiB / 64 KiB), sparse never-retouched
- *    (1 MiB / 8 MiB) and mixed hot+sparse shapes — the sparse shapes
- *    are the flat layout's O(n)-memmove cliff.
+ *    (1 MiB / 8 MiB), mixed hot+sparse and round-shaped (8 MiB, each
+ *    assign probed right back) shapes — the sparse shapes are the
+ *    flat layout's O(n)-memmove cliff, the round shape is the
+ *    locality the map's (chunk, item) finger serves.
  *  - batch: assignBatch (sort once, walk chunks once) vs a per-op
  *    assign loop over identical sorted disjoint ranges.
  *  - state: one reused engine (capacity-retaining reset) vs a fresh
@@ -115,6 +117,28 @@ makeSparseStream(uint64_t span, uint64_t stride, uint64_t seed)
         ops.push_back({0, 0x100000 + stride * i, 64});
     for (size_t i = count; i > 1; i--)
         std::swap(ops[i - 1], ops[rng.below(i)]);
+    return ops;
+}
+
+/**
+ * The engine's persist-round locality: @p rounds times, assign a
+ * random 64 B slot of an @p span-byte span, then probe that same slot
+ * with covers and forEachOverlap — the write, then the writeback and
+ * check that look up the range it just placed. The sparse streams
+ * never retouch a range, so only this shape sees the finger.
+ */
+std::vector<IntervalOp>
+makeRoundStream(uint64_t span, size_t rounds, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<IntervalOp> ops;
+    ops.reserve(3 * rounds);
+    for (size_t i = 0; i < rounds; i++) {
+        const uint64_t addr = 0x100000 + 64 * rng.below(span / 64);
+        ops.push_back({0, addr, 64});
+        ops.push_back({2, addr, 64});
+        ops.push_back({3, addr, 64});
+    }
     return ops;
 }
 
@@ -472,6 +496,8 @@ main(int argc, char **argv)
             makeSparseStream(8 << 20, 2048, 17), 1, "sparse8m"));
         sections.push_back(measureStorage(
             makeMixedStream(2048, 23), 8, "mixed"));
+        sections.push_back(measureStorage(
+            makeRoundStream(8 << 20, 4096, 29), 2, "rounds8m"));
         sections.push_back(measureBatchAssign(128, 16, 6));
         sections.push_back(measureStateReuse(64, 32));
         sections.push_back(measureEngineBatch(32, 32));
@@ -486,6 +512,8 @@ main(int argc, char **argv)
             makeSparseStream(8 << 20, 512, 17), 1, "sparse8m"));
         sections.push_back(measureStorage(
             makeMixedStream(8192, 23), 10 * sp, "mixed"));
+        sections.push_back(measureStorage(
+            makeRoundStream(8 << 20, 16384, 29), sp, "rounds8m"));
         sections.push_back(measureBatchAssign(512, 16, 10 * sp));
         sections.push_back(measureStateReuse(512 * s, 64));
         sections.push_back(measureEngineBatch(256 * s, 64));

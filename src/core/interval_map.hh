@@ -22,10 +22,20 @@
  *
  * Retired chunk buffers park on an internal free-list, and clear()
  * recycles every chunk there, so a reused map (one shadow memory per
- * engine worker) stops allocating entirely in steady state. A cached
- * chunk-index hint makes the sequential-address access pattern engine
- * traces actually produce O(1) per lookup; const accessors read the
- * hint but never write it, so concurrent readers stay race-free.
+ * engine worker) stops allocating entirely in steady state.
+ *
+ * Lookups start at a cached (chunk, item) finger: the chunk and item
+ * index of the item the last mutation placed. A persist protocol's
+ * ops arrive together — the write, its writeback, the fence and the
+ * checker all probe the range the write just assigned — so each of
+ * them finds its chunk and item in O(1) instead of two binary
+ * searches. The finger is validated before use: the chunk hint must
+ * be the first chunk with hi > addr, and item f is taken only when
+ * items[f].end > addr and (f == 0 or items[f - 1].end <= addr), which
+ * is exactly the lower bound; a stale finger (after an erase, a
+ * clear() or a probe elsewhere) fails the test and falls back to the
+ * binary search. Const accessors read the finger but never write it,
+ * so concurrent readers stay race-free.
  */
 
 #ifndef PMTEST_CORE_INTERVAL_MAP_HH
@@ -105,6 +115,7 @@ class IntervalMap
             insertChunk(0,
                         Item{range.addr, range.end(), std::move(value)});
             hint_ = 0;
+            finger_ = 0;
             return;
         }
         size_t ci = chunkLowerBound(range.addr);
@@ -116,6 +127,7 @@ class IntervalMap
                 Item{range.addr, range.end(), std::move(value)});
             c.hi = range.end();
             hint_ = ci;
+            finger_ = c.items.size() - 1;
             maybeSplit(ci);
             return;
         }
@@ -155,7 +167,7 @@ class IntervalMap
                 continue;
             }
             const Chunk &c = chunks_[ci];
-            const size_t idx = itemLowerBound(c, r.addr);
+            const size_t idx = itemLowerBound(ci, r.addr);
             if ((idx < c.items.size() &&
                  c.items[idx].start < r.end()) ||
                 (ci + 1 < chunks_.size() &&
@@ -196,6 +208,7 @@ class IntervalMap
             recycle(std::move(c.items));
         chunks_.clear();
         hint_ = 0;
+        finger_ = 0;
     }
 
     /**
@@ -214,7 +227,7 @@ class IntervalMap
             const Chunk &c = chunks_[ci];
             if (c.lo >= range.end())
                 break;
-            size_t i = ci == first ? itemLowerBound(c, range.addr) : 0;
+            size_t i = ci == first ? itemLowerBound(ci, range.addr) : 0;
             for (; i < c.items.size() && c.items[i].start < range.end();
                  i++) {
                 const Item &item = c.items[i];
@@ -240,7 +253,7 @@ class IntervalMap
             Chunk &c = chunks_[ci];
             if (c.lo >= range.end())
                 break;
-            size_t i = ci == first ? itemLowerBound(c, range.addr) : 0;
+            size_t i = ci == first ? itemLowerBound(ci, range.addr) : 0;
             for (; i < c.items.size() && c.items[i].start < range.end();
                  i++)
                 fn(c.items[i].start, c.items[i].end, c.items[i].value);
@@ -292,7 +305,7 @@ class IntervalMap
         if (ci == chunks_.size() || chunks_[ci].lo >= range.end())
             return false;
         const Chunk &c = chunks_[ci];
-        const size_t i = itemLowerBound(c, range.addr);
+        const size_t i = itemLowerBound(ci, range.addr);
         return i < c.items.size() && c.items[i].start < range.end();
     }
 
@@ -311,7 +324,7 @@ class IntervalMap
             const Chunk &c = chunks_[ci];
             if (c.lo >= range.end())
                 break;
-            size_t i = ci == first ? itemLowerBound(c, range.addr) : 0;
+            size_t i = ci == first ? itemLowerBound(ci, range.addr) : 0;
             for (; i < c.items.size() && c.items[i].start < range.end();
                  i++) {
                 if (c.items[i].start > pos)
@@ -468,21 +481,31 @@ class IntervalMap
     }
 
     /**
-     * Index of the first item in @p c with end > addr — the only
-     * candidate for overlapping a range starting at @p addr (items are
-     * disjoint and sorted, so ends are sorted too). The item may still
-     * start at or beyond the probe range's end; callers bound on that.
+     * Index of the first item in chunk @p ci with end > addr — the
+     * only candidate for overlapping a range starting at @p addr
+     * (items are disjoint and sorted, so ends are sorted too). The
+     * item may still start at or beyond the probe range's end; callers
+     * bound on that. On the hinted chunk the finger is tried first:
+     * item f is exactly the lower bound when items[f].end > addr and
+     * (f == 0 or items[f - 1].end <= addr), so a stale finger fails
+     * the test and falls back to binary search. Never writes the
+     * finger, so const lookups are safe under concurrent readers.
      */
-    static size_t
-    itemLowerBound(const Chunk &c, uint64_t addr)
+    size_t
+    itemLowerBound(size_t ci, uint64_t addr) const
     {
+        const std::vector<Item> &items = chunks_[ci].items;
+        const size_t f = finger_;
+        if (ci == hint_ && f < items.size() && items[f].end > addr &&
+            (f == 0 || items[f - 1].end <= addr))
+            return f;
         size_t idx = static_cast<size_t>(
-            std::upper_bound(c.items.begin(), c.items.end(), addr,
+            std::upper_bound(items.begin(), items.end(), addr,
                              [](uint64_t a, const Item &item) {
                                  return a < item.start;
                              }) -
-            c.items.begin());
-        if (idx > 0 && c.items[idx - 1].end > addr)
+            items.begin());
+        if (idx > 0 && items[idx - 1].end > addr)
             idx--;
         return idx;
     }
@@ -520,7 +543,10 @@ class IntervalMap
         chunks_.insert(chunks_.begin() + pos, std::move(c));
     }
 
-    /** Split chunk @p ci in half if it outgrew kChunkCapacity. */
+    /**
+     * Split chunk @p ci in half if it outgrew kChunkCapacity; a finger
+     * into the moved half follows its item into the new chunk.
+     */
     void
     maybeSplit(size_t ci)
     {
@@ -528,6 +554,10 @@ class IntervalMap
         if (c.items.size() <= kChunkCapacity)
             return;
         const size_t half = c.items.size() / 2;
+        if (hint_ == ci && finger_ >= half) {
+            hint_ = ci + 1;
+            finger_ -= half;
+        }
         Chunk right;
         right.items = takeSpare();
         right.items.insert(right.items.end(),
@@ -542,7 +572,8 @@ class IntervalMap
 
     /**
      * Merge chunk @p ci with its smaller neighbor when @p ci dropped
-     * below kMergeThreshold and the pair fits in kMergeLimit.
+     * below kMergeThreshold and the pair fits in kMergeLimit; the
+     * hint moves to the merged chunk.
      */
     void
     maybeMerge(size_t ci)
@@ -565,6 +596,8 @@ class IntervalMap
         const size_t right = std::max(ci, buddy);
         Chunk &l = chunks_[left];
         Chunk &r = chunks_[right];
+        if (hint_ == right)
+            finger_ += l.items.size(); // follow the item leftward
         l.items.insert(l.items.end(),
                        std::make_move_iterator(r.items.begin()),
                        std::make_move_iterator(r.items.end()));
@@ -584,13 +617,14 @@ class IntervalMap
     {
         Chunk &c = chunks_[ci];
         std::vector<Item> &items = c.items;
-        size_t idx = itemLowerBound(c, range.addr);
+        size_t idx = itemLowerBound(ci, range.addr);
         if (idx == items.size() || items[idx].start >= range.end()) {
             // Nothing overlaps: plain sorted insert.
             items.insert(
                 items.begin() + idx,
                 Item{range.addr, range.end(), std::move(value)});
             c.sync();
+            finger_ = idx;
             maybeSplit(ci);
             return;
         }
@@ -605,6 +639,7 @@ class IntervalMap
             first.end = range.addr;
             items.insert(items.begin() + idx + 1, {middle, right});
             c.sync();
+            finger_ = idx + 1;
             maybeSplit(ci);
             return;
         }
@@ -628,12 +663,14 @@ class IntervalMap
             items.erase(items.begin() + idx + 1,
                         items.begin() + last);
             c.sync();
+            finger_ = idx;
             maybeMerge(ci);
         } else {
             items.insert(
                 items.begin() + idx,
                 Item{range.addr, range.end(), std::move(value)});
             c.sync();
+            finger_ = idx;
             maybeSplit(ci);
         }
     }
@@ -644,7 +681,7 @@ class IntervalMap
     {
         Chunk &c = chunks_[ci];
         std::vector<Item> &items = c.items;
-        size_t idx = itemLowerBound(c, range.addr);
+        size_t idx = itemLowerBound(ci, range.addr);
         if (idx == items.size() || items[idx].start >= range.end())
             return; // nothing overlaps
 
@@ -701,7 +738,7 @@ class IntervalMap
             // range.end() (the range crosses the seam), so apart
             // from a possible left remainder they are all covered.
             Chunk &c = chunks_[ci];
-            size_t idx = itemLowerBound(c, range.addr);
+            size_t idx = itemLowerBound(ci, range.addr);
             if (idx < c.items.size()) {
                 if (c.items[idx].start < range.addr) {
                     c.items[idx].end = range.addr; // left remainder
@@ -746,6 +783,7 @@ class IntervalMap
             c.items.push_back(
                 Item{range.addr, range.end(), std::move(*value)});
             c.sync();
+            finger_ = c.items.size() - 1;
             maybeSplit(ci);
             maybeMerge(ci);
         } else if (c.items.empty()) {
@@ -786,6 +824,7 @@ class IntervalMap
             }
         }
         hint_ = chunks_.empty() ? 0 : chunks_.size() - 1;
+        finger_ = chunks_.empty() ? 0 : chunks_.back().items.size() - 1;
         return i;
     }
 
@@ -816,6 +855,7 @@ class IntervalMap
                        std::make_move_iterator(scratch_.end()));
         c.sync();
         hint_ = ci;
+        finger_ = idx + k - 1;
         maybeSplit(ci);
         return i + k;
     }
@@ -824,6 +864,8 @@ class IntervalMap
      * Shared cursor walk behind the batch iterations: for each range,
      * advance a monotone (chunk, item) cursor to the first item with
      * end > range.addr, then visit items until start >= range.end().
+     * Entering a chunk places the item cursor with itemLowerBound (the
+     * finger, else a binary search) rather than a scan from item 0.
      * The cursor is left at the range's first overlap candidate — an
      * item spanning two probe ranges is revisited, never skipped.
      */
@@ -840,6 +882,7 @@ class IntervalMap
             return;
         size_t ci = chunkLowerBound(ranges[r].addr);
         size_t ii = 0;
+        bool placed = false; // ii not yet positioned in chunk ci
         for (; r < n; r++) {
             const AddrRange &range = ranges[r];
             if (range.empty())
@@ -848,8 +891,12 @@ class IntervalMap
                 const Chunk &c = chunks_[ci];
                 if (c.hi <= range.addr) {
                     ci++;
-                    ii = 0;
+                    placed = false;
                     continue;
+                }
+                if (!placed) {
+                    ii = itemLowerBound(ci, range.addr);
+                    placed = true;
                 }
                 while (ii < c.items.size() &&
                        c.items[ii].end <= range.addr)
@@ -886,6 +933,13 @@ class IntervalMap
      * mutating operations write it.
      */
     size_t hint_ = 0;
+    /**
+     * The finger: index, within chunk hint_, of the item the last
+     * mutation placed — a write's writeback, fence and check probe
+     * that same item, making item location O(1). Validated before
+     * every use (itemLowerBound); only mutating operations write it.
+     */
+    size_t finger_ = 0;
 };
 
 } // namespace pmtest::core

@@ -8,7 +8,9 @@
  * literally identical entries. Plus
  * deterministic units for the seams the fuzz can't aim at reliably:
  * an exactly-full chunk splitting, a near-empty chunk merging, and
- * range ops spanning multiple chunks.
+ * range ops spanning multiple chunks; and a finger test that probes
+ * every read path right after each kind of mutation, where the cached
+ * (chunk, item) finger is either exactly right or stale.
  */
 
 #include "core/interval_map.hh"
@@ -300,6 +302,282 @@ TEST(IntervalMapChunkedTest, BatchSeamAndCapacityBoundaries)
         b.emplace_back(e.start, e.end, e.value);
     });
     ASSERT_EQ(a, b);
+}
+
+/**
+ * Every read path probed at @p probe on both maps: covers, anyOverlap,
+ * forEachOverlap, and a batch walk that starts at address 0 and so
+ * enters the probe's chunk fresh (the walk's per-chunk placement).
+ */
+testing::AssertionResult
+sameReads(const IntervalMap<uint64_t> &map,
+          const bench::FlatIntervalMap<uint64_t> &flat,
+          const AddrRange &probe)
+{
+    if (map.covers(probe) != flat.covers(probe))
+        return testing::AssertionFailure()
+               << "covers [" << probe.addr << ", " << probe.end() << ")";
+    if (map.anyOverlap(probe) != flat.anyOverlap(probe))
+        return testing::AssertionFailure()
+               << "anyOverlap [" << probe.addr << ", " << probe.end()
+               << ")";
+    Entries a, b;
+    map.forEachOverlap(probe, [&](const auto &e) {
+        a.emplace_back(e.start, e.end, e.value);
+    });
+    flat.forEachOverlap(probe, [&](const auto &e) {
+        b.emplace_back(e.start, e.end, e.value);
+    });
+    if (a != b)
+        return testing::AssertionFailure()
+               << "forEachOverlap [" << probe.addr << ", " << probe.end()
+               << ")";
+    std::vector<AddrRange> batch;
+    if (probe.addr >= 1)
+        batch.emplace_back(0, 1);
+    batch.push_back(probe);
+    a.clear();
+    b.clear();
+    map.forEachOverlapBatch(batch.data(), batch.size(),
+                            [&](size_t, const auto &e) {
+                                a.emplace_back(e.start, e.end, e.value);
+                            });
+    for (const AddrRange &r : batch)
+        flat.forEachOverlap(r, [&](const auto &e) {
+            b.emplace_back(e.start, e.end, e.value);
+        });
+    if (a != b)
+        return testing::AssertionFailure()
+               << "forEachOverlapBatch [" << probe.addr << ", "
+               << probe.end() << ")";
+    return testing::AssertionSuccess();
+}
+
+/**
+ * Probes around the last-assigned range @p r: the range itself (the
+ * finger's hit path), its neighbours on both sides, a straddle, one
+ * byte inside, a wide window that crosses chunk seams, and the
+ * left/range/right triple as one batch.
+ */
+testing::AssertionResult
+sameReadsAround(const IntervalMap<uint64_t> &map,
+                const bench::FlatIntervalMap<uint64_t> &flat,
+                const AddrRange &r)
+{
+    const uint64_t left = r.addr >= 40 ? r.addr - 40 : 0;
+    const uint64_t below = r.addr >= 256 ? r.addr - 256 : 0;
+    const AddrRange probes[] = {
+        r,
+        AddrRange(left, r.addr - left),
+        AddrRange(r.end(), 40),
+        AddrRange(r.addr >= 4 ? r.addr - 4 : 0, r.size + 8),
+        AddrRange(r.addr + r.size / 2, 1),
+        AddrRange(below, r.end() + 256 - below),
+    };
+    for (const AddrRange &probe : probes) {
+        testing::AssertionResult same = sameReads(map, flat, probe);
+        if (!same)
+            return same;
+    }
+    const AddrRange triple[] = {probes[1], r, probes[2]};
+    Entries a, b;
+    map.forEachOverlapBatch(triple, 3, [&](size_t, const auto &e) {
+        a.emplace_back(e.start, e.end, e.value);
+    });
+    for (const AddrRange &t : triple)
+        flat.forEachOverlap(t, [&](const auto &e) {
+            b.emplace_back(e.start, e.end, e.value);
+        });
+    if (a != b)
+        return testing::AssertionFailure()
+               << "triple batch around [" << r.addr << ", " << r.end()
+               << ")";
+    return testing::AssertionSuccess();
+}
+
+/**
+ * Probes every stored entry exactly and every span from the middle of
+ * one entry to the middle of the next, so each chunk seam is crossed.
+ */
+testing::AssertionResult
+sameReadsEverywhere(const IntervalMap<uint64_t> &map,
+                    const bench::FlatIntervalMap<uint64_t> &flat)
+{
+    const Entries entries = dump(flat);
+    if (dump(map) != entries)
+        return testing::AssertionFailure() << "stored entries differ";
+    for (size_t k = 0; k < entries.size(); k++) {
+        const uint64_t start = std::get<0>(entries[k]);
+        const uint64_t end = std::get<1>(entries[k]);
+        testing::AssertionResult same =
+            sameReads(map, flat, AddrRange(start, end - start));
+        if (!same)
+            return same;
+        if (k + 1 == entries.size())
+            break;
+        const uint64_t mid = start + (end - start) / 2;
+        const uint64_t next_start = std::get<0>(entries[k + 1]);
+        const uint64_t next_mid =
+            next_start + (std::get<1>(entries[k + 1]) - next_start) / 2;
+        same = sameReads(map, flat, AddrRange(mid, next_mid - mid));
+        if (!same)
+            return same;
+    }
+    return testing::AssertionSuccess();
+}
+
+TEST(IntervalMapChunkedTest, FingerLookupsMatchFlatAfterEveryMutationKind)
+{
+    // The (chunk, item) finger is the item the last mutation placed;
+    // lookups take it only after the two-sided lower-bound test.
+    // After each mutation kind below, probes at the last-assigned
+    // range take the hit path and probes elsewhere meet a stale
+    // finger; both must read exactly what the flat layout reads.
+    constexpr uint64_t kSlot = 64;
+    constexpr uint64_t kSlots = 1024; // a 64 KiB span, ~8 chunks
+    constexpr size_t kHalf = kCap / 2;
+    for (uint64_t seed = 1; seed <= 4; seed++) {
+        Rng rng(seed * 0x9e3779b9);
+        IntervalMap<uint64_t> map;
+        bench::FlatIntervalMap<uint64_t> flat;
+        uint64_t value = 0;
+        auto assign = [&](const AddrRange &r) {
+            value++;
+            map.assign(r, value);
+            flat.assign(r, value);
+            return map.validate();
+        };
+        auto erase = [&](const AddrRange &r) {
+            map.erase(r);
+            flat.erase(r);
+            return map.validate();
+        };
+        // A known layout: ascending appends split every time the last
+        // chunk outgrows kCap, leaving chunks of kHalf, kHalf and
+        // kHalf + 1 one-slot entries.
+        auto rebuild = [&] {
+            map.clear();
+            flat.clear();
+            for (size_t i = 0; i < kCap + kHalf + 1; i++)
+                ASSERT_TRUE(assign(AddrRange(kSlot * i, 32)));
+            ASSERT_EQ(map.chunkCount(), 3u);
+        };
+        // A write round: a random slot-sized write, then probes.
+        auto rounds = [&](int count) {
+            for (int i = 0; i < count; i++) {
+                const uint64_t slot = rng.below(kSlots);
+                const AddrRange r(slot * kSlot + rng.below(16),
+                                  8 + rng.below(kSlot));
+                if (!assign(r))
+                    return testing::AssertionFailure() << "invalid";
+                testing::AssertionResult same =
+                    sameReadsAround(map, flat, r);
+                if (!same)
+                    return same << " after write round " << i;
+            }
+            return testing::AssertionSuccess();
+        };
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+
+        // Split at capacity: ascending appends fill one chunk to
+        // kCap; the next append splits it and the finger follows
+        // the new item into the right half.
+        for (size_t i = 0; i <= kCap; i++) {
+            const AddrRange r(kSlot * i, 32);
+            ASSERT_TRUE(assign(r));
+            ASSERT_TRUE(sameReadsAround(map, flat, r)) << "append " << i;
+        }
+        ASSERT_EQ(map.chunkCount(), 2u);
+        // Gap inserts on both sides of the split point.
+        for (const size_t i : {size_t{3}, kHalf - 1, kHalf + 1,
+                               kCap - 2}) {
+            const AddrRange r(kSlot * i + 40, 8);
+            ASSERT_TRUE(assign(r));
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+        }
+        ASSERT_TRUE(sameReadsEverywhere(map, flat));
+        ASSERT_TRUE(rounds(600));
+        ASSERT_GE(map.chunkCount(), 4u);
+        ASSERT_TRUE(sameReadsEverywhere(map, flat));
+
+        // Merge: on a known layout, one assign swallows 50 of chunk
+        // 1's 64 entries; the chunk falls under the merge threshold
+        // and folds into chunk 0, and the finger follows its item.
+        rebuild();
+        {
+            const AddrRange r(kSlot * (kHalf + 10), kSlot * 50);
+            ASSERT_TRUE(assign(r));
+            ASSERT_EQ(map.chunkCount(), 2u);
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+            ASSERT_TRUE(sameReadsEverywhere(map, flat));
+            // An erase that carves the last chunk down merges too.
+            ASSERT_TRUE(erase(AddrRange(kSlot * (kCap + 5), kSlot * 50)));
+            ASSERT_EQ(map.chunkCount(), 1u);
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+            ASSERT_TRUE(sameReadsEverywhere(map, flat));
+        }
+        ASSERT_TRUE(rounds(200));
+
+        // Cross-seam splice: one assign spanning several chunks.
+        {
+            const AddrRange r(kSlot * rng.below(kSlots / 2) + 20,
+                              kSlot * 300);
+            ASSERT_TRUE(assign(r));
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+            ASSERT_TRUE(sameReadsEverywhere(map, flat));
+        }
+        ASSERT_TRUE(rounds(200));
+
+        // An erase that empties a chunk: on the known layout, finger
+        // the last entry of chunk 0, then erase exactly chunk 0.
+        rebuild();
+        ASSERT_TRUE(sameReads(map, flat, AddrRange(0, kSlot)));
+        {
+            const AddrRange last(kSlot * (kHalf - 1), 32);
+            ASSERT_TRUE(assign(last)); // finger into chunk 0
+            ASSERT_TRUE(erase(AddrRange(0, kSlot * kHalf - 16)));
+            ASSERT_EQ(map.chunkCount(), 2u);
+            ASSERT_TRUE(sameReadsAround(map, flat, last));
+            ASSERT_TRUE(
+                sameReadsAround(map, flat, AddrRange(kSlot * kCap, 32)));
+            ASSERT_TRUE(sameReadsEverywhere(map, flat));
+        }
+        ASSERT_TRUE(rounds(200));
+
+        // clear(): the finger outlives the entries it indexed.
+        {
+            const AddrRange r(kSlot * 7, 32);
+            ASSERT_TRUE(assign(r));
+            map.clear();
+            flat.clear();
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+            ASSERT_TRUE(assign(AddrRange(kSlot * 900, 16)));
+            ASSERT_TRUE(sameReadsAround(map, flat, r));
+            ASSERT_TRUE(
+                sameReadsAround(map, flat, AddrRange(kSlot * 900, 16)));
+        }
+        ASSERT_TRUE(rounds(400));
+
+        // assignBatch gap runs: sorted writes into the gaps between
+        // stored slots, plus a tail past the last chunk (appendRun).
+        for (int b = 0; b < 20; b++) {
+            std::vector<AddrRange> batch;
+            uint64_t slot = rng.below(64);
+            while (slot < kSlots + 64) {
+                batch.emplace_back(kSlot * slot + 48, 8);
+                slot += 1 + rng.below(12);
+            }
+            value++;
+            map.assignBatch(batch.data(), batch.size(), value);
+            for (const AddrRange &r : batch)
+                flat.assign(r, value);
+            ASSERT_TRUE(map.validate());
+            ASSERT_TRUE(sameReadsAround(map, flat, batch.back()));
+            ASSERT_TRUE(sameReadsAround(map, flat, batch.front()));
+            ASSERT_TRUE(rounds(20));
+        }
+        ASSERT_TRUE(sameReadsEverywhere(map, flat));
+    }
 }
 
 } // namespace

@@ -9,7 +9,12 @@
  * lines (partial and line-straddling ranges) must leave both with the
  * same ClwbScan after every writeback, the same full entry list
  * (bounds and RangeStatus) after every op, and the same ordering
- * verdicts and messages.
+ * verdicts and messages. The reference stores its entries in the
+ * retired flat layout (bench::FlatIntervalMap), so the chunked map's
+ * lookups are checked too; a sparse-round stream over a wide span —
+ * hundreds of entries across many chunks, each round's write,
+ * writeback, fence and check probing the range just written — covers
+ * the map's cached finger on both its hit and its stale path.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "core/persistency_model.hh"
 #include "core/shadow_memory.hh"
 #include "core/x86_model.hh"
+#include "bench/flat_interval_map.hh"
 #include "util/random.hh"
 
 namespace pmtest::core
@@ -139,6 +145,19 @@ class RefShadow
         openWrites_.clear();
     }
 
+    /** The isPersist rule, reporting the first still-open entry. */
+    bool
+    allPersisted(const AddrRange &range, AddrRange *first_open) const
+    {
+        for (const auto &[r, ival] : persistIntervals(range)) {
+            if (!ival.closedBy(timestamp_)) {
+                *first_open = r;
+                return false;
+            }
+        }
+        return true;
+    }
+
     std::vector<std::pair<AddrRange, Interval>>
     persistIntervals(const AddrRange &range) const
     {
@@ -211,8 +230,8 @@ class RefShadow
 
   private:
     Epoch timestamp_ = 0;
-    IntervalMap<RangeStatus> map_;
-    IntervalMap<uint8_t> openWrites_;
+    bench::FlatIntervalMap<RangeStatus> map_;
+    bench::FlatIntervalMap<uint8_t> openWrites_;
     std::vector<AddrRange> pending_;
 };
 
@@ -355,6 +374,99 @@ TEST(ShadowMemoryDiffTest, WritebackTilingExactEntriesKeepsBounds)
     EXPECT_FALSE(scan.any());
     EXPECT_EQ(shadow.entryCount(), 32u);
     EXPECT_EQ(rows(shadow), ref.rows());
+}
+
+/**
+ * The sparse-round shape (the offline_large_sparse workload): each
+ * round writes a random 64-byte slot of a 256 KiB span — whole, a
+ * piece of it, or straddling two slots — writes it back, fences and
+ * checks that it persisted; every fourth round also writes a second
+ * slot and checks the two are ordered. One round in eight drops its
+ * writeback and one in eight its fence, so checks fail too. The span
+ * leaves hundreds of live entries across many chunks. Every op's
+ * scan and verdict is compared, and the full entry lists every eighth
+ * round and at the end.
+ */
+void
+runSparseRounds(uint64_t seed, size_t rounds)
+{
+    constexpr uint64_t kSlots = 4096;
+    Rng rng(seed);
+    ShadowMemory shadow;
+    shadow.setTrackOpenWrites(false);
+    RefShadow ref;
+    const X86Model strict;
+    const HopsModel hops;
+    auto slotRange = [&] {
+        const uint64_t slot = 64 * rng.below(kSlots);
+        switch (rng.below(3)) {
+          case 0:
+            return AddrRange(slot, 64);
+          case 1:
+            return AddrRange(slot + 8 * rng.below(6), 8 + 8 * rng.below(2));
+          default:
+            return AddrRange(slot + 32, 64);
+        }
+    };
+    for (size_t round = 0; round < rounds; round++) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << " round " << round);
+        const AddrRange a = slotRange();
+        AddrRange b = round % 4 == 3 ? slotRange() : AddrRange();
+        if (b.overlaps(a))
+            b = AddrRange();
+        for (const AddrRange &w : {a, b}) {
+            if (w.empty())
+                continue;
+            shadow.recordWrite(w);
+            ref.write(w);
+        }
+        if (rng.below(8) != 0)
+            ASSERT_TRUE(sameScan(shadow.recordClwb(a), ref.clwb(a)));
+        if (rng.below(8) != 0) {
+            shadow.bumpTimestamp();
+            shadow.completePendingFlushes();
+            ref.sfence();
+        }
+        if (!b.empty()) {
+            ASSERT_TRUE(sameScan(shadow.recordClwb(b), ref.clwb(b)));
+            shadow.bumpTimestamp();
+            shadow.completePendingFlushes();
+            ref.sfence();
+            for (const bool h : {false, true}) {
+                const PersistencyModel &model =
+                    h ? static_cast<const PersistencyModel &>(hops)
+                      : strict;
+                std::string want_why;
+                const RuleVerdict got =
+                    model.checkOrderedBefore(a, b, shadow);
+                const bool want = ref.orderedBefore(a, b, h, &want_why);
+                ASSERT_EQ(got.holds, want);
+                if (!got) {
+                    ASSERT_EQ(rendered(got), want_why);
+                }
+            }
+        }
+        AddrRange got_open, want_open;
+        const bool got = shadow.allPersisted(a, &got_open);
+        ASSERT_EQ(got, ref.allPersisted(a, &want_open)) << a.str();
+        if (!got) {
+            ASSERT_EQ(got_open.addr, want_open.addr);
+            ASSERT_EQ(got_open.size, want_open.size);
+        }
+        if (round % 8 == 0) {
+            ASSERT_EQ(rows(shadow), ref.rows());
+        }
+    }
+    ASSERT_EQ(rows(shadow), ref.rows());
+    ASSERT_GT(shadow.entryCount(),
+              4 * IntervalMap<RangeStatus>::kChunkCapacity);
+}
+
+TEST(ShadowMemoryDiffTest, SparseRoundsAcrossManyChunksMatchReference)
+{
+    for (uint64_t seed = 1; seed <= 4; seed++)
+        runSparseRounds(seed, 2500);
 }
 
 /**

@@ -25,83 +25,117 @@ namespace
 {
 
 /**
- * A randomly generated protocol over K distinct cache lines, each
- * written at most once. The generator interleaves writes, writebacks
- * of already-written lines, and fences.
+ * A randomly generated protocol over 8-byte slots in K cache lines.
+ * The generator interleaves writes, writebacks of already-written
+ * slots, and fences. By default each line holds one slot, written at
+ * most once; @p slots_per_line = 2 puts two slots (offsets 0 and 8)
+ * in each line, and @p rewrites lets a written slot be written again.
+ * Every write stores a distinct value, so a crash image tells which
+ * write of a slot it holds.
  */
 struct RandomProtocol
 {
     static constexpr size_t kLines = 4;
-    static constexpr uint64_t kBase = 0; // device offsets
 
+    size_t slotsPerLine;
     std::vector<PmOp> ops;
-    std::vector<bool> written = std::vector<bool>(kLines, false);
+    /** The value each op of ops stores (0 for non-writes). */
+    std::vector<uint64_t> values;
+    std::vector<bool> written;
+    /** The value of each slot's last write. */
+    std::vector<uint64_t> finalValue;
 
-    static uint64_t lineAddr(size_t line) { return line * 64; }
-
-    explicit RandomProtocol(Rng &rng)
+    explicit RandomProtocol(Rng &rng, size_t slots_per_line = 1,
+                            bool rewrites = false)
+        : slotsPerLine(slots_per_line), written(slots(), false),
+          finalValue(slots(), 0)
     {
         const size_t n_ops = 4 + rng.below(10);
         for (size_t i = 0; i < n_ops; i++) {
             const uint64_t dice = rng.below(100);
-            const size_t line = rng.below(kLines);
+            const size_t slot = rng.below(slots());
             if (dice < 45) {
-                if (!written[line]) {
-                    ops.push_back(PmOp::write(lineAddr(line), 8));
-                    written[line] = true;
+                if (!written[slot] || rewrites) {
+                    finalValue[slot] = (slot + 1) | (ops.size() << 8);
+                    ops.push_back(PmOp::write(slotAddr(slot), 8));
+                    values.push_back(finalValue[slot]);
+                    written[slot] = true;
                 }
             } else if (dice < 80) {
-                if (written[line])
-                    ops.push_back(PmOp::clwb(lineAddr(line), 8));
+                if (written[slot]) {
+                    ops.push_back(PmOp::clwb(slotAddr(slot), 8));
+                    values.push_back(0);
+                }
             } else {
                 ops.push_back(PmOp::sfence());
+                values.push_back(0);
             }
         }
+    }
+
+    size_t slots() const { return kLines * slotsPerLine; }
+
+    uint64_t
+    slotAddr(size_t slot) const
+    {
+        return slot / slotsPerLine * 64 + slot % slotsPerLine * 8;
     }
 };
 
 /**
- * Enumerate all final crash states of the protocol and return, for
- * each line, the set of "new value persisted" outcomes observed.
- * states[i] is a bitmask of lines holding their new value.
+ * Every crash image the cache can expose now, as bitmasks of the
+ * slots holding the value of their last write in the protocol.
+ */
+std::vector<uint32_t>
+crashMasks(const RandomProtocol &proto, pmem::CacheSim &cache)
+{
+    pmem::CrashInjector injector(cache);
+    std::vector<uint32_t> states;
+    injector.enumerate([&](const std::vector<uint8_t> &image) {
+        uint32_t mask = 0;
+        for (size_t slot = 0; slot < proto.slots(); slot++) {
+            uint64_t v;
+            std::memcpy(&v, image.data() + proto.slotAddr(slot), 8);
+            if (v == proto.finalValue[slot])
+                mask |= 1u << slot;
+        }
+        states.push_back(mask);
+    });
+    return states;
+}
+
+/** Apply op @p i of the protocol to the cache model. */
+void
+replay(const RandomProtocol &proto, size_t i, pmem::CacheSim &cache)
+{
+    const PmOp &op = proto.ops[i];
+    switch (op.type) {
+      case OpType::Write:
+        cache.store(op.addr, &proto.values[i], 8);
+        break;
+      case OpType::Clwb:
+        cache.clwb(op.addr, 8);
+        break;
+      case OpType::Sfence:
+        cache.sfence();
+        break;
+      default:
+        break;
+    }
+}
+
+/**
+ * Enumerate all final crash states of the protocol: states[i] is a
+ * bitmask of the slots holding their last written value.
  */
 std::vector<uint32_t>
 enumerateCrashStates(const RandomProtocol &proto)
 {
     pmem::PmDevice device(RandomProtocol::kLines * 64);
     pmem::CacheSim cache(device, true);
-
-    for (const auto &op : proto.ops) {
-        switch (op.type) {
-          case OpType::Write: {
-            const uint64_t value = op.addr / 64 + 1;
-            cache.store(op.addr, &value, 8);
-            break;
-          }
-          case OpType::Clwb:
-            cache.clwb(op.addr, 8);
-            break;
-          case OpType::Sfence:
-            cache.sfence();
-            break;
-          default:
-            break;
-        }
-    }
-
-    pmem::CrashInjector injector(cache);
-    std::vector<uint32_t> states;
-    injector.enumerate([&](const std::vector<uint8_t> &image) {
-        uint32_t mask = 0;
-        for (size_t line = 0; line < RandomProtocol::kLines; line++) {
-            uint64_t v;
-            std::memcpy(&v, image.data() + line * 64, 8);
-            if (v == line + 1)
-                mask |= 1u << line;
-        }
-        states.push_back(mask);
-    });
-    return states;
+    for (size_t i = 0; i < proto.ops.size(); i++)
+        replay(proto, i, cache);
+    return crashMasks(proto, cache);
 }
 
 class GroundTruthTest : public ::testing::TestWithParam<uint64_t>
@@ -121,8 +155,7 @@ TEST_P(GroundTruthTest, IsPersistAgreesWithEnumeration)
 
             Trace trace(1, 0);
             trace.append(proto.ops);
-            trace.append(
-                PmOp::isPersist(RandomProtocol::lineAddr(line), 8));
+            trace.append(PmOp::isPersist(proto.slotAddr(line), 8));
             core::Engine engine(core::ModelKind::X86);
             const bool pmtest_pass = engine.check(trace).passed();
 
@@ -152,8 +185,7 @@ TEST_P(GroundTruthTest, IsOrderedBeforeAgreesWithEnumeration)
                 Trace trace(1, 0);
                 trace.append(proto.ops);
                 trace.append(PmOp::isOrderedBefore(
-                    RandomProtocol::lineAddr(a), 8,
-                    RandomProtocol::lineAddr(b), 8));
+                    proto.slotAddr(a), 8, proto.slotAddr(b), 8));
                 core::Engine engine(core::ModelKind::X86);
                 const bool pmtest_pass = engine.check(trace).passed();
 
@@ -191,38 +223,23 @@ enumeratePrefixCrashStates(const RandomProtocol &proto)
     pmem::CacheSim cache(device, true);
 
     std::vector<std::vector<uint32_t>> per_prefix;
-    for (const auto &op : proto.ops) {
-        switch (op.type) {
-          case OpType::Write: {
-            const uint64_t value = op.addr / 64 + 1;
-            cache.store(op.addr, &value, 8);
-            break;
-          }
-          case OpType::Clwb:
-            cache.clwb(op.addr, 8);
-            break;
-          case OpType::Sfence:
-            cache.sfence();
-            break;
-          default:
-            break;
-        }
-        pmem::CrashInjector injector(cache);
-        std::vector<uint32_t> states;
-        injector.enumerate([&](const std::vector<uint8_t> &image) {
-            uint32_t mask = 0;
-            for (size_t line = 0; line < RandomProtocol::kLines;
-                 line++) {
-                uint64_t v;
-                std::memcpy(&v, image.data() + line * 64, 8);
-                if (v == line + 1)
-                    mask |= 1u << line;
-            }
-            states.push_back(mask);
-        });
-        per_prefix.push_back(std::move(states));
+    for (size_t i = 0; i < proto.ops.size(); i++) {
+        replay(proto, i, cache);
+        per_prefix.push_back(crashMasks(proto, cache));
     }
     return per_prefix;
+}
+
+/** Whether some crash point exposes b's last value without a's. */
+bool
+orderViolated(const std::vector<std::vector<uint32_t>> &prefix_states,
+              size_t a, size_t b)
+{
+    for (const auto &states : prefix_states)
+        for (uint32_t mask : states)
+            if ((mask >> b & 1) && !(mask >> a & 1))
+                return true;
+    return false;
 }
 
 TEST_P(GroundTruthTest, IsOrderedBeforeExactlyMatchesPrefixEnumeration)
@@ -243,21 +260,10 @@ TEST_P(GroundTruthTest, IsOrderedBeforeExactlyMatchesPrefixEnumeration)
                 Trace trace(1, 0);
                 trace.append(proto.ops);
                 trace.append(PmOp::isOrderedBefore(
-                    RandomProtocol::lineAddr(a), 8,
-                    RandomProtocol::lineAddr(b), 8));
+                    proto.slotAddr(a), 8, proto.slotAddr(b), 8));
                 core::Engine engine(core::ModelKind::X86);
                 const bool pmtest_pass = engine.check(trace).passed();
-
-                bool violation = false;
-                for (const auto &states : prefix_states) {
-                    for (uint32_t mask : states) {
-                        const bool a_new = (mask >> a) & 1;
-                        const bool b_new = (mask >> b) & 1;
-                        violation |= b_new && !a_new;
-                    }
-                    if (violation)
-                        break;
-                }
+                const bool violation = orderViolated(prefix_states, a, b);
 
                 ASSERT_EQ(pmtest_pass, !violation)
                     << "round " << round << " a=" << a << " b=" << b
@@ -270,6 +276,115 @@ TEST_P(GroundTruthTest, IsOrderedBeforeExactlyMatchesPrefixEnumeration)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroundTruthTest,
                          ::testing::Values(11, 22, 33, 44));
+
+/**
+ * Engine verdicts against crash enumeration over one generator
+ * configuration: a wrong PASS is a checker that passes while some
+ * crash state breaks it (unsound), a false FAIL one that fails while
+ * none does (conservative).
+ */
+struct Agreement
+{
+    size_t persistChecks = 0;
+    size_t persistWrongPass = 0;
+    size_t persistFalseFail = 0;
+    size_t orderChecks = 0;
+    size_t orderWrongPass = 0;
+    size_t orderFalseFail = 0;
+};
+
+bool
+passes(const RandomProtocol &proto, const PmOp &checker)
+{
+    Trace trace(1, 0);
+    trace.append(proto.ops);
+    trace.append(checker);
+    core::Engine engine(core::ModelKind::X86);
+    return engine.check(trace).passed();
+}
+
+/**
+ * 400 protocols from Rng(7): every written slot's isPersist against
+ * the final crash states, every ordered pair of written slots'
+ * isOrderedBefore against the crash states at every op prefix.
+ */
+Agreement
+measureAgreement(size_t slots_per_line, bool rewrites)
+{
+    Rng rng(7);
+    Agreement out;
+    for (int p = 0; p < 400; p++) {
+        const RandomProtocol proto(rng, slots_per_line, rewrites);
+        const auto prefix_states = enumeratePrefixCrashStates(proto);
+        const auto final_states = enumerateCrashStates(proto);
+        for (size_t s = 0; s < proto.slots(); s++) {
+            if (!proto.written[s])
+                continue;
+            bool always_persisted = true;
+            for (uint32_t mask : final_states)
+                always_persisted &= (mask >> s) & 1;
+            const bool pass =
+                passes(proto, PmOp::isPersist(proto.slotAddr(s), 8));
+            out.persistChecks++;
+            out.persistWrongPass += pass && !always_persisted;
+            out.persistFalseFail += !pass && always_persisted;
+        }
+        for (size_t a = 0; a < proto.slots(); a++) {
+            for (size_t b = 0; b < proto.slots(); b++) {
+                if (a == b || !proto.written[a] || !proto.written[b])
+                    continue;
+                const bool violation = orderViolated(prefix_states, a, b);
+                const bool pass = passes(
+                    proto, PmOp::isOrderedBefore(proto.slotAddr(a), 8,
+                                                 proto.slotAddr(b), 8));
+                out.orderChecks++;
+                out.orderWrongPass += pass && violation;
+                out.orderFalseFail += !pass && !violation;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(GroundTruthWidenedTest, OneSlotPerLineIsExactWithOrWithoutRewrites)
+{
+    for (const bool rewrites : {false, true}) {
+        SCOPED_TRACE(rewrites ? "rewrites" : "written once");
+        const Agreement got = measureAgreement(1, rewrites);
+        EXPECT_EQ(got.persistChecks, 947u);
+        EXPECT_EQ(got.orderChecks, 1692u);
+        EXPECT_EQ(got.persistWrongPass, 0u);
+        EXPECT_EQ(got.orderWrongPass, 0u);
+        EXPECT_EQ(got.persistFalseFail, 0u);
+        EXPECT_EQ(got.orderFalseFail, 0u);
+    }
+}
+
+TEST(GroundTruthWidenedTest, TwoSlotsPerLineAreSoundWithPinnedFalseFails)
+{
+    // The x86 rules are line-blind: a writeback of one slot does not
+    // count for the other slot of its line, and two writes to one line
+    // are not known to persist in program order. Both make the checker
+    // conservative, never unsound. The false-FAIL counts are pinned so
+    // that a rule change moves them visibly.
+    struct Pinned
+    {
+        bool rewrites;
+        size_t persistChecks, persistFalseFail;
+        size_t orderChecks, orderFalseFail;
+    };
+    for (const Pinned &pin : {Pinned{false, 1197, 11, 3170, 223},
+                              Pinned{true, 1197, 8, 3170, 222}}) {
+        SCOPED_TRACE(pin.rewrites ? "rewrites" : "written once");
+        const Agreement got = measureAgreement(2, pin.rewrites);
+        EXPECT_EQ(got.persistWrongPass, 0u);
+        EXPECT_EQ(got.orderWrongPass, 0u);
+        EXPECT_EQ(got.persistChecks, pin.persistChecks);
+        EXPECT_EQ(got.persistFalseFail, pin.persistFalseFail);
+        EXPECT_EQ(got.orderChecks, pin.orderChecks);
+        EXPECT_EQ(got.orderFalseFail, pin.orderFalseFail);
+    }
+}
 
 class LibraryCrashTest : public ::testing::Test
 {
