@@ -1,5 +1,8 @@
 #include "core/engine_pool.hh"
 
+#include <algorithm>
+#include <tuple>
+
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
 
@@ -22,20 +25,22 @@ resolveQueueCapacity(size_t requested, size_t workers)
 /**
  * The source-job side of an engine: TraceSource::checkNext feeds it a
  * claimed trace, whole or window by window, and take() hands over the
- * finished trace's report.
+ * finished trace's report with its index within the source.
  */
 class EngineConsumer final : public TraceConsumer
 {
   public:
     explicit EngineConsumer(Engine &engine) : engine_(engine) {}
 
-    void consume(const Trace &trace) override
+    void consume(const Trace &trace, size_t index) override
     {
+        index_ = index;
         report_ = engine_.check(trace);
     }
 
-    void begin(uint64_t trace_id, uint32_t file_id) override
+    void begin(uint64_t trace_id, uint32_t file_id, size_t index) override
     {
+        index_ = index;
         engine_.begin(trace_id, file_id);
     }
 
@@ -46,11 +51,14 @@ class EngineConsumer final : public TraceConsumer
 
     void finish(Arena arena) override { report_ = engine_.finish(arena); }
 
+    size_t index() const { return index_; }
+
     Report take() { return std::move(report_); }
 
   private:
     Engine &engine_;
     Report report_;
+    size_t index_ = 0;
 };
 
 } // namespace
@@ -64,16 +72,18 @@ struct EnginePool::SourceJob
     std::atomic<bool> failed{false};
     std::atomic<uint64_t> traces{0};
     std::atomic<uint64_t> decodeNanos{0};
-    std::mutex errorMutex;
-    bool errorSet = false; ///< guarded by errorMutex
-    SourceError error;     ///< guarded by errorMutex
+    std::mutex mutex;
+    bool errorSet = false; ///< guarded by mutex
+    SourceError error;     ///< guarded by mutex
+    /** Every lane's finished reports with findings (under mutex). */
+    std::vector<Finished> finished;
 
     /** Stop every thread; keep the first error. */
     void
     fail(SourceError e)
     {
         failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(errorMutex);
+        std::lock_guard<std::mutex> lock(mutex);
         if (!errorSet) {
             errorSet = true;
             error = std::move(e);
@@ -239,6 +249,7 @@ EnginePool::runLane(Lane &lane, SourceJob &job)
 {
     EngineConsumer consumer(*lane.engine);
     uint64_t traces = 0;
+    std::vector<Finished> finished;
     while (!job.failed.load(std::memory_order_relaxed)) {
         SourceError error;
         const TraceSource::Pull result =
@@ -251,7 +262,17 @@ EnginePool::runLane(Lane &lane, SourceJob &job)
             break;
         traces++;
         lane.publish();
-        recordResult(consumer.take(), /*claimed=*/true);
+        claimed_.fetch_add(1, std::memory_order_relaxed);
+        obs::count(obs::Counter::ReportsMerged);
+        Report report = consumer.take();
+        if (!report.clean())
+            finished.push_back({consumer.index(), std::move(report)});
+    }
+    {
+        std::lock_guard<std::mutex> lock(job.mutex);
+        job.finished.insert(job.finished.end(),
+                            std::make_move_iterator(finished.begin()),
+                            std::make_move_iterator(finished.end()));
     }
     obs::count(obs::Counter::TracesDecoded, traces);
     job.traces.fetch_add(traces, std::memory_order_relaxed);
@@ -314,6 +335,25 @@ EnginePool::checkSource(TraceSource &source, size_t callers,
         jobCv_.wait(lock, [this] { return jobWorkers_ == 0; });
     }
 
+    // Place the finished traces' findings in canonical order, once.
+    const auto key = [](const Finished &f) {
+        return std::make_tuple(f.report.fileId(), f.report.traceId(),
+                               f.index);
+    };
+    std::sort(job.finished.begin(), job.finished.end(),
+              [&](const Finished &a, const Finished &b) {
+                  return key(a) < key(b);
+              });
+    size_t findings = 0;
+    for (const Finished &f : job.finished)
+        findings += f.report.findings().size();
+    {
+        std::lock_guard<std::mutex> lock(resultMutex_);
+        obs::SpanScope span(obs::Stage::ReportMerge);
+        aggregate_.reserve(findings);
+        for (Finished &f : job.finished)
+            aggregate_.merge(std::move(f.report));
+    }
     if (stats) {
         stats->tracesDecoded += job.traces.load();
         stats->decodeNanos += job.decodeNanos.load();
@@ -326,7 +366,7 @@ EnginePool::checkSource(TraceSource &source, size_t callers,
 }
 
 void
-EnginePool::recordResult(Report report, bool claimed)
+EnginePool::recordResult(Report report)
 {
     obs::count(obs::Counter::ReportsMerged);
     bool drained;
@@ -334,8 +374,6 @@ EnginePool::recordResult(Report report, bool claimed)
         std::lock_guard<std::mutex> lock(resultMutex_);
         obs::SpanScope span(obs::Stage::ReportMerge);
         aggregate_.merge(std::move(report));
-        if (claimed)
-            submitted_++;
         completed_++;
         // The drain predicate can only turn true at the moment the
         // counters meet; notifying on every completion wakes blocked
@@ -445,9 +483,10 @@ EnginePool::stats() const
     stats.producerStallNanos =
         stallNanos_.load(std::memory_order_relaxed);
     {
+        const uint64_t claimed = claimed_.load(std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(resultMutex_);
-        stats.tracesSubmitted = submitted_;
-        stats.tracesCompleted = completed_;
+        stats.tracesSubmitted = submitted_ + claimed;
+        stats.tracesCompleted = completed_ + claimed;
         stats.ingest = ingest_;
     }
     if (inlineLane_)

@@ -10,10 +10,17 @@
  *  - checkSource() — offline checking (core::ingest). The source can
  *    hand any thread any whole trace, so there is nothing to queue:
  *    every worker, and a number of threads on the caller's side,
- *    loops claiming the next trace from the source, decoding it
- *    through a fixed window straight into its own engine and merging
- *    the report, until the source ends. No queue, wakes or
- *    backpressure; each thread holds one decode window, not traces.
+ *    loops claiming the next trace from the source and decoding it
+ *    through a fixed window straight into its own engine, until the
+ *    source ends. No queue, wakes or backpressure; each thread holds
+ *    one decode window, not traces. A lane keeps the reports that
+ *    have findings in its own list, taking no shared lock per trace
+ *    (the trace counters stay live: stats() counts each trace as it
+ *    finishes). When the source is spent, the reports are sorted by
+ *    (fileId, traceId, index within the source) and moved into the
+ *    aggregate once, sized up front — already in canonical order, so
+ *    Report::canonicalize has nothing to move, and traces that share
+ *    an id keep the order a serial pass gives them.
  *  - submit() — live capture (api.cc), where the application thread
  *    produces the traces and must hand them off:
  *     - Every worker pops the one FIFO trace queue, so an idle worker
@@ -123,13 +130,15 @@ class EnginePool
     /**
      * Check every trace @p source yields: each worker, and @p callers
      * threads on this side (the calling thread is the first), loops
-     * claiming the next trace from the source, running it through
-     * its own engine and merging the report, until the source ends or
-     * any thread hits a source error. Returns once every thread has
-     * stopped; a failed trace adds no findings, traces completed
-     * before the failure stay in the aggregate. One source job runs
-     * at a time (concurrent calls serialize). Adds the traces claimed
-     * and the decode time to @p stats when non-null.
+     * claiming the next trace from the source and running it through
+     * its own engine, until the source ends or any thread hits a
+     * source error. Then the finished traces' findings are placed in
+     * the aggregate by (fileId, traceId, index within the source).
+     * Returns once every thread has stopped and the findings are
+     * placed; a failed trace adds no findings, traces completed
+     * before the failure keep theirs. One source job runs at a time
+     * (concurrent calls serialize). Adds the traces claimed and the
+     * decode time to @p stats when non-null.
      * @return false on a source error (the first one copied to
      *         @p error when provided).
      */
@@ -204,6 +213,13 @@ class EnginePool
         uint64_t jobEpoch = 0;
     };
 
+    /** A source job's finished trace: its report and source index. */
+    struct Finished
+    {
+        size_t index;
+        Report report;
+    };
+
     struct SourceJob;
 
     void workerLoop(Worker &worker);
@@ -218,12 +234,8 @@ class EnginePool
     std::vector<Lane *> callerLanes(size_t n);
     /** Traces and ops checked, summed over every lane. */
     WorkerStats totals() const;
-    /**
-     * Merge one checked trace's report. @p claimed: the trace came
-     * from a source job, not a submit, so it is counted submitted
-     * here too.
-     */
-    void recordResult(Report report, bool claimed = false);
+    /** Merge one submitted trace's report. */
+    void recordResult(Report report);
     /**
      * The wake rule, run after @p ops ops were queued: wake one
      * parked worker once the unwoken backlog reaches kWakeOps, at
@@ -265,6 +277,8 @@ class EnginePool
     Report aggregate_;
     uint64_t submitted_ = 0; ///< guarded by resultMutex_
     uint64_t completed_ = 0; ///< guarded by resultMutex_
+    /** Traces source jobs checked: submitted and completed at once. */
+    std::atomic<uint64_t> claimed_{0};
     IngestStats ingest_;     ///< guarded by resultMutex_
 
     std::mutex jobMutex_;        ///< one source job at a time

@@ -346,7 +346,8 @@ Report::merge(const Report &other)
 void
 Report::merge(Report &&other)
 {
-    if (findings_.empty()) {
+    if (findings_.capacity() < other.findings_.size() &&
+        findings_.empty()) {
         findings_ = std::move(other.findings_);
     } else {
         findings_.insert(findings_.end(),
@@ -385,6 +386,12 @@ void
 Report::canonicalize()
 {
     obs::SpanScope span(obs::Stage::ReportCanonicalize);
+    const auto before = [](const Finding &a, const Finding &b) {
+        return std::tie(a.fileId, a.traceId, a.opIndex) <
+               std::tie(b.fileId, b.traceId, b.opIndex);
+    };
+    if (std::is_sorted(findings_.begin(), findings_.end(), before))
+        return;
     // Sorting 144-byte findings moves each one many times; sorting
     // 32-byte keys and moving each finding once is several times
     // cheaper. The position tiebreak makes std::sort reproduce the
@@ -409,9 +416,6 @@ Report::canonicalize()
         const Finding &f = findings_[i];
         keys.push_back({f.fileId, f.traceId, f.opIndex, i});
     }
-    // Serial runs merge in submission order: already canonical.
-    if (std::is_sorted(keys.begin(), keys.end()))
-        return;
     std::sort(keys.begin(), keys.end());
 
     // Apply the permutation in place, one cycle at a time: slot i

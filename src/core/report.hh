@@ -210,6 +210,9 @@ class Report
      */
     void merge(Report &&other);
 
+    /** Make room for @p more findings, so merges up to it never grow. */
+    void reserve(size_t more) { findings_.reserve(findings_.size() + more); }
+
     /**
      * Set every finding's (fileId, traceId) to this report's
      * identity. The checking kernels only record opIndex (they do
@@ -232,14 +235,17 @@ class Report
 
     /**
      * Reorder findings into the canonical order: stable sort by
-     * (fileId, traceId, opIndex), done as a sort of compact keys with
-     * the current position as the last tiebreak, then one in-place
+     * (fileId, traceId, opIndex). A report already in that order —
+     * the pool places offline reports by (fileId, traceId, index
+     * within the source) — is left as it is after one pass comparing
+     * neighbours. Otherwise it sorts compact keys with the current
+     * position as the last tiebreak, then applies one in-place
      * move-permutation of the findings. Per-trace findings stay in
      * detection order (each trace is checked whole by one engine), so
      * a report merged from parallel workers over any shard/source
-     * assignment canonicalizes to the exact byte sequence the serial,
-     * submission-ordered path produces — the determinism contract of
-     * the parallel offline-check pipeline.
+     * assignment canonicalizes to the exact byte sequence the serial
+     * path produces — the determinism contract of the parallel
+     * offline-check pipeline.
      */
     void canonicalize();
 

@@ -5,17 +5,19 @@
  * in-process capture sink — on an engine pool. Traces are independent
  * (paper §4.4), so any thread can check any whole trace: every pool
  * worker and every ingest-side thread claims the next trace from the
- * source's shared cursor, decodes it through a fixed window of ops
- * into its own engine and merges the report (EnginePool::
+ * source's shared cursor and decodes it through a fixed window of
+ * ops into its own engine; the finished reports are placed in
+ * canonical order once the source is spent (EnginePool::
  * checkSource). Decode and check happen on the same thread with no
  * queue between them, so all cores decode and check, and peak memory
  * is one decode window per thread — not the whole input, nor a
  * backlog of decoded traces.
  *
- * Every trace is identity-stamped (fileId, traceId), and a report
- * with findings holds the string arena its locations point into, so
- * the merged report canonicalizes to the same bytes regardless of
- * how sources, shards and threads interleaved.
+ * Every trace is identity-stamped (fileId, traceId) and carries its
+ * index within its source, and a report with findings holds the
+ * string arena its locations point into, so the merged report
+ * canonicalizes to the same bytes regardless of how sources, shards
+ * and threads interleaved.
  *
  * Used by pmtest_check (--decoders=N, multi-file, --worker=i/N),
  * examples/offline_check, bench_ingest, and the determinism tests.

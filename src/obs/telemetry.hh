@@ -74,7 +74,8 @@ enum class Stage : uint8_t
     PoolStall,         ///< producer blocked on the full queue (backpressure)
     IngestDecode,      ///< one decode window of a claimed file trace
     EngineCheck,       ///< Engine::check — one trace through the kernel
-    ReportMerge,       ///< merging a per-trace report into the aggregate
+    ReportMerge,       ///< one submitted trace's report merged, or a
+                       ///< source job's reports placed, in the aggregate
     ReportCanonicalize,///< sorting the merged report into canonical order
     SourceOpen,        ///< opening/validating one trace source (file)
     HintReplay,        ///< replaying one patched trace to verify a hint
@@ -106,7 +107,9 @@ enum class Counter : uint8_t
     TracesDecoded,   ///< traces ingest() claimed from its source
     TracesChecked,   ///< traces through Engine::check
     OpsChecked,      ///< PM ops through Engine::check
-    ReportsMerged,   ///< per-trace reports merged into aggregates
+    ReportsMerged,   ///< checked traces' reports taken into the pool
+                     ///< aggregate (one per trace, with or without
+                     ///< findings, as each trace finishes)
     SourcesIngested, ///< trace sources drained to End by ingest()
     HintsSynthesized,///< findings recorded with a valid FixHint
     HintsVerified,   ///< hints whose patched replay came back clean

@@ -7,6 +7,10 @@
 #include <map>
 #include <ostream>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace pmtest
 {
 
@@ -68,15 +72,15 @@ class BodyCursor
 /** Sanity cap on interned file-name length. */
 constexpr uint32_t kMaxNameLen = 1u << 20;
 
-} // namespace
-
+/**
+ * Slicing-by-8 over the raw (un-inverted) CRC state: table k advances
+ * the CRC over a byte followed by k zero bytes, so eight lookups fold
+ * eight input bytes per step. tables[0] is the classic bytewise
+ * table, used for the tail.
+ */
 uint32_t
-crc32(const void *data, size_t len, uint32_t crc)
+sliceBy8(uint32_t crc, const uint8_t *bytes, size_t len)
 {
-    // IEEE 802.3 reflected CRC32, slicing-by-8: table k advances the
-    // CRC over a byte followed by k zero bytes, so eight lookups fold
-    // eight input bytes per step. tables[0] is the classic bytewise
-    // table, used for the tail.
     using Table = std::array<uint32_t, 256>;
     static const std::array<Table, 8> tables = [] {
         std::array<Table, 8> t{};
@@ -96,8 +100,6 @@ crc32(const void *data, size_t len, uint32_t crc)
                uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24;
     };
 
-    crc ^= 0xffffffffu;
-    const auto *bytes = static_cast<const uint8_t *>(data);
     for (; len >= 8; len -= 8, bytes += 8) {
         const uint32_t lo = load32(bytes) ^ crc;
         const uint32_t hi = load32(bytes + 4);
@@ -108,7 +110,95 @@ crc32(const void *data, size_t len, uint32_t crc)
     }
     for (; len > 0; len--, bytes++)
         crc = tables[0][(crc ^ *bytes) & 0xffu] ^ (crc >> 8);
-    return crc ^ 0xffffffffu;
+    return crc;
+}
+
+#if defined(__x86_64__)
+/**
+ * Carry-less-multiply folding (Gopal et al., Intel 2009) over the raw
+ * CRC state, for @p len >= 64 and a multiple of 16. Four 128-bit
+ * lanes fold 64 bytes a step, the lanes and any 16-byte blocks left
+ * fold into one, and a Barrett reduction brings it to 32 bits. The
+ * constants are x^k mod P(x) for the bit-reflected IEEE polynomial:
+ * k1/k2 step 512 bits, k3/k4 128 bits, k5 the last 64 → 32 bits;
+ * mu = floor(x^64 / P(x)).
+ */
+__attribute__((target("pclmul"))) inline __m128i
+fold(__m128i x, __m128i k)
+{
+    // x * x^k, for a 128-bit lane x, as x.lo * k.lo ^ x.hi * k.hi.
+    return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                         _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+__attribute__((target("pclmul"))) uint32_t
+foldClmul(uint32_t crc, const uint8_t *p, size_t len)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+    const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+    const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+    const auto load = [](const uint8_t *q) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(q));
+    };
+
+    __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(
+                                            static_cast<int>(crc)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+        x0 = _mm_xor_si128(fold(x0, k1k2), load(p));
+        x1 = _mm_xor_si128(fold(x1, k1k2), load(p + 16));
+        x2 = _mm_xor_si128(fold(x2, k1k2), load(p + 32));
+        x3 = _mm_xor_si128(fold(x3, k1k2), load(p + 48));
+    }
+    x0 = _mm_xor_si128(fold(x0, k3k4), x1);
+    x0 = _mm_xor_si128(fold(x0, k3k4), x2);
+    x0 = _mm_xor_si128(fold(x0, k3k4), x3);
+    for (; len >= 16; p += 16, len -= 16)
+        x0 = _mm_xor_si128(fold(x0, k3k4), load(p));
+
+    // 128 → 64 bits (appending the 32 zero bits the CRC implies),
+    // then 64 → 32 bits by Barrett reduction.
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                       _mm_clmulepi64_si128(k3k4, x0, 0x01));
+    x0 = _mm_xor_si128(_mm_srli_si128(x0, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x0, low32),
+                                            k5, 0x00));
+    __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu,
+                                     0x10);
+    t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+    return static_cast<uint32_t>(
+        _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x0, t), 4)));
+}
+#endif
+
+} // namespace
+
+uint32_t
+crc32Portable(const void *data, size_t len, uint32_t crc)
+{
+    return ~sliceBy8(~crc, static_cast<const uint8_t *>(data), len);
+}
+
+uint32_t
+crc32(const void *data, size_t len, uint32_t crc)
+{
+#if defined(__x86_64__)
+    static const bool clmul = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") != 0;
+    }();
+    if (clmul && len >= 64) {
+        const auto *bytes = static_cast<const uint8_t *>(data);
+        const size_t folded = len & ~size_t{15};
+        return ~sliceBy8(foldClmul(~crc, bytes, folded), bytes + folded,
+                         len - folded);
+    }
+#endif
+    return crc32Portable(data, len, crc);
 }
 
 void

@@ -129,7 +129,7 @@ V2FileSource::checkNext(TraceConsumer &consumer, SourceError *error)
         decodeError(i, error);
         return Pull::Error;
     }
-    consumer.begin(ops.traceId(), fileId_);
+    consumer.begin(ops.traceId(), fileId_, i);
     PmOp *window = consumer.window();
     while (ops.remaining() > 0) {
         size_t count;
@@ -191,6 +191,14 @@ TraceSource::Pull
 CaptureTraceSource::pull(size_t max, std::vector<Trace> *out,
                          SourceError *)
 {
+    uint64_t first;
+    return claim(max, out, &first);
+}
+
+TraceSource::Pull
+CaptureTraceSource::claim(size_t max, std::vector<Trace> *out,
+                          uint64_t *first)
+{
     if (max == 0)
         return Pull::Items;
     std::unique_lock<std::mutex> lock(mutex_);
@@ -198,6 +206,7 @@ CaptureTraceSource::pull(size_t max, std::vector<Trace> *out,
     if (head_ == queue_.size())
         return Pull::End; // closed and drained
     const size_t last = std::min(queue_.size(), head_ + max);
+    *first = pulled_;
     pulled_ += last - head_;
     for (; head_ < last; head_++)
         out->push_back(std::move(queue_[head_]));
@@ -211,12 +220,13 @@ CaptureTraceSource::pull(size_t max, std::vector<Trace> *out,
 }
 
 TraceSource::Pull
-CaptureTraceSource::checkNext(TraceConsumer &consumer, SourceError *error)
+CaptureTraceSource::checkNext(TraceConsumer &consumer, SourceError *)
 {
     std::vector<Trace> one;
-    const Pull result = pull(1, &one, error);
+    uint64_t index;
+    const Pull result = claim(1, &one, &index);
     if (result == Pull::Items)
-        consumer.consume(one.front());
+        consumer.consume(one.front(), index);
     return result;
 }
 

@@ -76,7 +76,11 @@ struct SourceError
  * trace, either whole (consume) or as begin, one feed() per decode
  * window, then finish. A trace whose decode fails part-way gets no
  * finish(); the next begin() or consume() discards what it was fed.
- * core's engine adapter implements it.
+ * Both carry the trace's index within its source (a file's index
+ * entry, a capture's arrival order), which breaks ties between
+ * traces that share a (fileId, traceId): the checking pool places
+ * reports by (fileId, traceId, index), the order a serial pass over
+ * the source produces. core's engine adapter implements it.
  */
 class TraceConsumer
 {
@@ -89,11 +93,15 @@ class TraceConsumer
 
     virtual ~TraceConsumer() = default;
 
-    /** Consume a whole in-memory trace. */
-    virtual void consume(const Trace &trace) = 0;
+    /** Consume a whole in-memory trace, the @p index-th of its source. */
+    virtual void consume(const Trace &trace, size_t index) = 0;
 
-    /** Start a windowed trace; its ops follow through feed(). */
-    virtual void begin(uint64_t trace_id, uint32_t file_id) = 0;
+    /**
+     * Start a windowed trace, the @p index-th of its source; its ops
+     * follow through feed().
+     */
+    virtual void begin(uint64_t trace_id, uint32_t file_id,
+                       size_t index) = 0;
 
     /** The next @p count ops of the begun trace, in program order. */
     virtual void feed(const PmOp *ops, size_t count) = 0;
@@ -296,6 +304,9 @@ class CaptureTraceSource final : public TraceSource
     uint64_t consumedTraces() const override;
 
   private:
+    /** pull(), also reporting the arrival index of the first trace. */
+    Pull claim(size_t max, std::vector<Trace> *out, uint64_t *first);
+
     std::string name_;
     uint32_t fileId_;
     mutable std::mutex mutex_;

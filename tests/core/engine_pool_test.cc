@@ -489,6 +489,34 @@ TEST(EnginePoolTest, SourceJobRunsOnTheCallerOfAnInlinePool)
     EXPECT_EQ(pool.results().failCount(), 5u);
 }
 
+TEST(EnginePoolTest, SourceJobCountsTracesAsTheyFinish)
+{
+    // --progress and /metrics read stats() while a source job runs:
+    // each checked trace counts as it finishes, not when the job
+    // ends. The capture source stays open, so the job cannot end
+    // before close().
+    EnginePool pool(ModelKind::X86, 2);
+    CaptureTraceSource source;
+    constexpr uint64_t kTraces = 8;
+    for (uint64_t i = 0; i < kTraces; i++)
+        source.push(buggyTrace(i));
+    std::atomic<bool> returned{false};
+    withDeadline("live source-job progress", [&] {
+        std::thread job([&] {
+            EXPECT_TRUE(pool.checkSource(source, 1, nullptr, nullptr));
+            returned.store(true);
+        });
+        while (pool.stats().tracesCompleted < kTraces)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_FALSE(returned.load());
+        EXPECT_EQ(pool.stats().tracesSubmitted, kTraces);
+        EXPECT_EQ(pool.tracesChecked(), kTraces);
+        source.close();
+        job.join();
+    });
+    EXPECT_EQ(pool.results().failCount(), kTraces);
+}
+
 TEST(EnginePoolTest, SourceJobsWhileAProducerSubmits)
 {
     // Source jobs back to back on one pool — each posted to workers

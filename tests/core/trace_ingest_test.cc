@@ -14,10 +14,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/check_session.hh"
 #include "core/engine.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_reader.hh"
@@ -210,6 +212,68 @@ TEST(TraceIngestTest, CorruptLastOpFailsWithoutPartialFindings)
         }
     }
     std::remove(path.c_str());
+}
+
+TEST(TraceIngestTest, DuplicateTraceIdsGiveOneOrderAtEveryWorkerCount)
+{
+    // 400 traces share one trace id and each fails at op 2, on its
+    // own line, so only the trace index within the file can order
+    // the tied findings. Every worker count, run after run, must
+    // print and write the serial run's bytes.
+    const std::string path = tmpPath("duplicate_ids");
+    const std::string report_path = tmpPath("duplicate_ids_report");
+    {
+        std::vector<Trace> traces;
+        for (uint64_t i = 0; i < 400; i++) {
+            Trace t(7, 0);
+            t.append(PmOp::write(0x1000 + 64 * i, 64,
+                                 SourceLocation("workload.cc", 42)));
+            t.append(PmOp::sfence(SourceLocation("workload.cc", 43)));
+            t.append(PmOp::isPersist(0x1000 + 64 * i, 64,
+                                     SourceLocation("checker.cc", 9)));
+            traces.push_back(std::move(t));
+        }
+        ASSERT_TRUE(saveTracesToFile(path, traces));
+    }
+    const auto slurp = [](const std::string &file) {
+        std::ifstream in(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    // stdout past its header line, which names the worker count.
+    const auto findingLines = [](const std::string &text) {
+        return text.substr(text.find('\n') + 1);
+    };
+
+    std::string want_stdout;
+    std::string want_report;
+    for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+        for (int run = 0; run < 10; run++) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " run " + std::to_string(run));
+            CheckPlan plan;
+            plan.inputArgs = {path};
+            plan.workers = workers;
+            plan.maxFindings = 1000;
+            plan.reportOutPath = report_path;
+            std::string error;
+            ASSERT_TRUE(plan.finalize(&error)) << error;
+            testing::internal::CaptureStdout();
+            const int exit_code = runCheckTool(plan);
+            const std::string out =
+                findingLines(testing::internal::GetCapturedStdout());
+            ASSERT_EQ(exit_code, 1);
+            const std::string report = slurp(report_path);
+            if (want_stdout.empty()) {
+                ASSERT_NE(out.find("400 FAIL"), std::string::npos) << out;
+                want_stdout = out;
+                want_report = report;
+            }
+            ASSERT_EQ(out, want_stdout);
+            ASSERT_EQ(report, want_report);
+        }
+    }
+    std::remove(path.c_str());
+    std::remove(report_path.c_str());
 }
 
 TEST(TraceIngestTest, MergePropagatesHeldArenas)

@@ -199,24 +199,67 @@ TEST(Crc32Test, ContinuesAcrossSplits)
     }
 }
 
-TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+/** @p n pseudo-random bytes (a fixed LCG, so every run sees the same). */
+std::vector<uint8_t>
+noiseBytes(size_t n)
 {
-    // Covers every tail length after the 8-byte steps and every start
-    // alignment of those steps.
-    constexpr size_t kMaxLen = 4096;
-    constexpr size_t kMaxOffset = 7;
-    std::vector<uint8_t> buf(kMaxLen + kMaxOffset);
+    std::vector<uint8_t> buf(n);
     uint32_t x = 0x12345678u;
     for (uint8_t &b : buf) {
         x = x * 1664525u + 1013904223u;
         b = static_cast<uint8_t>(x >> 24);
     }
+    return buf;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Covers every tail length after the 8-byte table steps and the
+    // 16-byte folds, and every start alignment of those loads.
+    constexpr size_t kMaxLen = 4096;
+    constexpr size_t kMaxOffset = 15;
+    const std::vector<uint8_t> buf = noiseBytes(kMaxLen + kMaxOffset);
     for (size_t offset = 0; offset <= kMaxOffset; offset++) {
         for (size_t len = 0; len <= kMaxLen; len++) {
             ASSERT_EQ(crc32(buf.data() + offset, len),
                       referenceCrc32(buf.data() + offset, len))
                 << "offset " << offset << " length " << len;
         }
+    }
+}
+
+TEST(Crc32Test, PortablePathMatchesBytewiseReference)
+{
+    // crc32 folds with carry-less multiplies where the CPU can, so
+    // the table path is checked on its own too.
+    constexpr size_t kMaxLen = 1024;
+    constexpr size_t kMaxOffset = 15;
+    const std::vector<uint8_t> buf = noiseBytes(kMaxLen + kMaxOffset);
+    for (size_t offset = 0; offset <= kMaxOffset; offset++) {
+        for (size_t len = 0; len <= kMaxLen; len++) {
+            ASSERT_EQ(crc32Portable(buf.data() + offset, len),
+                      referenceCrc32(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+    EXPECT_EQ(crc32Portable("123456789", 9), 0xcbf43926u);
+}
+
+TEST(Crc32Test, ContinuesAcrossEverySplitOfALongBuffer)
+{
+    // Each side of every split is folded, table-stepped or both, so
+    // the continued CRC crosses the fold/tail boundary on each side.
+    constexpr size_t kLen = 1500;
+    const std::vector<uint8_t> buf = noiseBytes(kLen);
+    const uint32_t whole = referenceCrc32(buf.data(), kLen);
+    for (size_t split = 0; split <= kLen; split++) {
+        const uint32_t head = crc32(buf.data(), split);
+        ASSERT_EQ(crc32(buf.data() + split, kLen - split, head), whole)
+            << "split at " << split;
+        ASSERT_EQ(crc32Portable(buf.data() + split, kLen - split,
+                                crc32Portable(buf.data(), split)),
+                  whole)
+            << "portable, split at " << split;
     }
 }
 

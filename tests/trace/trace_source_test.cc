@@ -373,17 +373,19 @@ TEST(TraceSourceTest, DecodeErrorNamesFileAndTraceIndex)
 class RecordingConsumer final : public TraceConsumer
 {
   public:
-    void consume(const Trace &trace) override
+    void consume(const Trace &trace, size_t i) override
     {
         got = trace;
+        index = i;
         windows.assign(1, trace.size());
         whole = true;
     }
 
-    void begin(uint64_t trace_id, uint32_t file_id) override
+    void begin(uint64_t trace_id, uint32_t file_id, size_t i) override
     {
         got = Trace(trace_id, 0);
         got.setFileId(file_id);
+        index = i;
         windows.clear();
         whole = false;
     }
@@ -397,6 +399,7 @@ class RecordingConsumer final : public TraceConsumer
     void finish(Arena a) override { arena = std::move(a); }
 
     Trace got;
+    size_t index = 0;
     std::vector<size_t> windows;
     bool whole = false;
     Arena arena;
@@ -416,11 +419,13 @@ TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
     ASSERT_TRUE(source) << error;
 
     RecordingConsumer consumer;
-    for (const Trace &expected : traces) {
+    for (size_t index = 0; index < traces.size(); index++) {
+        const Trace &expected = traces[index];
         SourceError source_error;
         ASSERT_EQ(source->checkNext(consumer, &source_error),
                   TraceSource::Pull::Items);
         EXPECT_FALSE(consumer.whole);
+        EXPECT_EQ(consumer.index, index);
         EXPECT_EQ(consumer.got.id(), expected.id());
         EXPECT_EQ(consumer.got.fileId(), 5u);
         ASSERT_EQ(consumer.got.size(), expected.size());
@@ -450,18 +455,33 @@ TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
     SourceError source_error;
     EXPECT_EQ(source->checkNext(consumer, &source_error),
               TraceSource::Pull::End);
+
+    // A shard indexes its traces within the whole file.
+    std::shared_ptr<const TraceFileReader> reader =
+        TraceFileReader::open(path, IngestMode::Auto, &error);
+    ASSERT_TRUE(reader) << error;
+    const auto shards = shardTraceSource(reader, path, 5, 3);
+    ASSERT_EQ(shards.size(), 3u);
+    ASSERT_EQ(shards[2]->checkNext(consumer, &source_error),
+              TraceSource::Pull::Items);
+    EXPECT_EQ(consumer.index, 2u);
     std::remove(path.c_str());
 
-    // A capture source hands each pushed trace over whole.
+    // A capture source hands each pushed trace over whole, indexed
+    // in arrival order.
     CaptureTraceSource capture("<capture>", 4);
     capture.push(sampleTrace(9, 0, 3));
+    capture.push(sampleTrace(9, 1, 3));
     capture.close();
-    ASSERT_EQ(capture.checkNext(consumer, &source_error),
-              TraceSource::Pull::Items);
-    EXPECT_TRUE(consumer.whole);
-    EXPECT_EQ(consumer.got.id(), 9u);
-    EXPECT_EQ(consumer.got.fileId(), 4u);
-    EXPECT_EQ(capture.consumedTraces(), 1u);
+    for (size_t index = 0; index < 2; index++) {
+        ASSERT_EQ(capture.checkNext(consumer, &source_error),
+                  TraceSource::Pull::Items);
+        EXPECT_TRUE(consumer.whole);
+        EXPECT_EQ(consumer.index, index);
+        EXPECT_EQ(consumer.got.id(), 9u);
+        EXPECT_EQ(consumer.got.fileId(), 4u);
+    }
+    EXPECT_EQ(capture.consumedTraces(), 2u);
     EXPECT_EQ(capture.checkNext(consumer, &source_error),
               TraceSource::Pull::End);
 }
