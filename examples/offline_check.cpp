@@ -16,9 +16,8 @@
  *
  * Files are written in the indexed v2 format (per-trace framing plus
  * an index footer), the one format pmtest_check reads: it mmaps them
- * (or reads a pipe to EOF) and decodes in parallel (--decoders=N,
- * or --distribute=N across processes) — see
- * src/trace/trace_reader.hh.
+ * (or reads a pipe to EOF) and decodes in parallel (--decoders=N) —
+ * see src/trace/trace_reader.hh.
  *
  *   $ ./offline_check [output.trace] [--trace-events=FILE]
  *

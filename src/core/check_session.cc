@@ -4,13 +4,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
-
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "core/engine_pool.hh"
 #include "core/fix_verify.hh"
@@ -89,19 +84,17 @@ rejectDuplicates(const std::vector<std::string> &files,
 }
 
 /**
- * Open input files first, first + step, ... as one source, each file
- * stamped with its input index as fileId; several files compose into
- * a MultiTraceSource. The selection must not be empty. (0, 1) is the
- * source a plain run checks, and the re-open of the fix-hints replay
- * pass, which needs the identical fileId assignment.
+ * Open every input file as one source, each file stamped with its
+ * input index as fileId; several files compose into a
+ * MultiTraceSource. The fix-hints replay pass re-opens the inputs
+ * through here too, so it sees the identical fileId assignment.
  * @return nullptr with *error ("path: reason") set on failure.
  */
 std::unique_ptr<TraceSource>
-openInputFiles(const CheckPlan &plan, size_t first, size_t step,
-               std::string *error)
+openInputFiles(const CheckPlan &plan, std::string *error)
 {
     std::vector<std::unique_ptr<TraceSource>> children;
-    for (size_t j = first; j < plan.inputs.size(); j += step) {
+    for (size_t j = 0; j < plan.inputs.size(); j++) {
         auto child = openTraceSource(plan.inputs[j], IngestMode::Auto,
                                      static_cast<uint32_t>(j), error);
         if (!child)
@@ -111,56 +104,6 @@ openInputFiles(const CheckPlan &plan, size_t first, size_t step,
     if (children.size() == 1)
         return std::move(children[0]);
     return std::make_unique<MultiTraceSource>(std::move(children));
-}
-
-/**
- * The byte-balanced index slices of the single input file (see
- * shardTraceSource). @return no slices, with *error set, when the
- * file cannot be opened.
- */
-std::vector<std::unique_ptr<TraceSource>>
-shardSingleInput(const CheckPlan &plan, size_t shards,
-                 std::string *error)
-{
-    std::shared_ptr<const TraceFileReader> reader =
-        TraceFileReader::open(plan.inputs[0], IngestMode::Auto, error);
-    if (!reader)
-        return {};
-    return shardTraceSource(std::move(reader), plan.inputs[0], 0,
-                            shards);
-}
-
-/**
- * Build worker workerIndex/workerCount's slice of the input set: for
- * a single input, index slice workerIndex of an N-way
- * shardTraceSource split; for a file set, files j with
- * j % N == workerIndex, keeping fileId = j. Shard slices partition
- * the sequential input exactly, which is what makes the merged
- * distributed report byte-identical. A worker past the end of a
- * short split legitimately has nothing to do: *empty is set and
- * nullptr returned with no error.
- */
-std::unique_ptr<TraceSource>
-buildWorkerSource(const CheckPlan &plan, bool *empty,
-                  std::string *error)
-{
-    *empty = false;
-    if (plan.inputs.size() > 1) {
-        if (plan.workerIndex >= plan.inputs.size()) {
-            *empty = true;
-            return nullptr;
-        }
-        return openInputFiles(plan, plan.workerIndex, plan.workerCount,
-                              error);
-    }
-    auto slices = shardSingleInput(plan, plan.workerCount, error);
-    if (slices.empty())
-        return nullptr;
-    if (plan.workerIndex >= slices.size()) {
-        *empty = true;
-        return nullptr;
-    }
-    return std::move(slices[plan.workerIndex]);
 }
 
 /** One "  source NAME: ..." line per leaf source. */
@@ -285,11 +228,9 @@ emitFindingEvents(obs::EventLog &log, const Report &merged)
 }
 
 /**
- * The state one check run carries from stage to stage. The three run
- * shapes fill different members: plain and worker runs a source and
- * a pool, the coordinator forked pids and gathered worker reports.
- * services is declared last so it is destroyed first: its samplers
- * never outlive the pool and source they read.
+ * The state one check run carries from stage to stage. services is
+ * declared last so it is destroyed first: its samplers never outlive
+ * the pool and source they read.
  */
 struct Run
 {
@@ -298,19 +239,14 @@ struct Run
     const CheckPlan &plan;
     size_t workers = 0; ///< resolved pool width (the header's count)
     size_t decoders = 0;
-    /** What was checked: traces, ops, sources, shard identity. */
+    /** What was checked: traces, ops, sources. */
     ReportMeta meta;
 
-    /** Null for the coordinator and for a worker with no slice. */
     std::unique_ptr<TraceSource> source;
-    /** Null for the coordinator; released once merged. */
+    /** Released once merged. */
     std::unique_ptr<EnginePool> pool;
     IngestProgress progress;
     PoolStats stats;
-
-    std::vector<pid_t> pids; ///< forked workers not yet reaped
-    std::vector<std::string> reportPaths; ///< per-worker wire reports
-    std::vector<WorkerReport> parts;
 
     Report merged;
     SessionServices services;
@@ -370,12 +306,6 @@ writeExitMetrics(Run &run)
         w.member("ops", run.meta.totalOps);
         w.member("workers", run.workers);
         w.member("sources", run.meta.sourceCount);
-        if (plan.workerCount > 0)
-            w.member("worker", std::to_string(plan.workerIndex) + "/" +
-                                   std::to_string(plan.workerCount));
-        if (plan.distribute > 0)
-            w.member("distribute",
-                     static_cast<uint64_t>(plan.distribute));
     };
     exit.verdict = [&](JsonWriter &w) {
         w.member("fail", run.merged.failCount());
@@ -420,109 +350,9 @@ lingerUntilSignalled(obs::MetricsService &service)
 }
 
 /**
- * Coordinator half of open: fork every worker while this process is
- * still single-threaded. Each child runs its shard as a worker-shaped
- * check run and exits with its verdict.
- */
-bool
-forkWorkers(Run &run)
-{
-    const CheckPlan &plan = run.plan;
-    // The event-log exit-2 contract must hold before any worker is
-    // spawned; the services can only start after the forks.
-    if (!plan.eventLogPath.empty() && plan.eventLogPath != "-") {
-        std::FILE *probe = std::fopen(plan.eventLogPath.c_str(), "a");
-        if (!probe) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         plan.eventLogPath.c_str());
-            return false;
-        }
-        std::fclose(probe);
-    }
-
-    const uint32_t n = static_cast<uint32_t>(plan.distribute);
-    const std::string base =
-        !plan.reportOutPath.empty()
-            ? plan.reportOutPath
-            : (fs::temp_directory_path() /
-               ("pmtest-report-" + std::to_string(getpid())))
-                  .string();
-    for (uint32_t i = 0; i < n; i++)
-        run.reportPaths.push_back(base + "." + std::to_string(i));
-
-    const char *fail_env = std::getenv("PMTEST_WORKER_FAIL");
-    const long fail_index =
-        fail_env ? std::strtol(fail_env, nullptr, 10) : -1;
-    std::fflush(stdout);
-    std::fflush(stderr);
-    for (uint32_t i = 0; i < n; i++) {
-        const pid_t pid = fork();
-        if (pid < 0) {
-            std::fprintf(stderr, "fork failed for worker %u/%u\n", i,
-                         n);
-            return false;
-        }
-        if (pid == 0) {
-            // Worker child: a fault-injection hook for the CI
-            // worker-death leg, then the shard run.
-            if (fail_index == static_cast<long>(i))
-                raise(SIGKILL);
-            CheckPlan worker = plan;
-            worker.workerIndex = i;
-            worker.workerCount = n;
-            worker.distribute = 0;
-            worker.reportOutPath = run.reportPaths[i];
-            worker.quiet = true;
-            worker.showStats = false;
-            worker.metricsPort = -1;
-            worker.progress = false;
-            worker.metricsLinger = false;
-            worker.eventLogPath.clear();
-            worker.metricsJsonPath.clear();
-            worker.traceEventsPath.clear();
-            std::_Exit(runCheckTool(worker));
-        }
-        run.pids.push_back(pid);
-        obs::count(obs::Counter::WorkersSpawned);
-    }
-    return true;
-}
-
-/**
- * Plain/worker half of open: the source this shape checks and the
- * pool that checks it.
- */
-bool
-openSource(Run &run)
-{
-    const CheckPlan &plan = run.plan;
-    std::string error;
-    bool worker_empty = false;
-    run.source = plan.workerCount > 0
-                     ? buildWorkerSource(plan, &worker_empty, &error)
-                     : openInputFiles(plan, 0, 1, &error);
-    if (!run.source && !worker_empty) {
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return false;
-    }
-    run.meta.workerIndex = plan.workerIndex;
-    run.meta.workerCount = plan.workerCount;
-    run.meta.model = plan.model;
-    if (run.source) {
-        run.meta.traceCount = run.source->traceCount();
-        run.meta.totalOps = run.source->totalOps();
-        run.meta.sourceCount = run.source->sourceCount();
-    }
-    PoolOptions options;
-    options.model = plan.model;
-    options.workers = run.workers;
-    run.pool = std::make_unique<EnginePool>(options);
-    return true;
-}
-
-/**
- * open: resolve the thread layout, build the shape's inputs, then
- * start the services and open the audit trail with run_start.
+ * open: resolve the thread layout, open the source and the pool that
+ * checks it, then start the services and open the audit trail with
+ * run_start.
  */
 bool
 openStage(Run &run)
@@ -535,8 +365,20 @@ openStage(Run &run)
                       ? layout.workers
                       : plan.workers;
     run.decoders = plan.decoders == 0 ? layout.decoders : plan.decoders;
-    if (!(plan.distribute > 0 ? forkWorkers(run) : openSource(run)))
+    std::string error;
+    run.source = openInputFiles(plan, &error);
+    if (!run.source) {
+        std::fprintf(stderr, "%s\n", error.c_str());
         return false;
+    }
+    run.meta.model = plan.model;
+    run.meta.traceCount = run.source->traceCount();
+    run.meta.totalOps = run.source->totalOps();
+    run.meta.sourceCount = run.source->sourceCount();
+    PoolOptions pool_options;
+    pool_options.model = plan.model;
+    pool_options.workers = run.workers;
+    run.pool = std::make_unique<EnginePool>(pool_options);
 
     obs::ServiceOptions options;
     options.tool = plan.tool;
@@ -545,15 +387,10 @@ openStage(Run &run)
     options.progress = plan.progress;
     options.eventLogPath = plan.eventLogPath;
     options.finalSample = !plan.metricsJsonPath.empty();
-    if (run.pool)
-        options.poolSampler = [&pool = *run.pool] {
-            return pool.stats();
-        };
-    if (run.source)
-        options.ingestSampler = [&run] {
-            return sampleIngestGauges(*run.source, &run.progress);
-        };
-    std::string error;
+    options.poolSampler = [&pool = *run.pool] { return pool.stats(); };
+    options.ingestSampler = [&run] {
+        return sampleIngestGauges(*run.source, &run.progress);
+    };
     if (!run.services.start(std::move(options), &error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return false;
@@ -563,26 +400,8 @@ openStage(Run &run)
         w.member("inputs", plan.inputs.size());
         w.member("workers", run.workers);
         w.member("decoders", run.decoders);
-        if (plan.workerCount > 0) {
-            w.member("worker", static_cast<uint64_t>(plan.workerIndex));
-            w.member("of", static_cast<uint64_t>(plan.workerCount));
-        }
-        if (plan.distribute > 0)
-            w.member("distribute",
-                     static_cast<uint64_t>(plan.distribute));
     });
-    if (run.source)
-        emitSourceOpenEvents(run.services.eventLog(), *run.source);
-    for (size_t i = 0; i < run.pids.size(); i++) {
-        run.services.eventLog().emit(
-            obs::EventSeverity::Info, "worker.spawn",
-            [&](JsonWriter &w) {
-                w.member("worker", static_cast<uint64_t>(i));
-                w.member("of", static_cast<uint64_t>(plan.distribute));
-                w.member("pid", static_cast<int64_t>(run.pids[i]));
-                w.member("report", run.reportPaths[i]);
-            });
-    }
+    emitSourceOpenEvents(run.services.eventLog(), *run.source);
     return true;
 }
 
@@ -590,8 +409,6 @@ openStage(Run &run)
 bool
 ingestStage(Run &run)
 {
-    if (!run.source)
-        return true;
     IngestOptions options;
     options.decoders = run.decoders;
     options.progress = &run.progress;
@@ -603,70 +420,6 @@ ingestStage(Run &run)
 }
 
 /**
- * gather (coordinator, in place of ingest): reap every worker — {0,1}
- * are the verdict exit codes, so anything else, or a signal, is a
- * failed shard — then load the wire reports.
- */
-bool
-gatherStage(Run &run)
-{
-    const uint64_t n = run.pids.size();
-    std::vector<std::string> failures;
-    for (uint64_t i = 0; i < n; i++) {
-        const pid_t pid = run.pids[i];
-        int status = 0;
-        const pid_t reaped = waitpid(pid, &status, 0);
-        int exit_code = -1;
-        int signal_no = 0;
-        bool ok = false;
-        if (reaped == pid && WIFEXITED(status)) {
-            exit_code = WEXITSTATUS(status);
-            ok = exit_code == 0 || exit_code == 1;
-        } else if (reaped == pid && WIFSIGNALED(status)) {
-            signal_no = WTERMSIG(status);
-        }
-        run.services.eventLog().emit(
-            ok ? obs::EventSeverity::Info : obs::EventSeverity::Error,
-            "worker.exit", [&](JsonWriter &w) {
-                w.member("worker", i);
-                w.member("of", n);
-                w.member("pid", static_cast<int64_t>(pid));
-                w.member("ok", ok);
-                w.member("exit_code", exit_code);
-                w.member("signal", signal_no);
-            });
-        if (!ok) {
-            obs::count(obs::Counter::WorkersFailed);
-            failures.push_back(
-                "worker " + std::to_string(i) + "/" +
-                std::to_string(n) + " (pid " + std::to_string(pid) +
-                ") " +
-                (signal_no != 0
-                     ? "killed by signal " + std::to_string(signal_no)
-                     : "exited with status " +
-                           std::to_string(exit_code)));
-        }
-    }
-    run.pids.clear();
-    for (const auto &what : failures)
-        std::fprintf(stderr, "distributed check failed: %s\n",
-                     what.c_str());
-    if (!failures.empty())
-        return false;
-
-    run.parts.resize(n);
-    for (uint64_t i = 0; i < n; i++) {
-        std::string error;
-        if (!loadReportFile(run.reportPaths[i], &run.parts[i].report,
-                            &run.parts[i].meta, &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
-/**
  * drain: wait until every submitted trace is checked, then take the
  * final sample and detach the samplers before the pool dies; the
  * scrape server keeps serving the frozen sample.
@@ -674,29 +427,23 @@ gatherStage(Run &run)
 bool
 drainStage(Run &run)
 {
-    if (run.pool) {
-        run.pool->drain();
-        run.stats = run.pool->stats();
-    }
+    run.pool->drain();
+    run.stats = run.pool->stats();
     run.services.freeze();
     return true;
 }
 
-/** merge: the pool's aggregate, or the gathered worker reports. */
+/** merge: take the pool's aggregate and release the pool. */
 bool
 mergeStage(Run &run)
 {
-    if (run.pool) {
-        run.merged = run.pool->takeResults();
-        run.pool.reset();
-    } else {
-        mergeReports(std::move(run.parts), &run.merged, &run.meta);
-    }
+    run.merged = run.pool->takeResults();
+    run.pool.reset();
     return true;
 }
 
 /**
- * canonicalize: (fileId, traceId, opIndex) order, so every shard/
+ * canonicalize: (fileId, traceId, opIndex) order, so every
  * decoder/worker configuration prints byte-identical reports.
  */
 bool
@@ -719,7 +466,7 @@ hintsStage(Run &run)
     if (!plan.fixHints)
         return true;
     std::string error;
-    auto replay_source = openInputFiles(plan, 0, 1, &error);
+    auto replay_source = openInputFiles(plan, &error);
     if (!replay_source) {
         std::fprintf(stderr, "%s\n", error.c_str());
         return false;
@@ -760,20 +507,19 @@ writeStage(Run &run)
 }
 
 /**
- * output: the stdout report (not for a worker, whose stdout belongs
- * to the coordinator) with --stats, the exit metrics document, the
- * trace-event timeline, then the finding events. Findings go out
+ * output: the stdout report with --stats, the exit metrics document,
+ * the trace-event timeline, then the finding events. Findings go out
  * after the hints stage so hint_verified is final.
  */
 bool
 outputStage(Run &run)
 {
     const CheckPlan &plan = run.plan;
-    if (plan.workerCount == 0 && !plan.quiet)
+    if (!plan.quiet)
         printReportStdout(run);
     // An explicit --stats request wins over --quiet.
-    if (plan.workerCount == 0 && plan.showStats) {
-        if (run.source && run.source->sourceCount() > 1)
+    if (plan.showStats) {
+        if (run.source->sourceCount() > 1)
             printSourceStats(*run.source);
         std::printf("%s", run.stats.str().c_str());
         printOracleStats();
@@ -795,10 +541,9 @@ outputStage(Run &run)
 }
 
 /**
- * The one exit path of every run shape: close the audit trail with
+ * The one exit path of every run: close the audit trail with
  * run_stop (exit code 2 when a stage failed), linger on a verdict,
- * reap workers a failed open left behind, remove the coordinator's
- * temporary reports, and stop the services.
+ * and stop the services.
  */
 int
 finishRun(Run &run, bool ok)
@@ -820,14 +565,6 @@ finishRun(Run &run, bool ok)
         // watchdog_stall) can land after run_stop.
         run.services.freeze();
         run.services.emitRunStop(2);
-    }
-    for (const pid_t pid : run.pids)
-        waitpid(pid, nullptr, 0);
-    if (plan.reportOutPath.empty()) {
-        for (const auto &path : run.reportPaths) {
-            std::error_code ec;
-            fs::remove(path, ec);
-        }
     }
     run.services.stop();
     return exit_code;
@@ -859,36 +596,6 @@ CheckPlan::finalize(std::string *error, bool *usage_hint)
         return input_error(expand_error);
     if (!rejectDuplicates(inputs, &expand_error))
         return input_error(expand_error);
-
-    if (workerCount > 0 && distribute > 0)
-        return usage_error(
-            "--worker and --distribute are mutually exclusive");
-    if (workerCount > 0) {
-        if (workerIndex >= workerCount)
-            return usage_error(
-                "--worker index out of range (want i/N with i < N)");
-        if (reportOutPath.empty())
-            return usage_error("--worker needs --report-out=FILE");
-    }
-    if (workerCount > 0 || distribute > 0) {
-        const char *mode =
-            workerCount > 0 ? "--worker" : "--distribute";
-        if (fixHints)
-            return usage_error(std::string(mode) +
-                               " cannot combine with --fix-hints");
-        if (metricsLinger)
-            return usage_error(std::string(mode) +
-                               " cannot combine with "
-                               "--metrics-linger");
-    }
-    if (distribute > 0) {
-        if (showStats)
-            return usage_error("--stats is per-process; not "
-                               "supported with --distribute");
-        if (!traceEventsPath.empty())
-            return usage_error("--trace-events is per-process; not "
-                               "supported with --distribute");
-    }
     return true;
 }
 
@@ -940,8 +647,7 @@ runCheckTool(const CheckPlan &plan)
     using S = obs::Stage;
     const Step steps[] = {
         {S::SessionOpen, openStage},
-        plan.distribute > 0 ? Step{S::SessionGather, gatherStage}
-                            : Step{S::SessionIngest, ingestStage},
+        {S::SessionIngest, ingestStage},
         {S::SessionDrain, drainStage},
         {S::SessionMerge, mergeStage},
         {S::SessionCanonicalize, canonicalizeStage},

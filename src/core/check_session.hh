@@ -9,28 +9,8 @@
  * parsing: build a CheckPlan, finalize() it, hand it to
  * runCheckTool().
  *
- * Three run shapes share the layer:
- *
- *  - **Plain**: everything pmtest_check always did, unchanged.
- *  - **Worker** (`--worker=i/N --report-out=FILE`): run shard i of an
- *    N-way split of the input set — the byte-balanced index slices of
- *    a single v2 file, or files j with j % N == i of a multi-file set
- *    (fileId = j preserved) — and emit a `pmtest-report-v2` wire
- *    report instead of stdout output.
- *  - **Coordinator** (`--distribute=N`): fork N worker processes,
- *    gather their wire reports, mergeReports() them, and print
- *    exactly what the sequential run prints — the canonical report is
- *    byte-identical because shard slices partition the input and
- *    canonicalize() is order-independent. Worker lifecycle is
- *    observable: worker.spawn / worker.exit events in the event log
- *    and workers_spawned / workers_failed telemetry counters. A
- *    worker that dies (signal, or exit status other than the 0/1
- *    verdict codes) fails the whole run with exit 2, naming the
- *    shard.
- *
- * Forking discipline: the coordinator forks all workers *before*
- * starting any service thread (metrics publisher, scrape server), so
- * a fork never clones a thread holding a lock.
+ * A run has one shape: every input opens as one source, checked in
+ * this process by the worker threads of one EnginePool.
  */
 
 #ifndef PMTEST_CORE_CHECK_SESSION_HH
@@ -94,16 +74,7 @@ struct CheckPlan
     bool progress = false;
     bool metricsLinger = false;
 
-    // Distributed checking.
-    uint32_t workerIndex = 0;
-    uint32_t workerCount = 0; ///< > 0 = run as shard workerIndex/N
-    size_t distribute = 0;    ///< > 0 = coordinator forking N workers
-    /**
-     * Worker mode: where the wire report goes (required). Coordinator
-     * mode: optional — keeps the per-worker reports at PATH.<i> and
-     * writes the merged wire report to PATH. Plain mode: optional —
-     * serializes the final report to PATH.
-     */
+    /** Optional: serialize the final report to PATH (pmtest-report-v2). */
     std::string reportOutPath;
 
     /** Raw positional arguments (files or directories). */
@@ -113,11 +84,10 @@ struct CheckPlan
     std::vector<std::string> inputs;
 
     /**
-     * Expand directories, reject duplicate inputs, and validate flag
-     * combinations. @return false with @p error set; @p usage_hint
-     * (when provided) tells the tool whether to print its usage text
-     * after the message (flag-combination errors) or not (input/IO
-     * errors), matching the historical tool behavior.
+     * Expand directories and reject duplicate inputs. @return false
+     * with @p error set; @p usage_hint (when provided) tells the tool
+     * whether to print its usage text after the message (no input at
+     * all) or not (input/IO errors).
      */
     bool finalize(std::string *error, bool *usage_hint = nullptr);
 };
@@ -160,22 +130,19 @@ class SessionServices
 
 /**
  * Run a finalized plan: one fixed sequence of named stages over one
- * run state, for every run shape —
+ * run state —
  *
- *   open → ingest (coordinator: gather) → drain → merge →
- *   canonicalize → hints → write → output
+ *   open → ingest → drain → merge → canonicalize → hints → write →
+ *   output
  *
- * Plain and worker runs differ only in the source open builds. The
- * coordinator's open forks the workers before any service thread
- * starts, and its gather reaps them and loads their wire reports in
- * place of ingest. Each stage runs under an obs::SpanScope
- * (session.open, ...), so its duration shows in the telemetry stage
- * block of the metrics documents and in the trace-event timeline.
- * A failed stage ends the run through the same exit path as a
- * finished one, which closes the event log with run_stop.
+ * Each stage runs under an obs::SpanScope (session.open, ...), so its
+ * duration shows in the telemetry stage block of the metrics
+ * documents and in the trace-event timeline. A failed stage ends the
+ * run through the same exit path as a finished one, which closes the
+ * event log with run_stop.
  *
  * @return 0 (no FAIL findings), 1 (FAIL findings), or 2 (input/IO
- *         errors or a failed worker, messages on stderr).
+ *         errors, messages on stderr).
  */
 int runCheckTool(const CheckPlan &plan);
 

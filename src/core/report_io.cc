@@ -535,29 +535,4 @@ loadReportFile(const std::string &path, Report *report,
     return true;
 }
 
-void
-mergeReports(std::vector<WorkerReport> parts, Report *merged,
-             ReportMeta *meta)
-{
-    std::stable_sort(parts.begin(), parts.end(),
-                     [](const WorkerReport &a, const WorkerReport &b) {
-                         return a.meta.workerIndex <
-                                b.meta.workerIndex;
-                     });
-    Report out;
-    ReportMeta totals;
-    totals.workerCount = static_cast<uint32_t>(parts.size());
-    for (WorkerReport &part : parts) {
-        out.merge(std::move(part.report));
-        totals.traceCount += part.meta.traceCount;
-        totals.totalOps += part.meta.totalOps;
-        totals.sourceCount += part.meta.sourceCount;
-        totals.model = part.meta.model;
-    }
-    out.canonicalize();
-    *merged = std::move(out);
-    if (meta)
-        *meta = totals;
-}
-
 } // namespace pmtest::core

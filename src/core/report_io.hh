@@ -1,14 +1,10 @@
 /**
  * @file
  * Report serialization: the `pmtest-report-v2` wire format that lets
- * a checking session's canonical Report cross a process (or machine)
- * boundary — the missing piece between "sharded runs are
- * byte-identical in one process" and distributed scatter/gather
- * checking. A `pmtest_check --worker=i/N` process serializes its
- * shard's report with saveReportFile; the coordinator parses every
- * worker file with loadReportFile and folds them with mergeReports
- * into the exact canonical report a sequential single-process run
- * prints.
+ * a checking session's canonical Report leave the process.
+ * `pmtest_check --report-out=FILE` serializes its report with
+ * saveReportFile; a reader (bench_pipeline, tests) parses it back
+ * with loadReportFile into the exact Report the run printed.
  *
  * Wire format (little-endian, versioned, CRC-checked like trace v2):
  *
@@ -60,7 +56,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/persistency_model.hh"
 #include "core/report.hh"
@@ -86,14 +81,14 @@ struct ReportWire
 };
 
 /**
- * Run identity and source totals carried alongside the findings, so
- * the coordinator can reconstruct the sequential run's header line
- * (traces, ops, sources) without reopening any input.
+ * Run totals carried alongside the findings, so a reader can hold
+ * the report against its run (traces, ops, sources) without
+ * reopening any input.
  */
 struct ReportMeta
 {
-    uint32_t workerIndex = 0;
-    uint32_t workerCount = 0; ///< 0 = not a distributed worker
+    uint32_t workerIndex = 0; ///< always 0; kept for wire compatibility
+    uint32_t workerCount = 0; ///< always 0; kept for wire compatibility
     uint64_t traceCount = 0;
     uint64_t totalOps = 0;
     uint64_t sourceCount = 0;
@@ -123,23 +118,6 @@ bool saveReportFile(const std::string &path, const Report &report,
  */
 bool loadReportFile(const std::string &path, Report *report,
                     ReportMeta *meta, std::string *error = nullptr);
-
-/** One gathered worker report. */
-struct WorkerReport
-{
-    Report report;
-    ReportMeta meta;
-};
-
-/**
- * Fold gathered worker reports into one canonical report. The parts
- * are ordered by workerIndex before merging, so any gather order
- * produces byte-identical canonical output; totals (traces, ops,
- * sources) sum, and the merged meta's workerCount reports the number
- * of parts folded.
- */
-void mergeReports(std::vector<WorkerReport> parts, Report *merged,
-                  ReportMeta *meta);
 
 } // namespace pmtest::core
 

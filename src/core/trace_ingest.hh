@@ -1,8 +1,8 @@
 /**
  * @file
  * The one ingest implementation: check every trace of a TraceSource —
- * a whole v2 file, a byte-range shard, a multi-file set, or the live
- * in-process capture sink — on an engine pool. Traces are independent
+ * a whole v2 file, a multi-file set, or the live in-process capture
+ * sink — on an engine pool. Traces are independent
  * (paper §4.4), so any thread can check any whole trace: every pool
  * worker and every ingest-side thread claims the next trace from the
  * source's shared cursor and decodes it through a fixed window of
@@ -16,10 +16,10 @@
  * Every trace is identity-stamped (fileId, traceId) and carries its
  * index within its source, and a report with findings holds the
  * string arena its locations point into, so the merged report
- * canonicalizes to the same bytes regardless of how sources, shards
- * and threads interleaved.
+ * canonicalizes to the same bytes regardless of how sources and
+ * threads interleaved.
  *
- * Used by pmtest_check (--decoders=N, multi-file, --worker=i/N),
+ * Used by pmtest_check (--decoders=N, multi-file),
  * examples/offline_check, bench_ingest, and the determinism tests.
  */
 

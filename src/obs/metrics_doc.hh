@@ -43,7 +43,7 @@ struct IngestStats
     bool active = false;      ///< an ingest stage ran (renders stats)
     bool mmapBacked = false;  ///< all bytes were mmap'd (vs buffers)
     uint32_t decoders = 0;    ///< ingest-side checking threads used
-    size_t sources = 1;       ///< leaf sources (files/shards) drained
+    size_t sources = 1;       ///< leaf sources (files) drained
     uint64_t bytesMapped = 0; ///< file bytes mapped/buffered
     uint64_t tracesDecoded = 0; ///< traces claimed from the source
     uint64_t decodeNanos = 0; ///< decode time summed over threads

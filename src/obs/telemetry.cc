@@ -34,8 +34,6 @@ stageName(Stage stage)
         return "session.open";
       case Stage::SessionIngest:
         return "session.ingest";
-      case Stage::SessionGather:
-        return "session.gather";
       case Stage::SessionDrain:
         return "session.drain";
       case Stage::SessionMerge:
@@ -88,10 +86,6 @@ counterName(Counter counter)
         return "watchdog_stalls";
       case Counter::MetricsScrapes:
         return "metrics_scrapes";
-      case Counter::WorkersSpawned:
-        return "workers_spawned";
-      case Counter::WorkersFailed:
-        return "workers_failed";
       case Counter::PoolWakes:
         return "pool_wakes";
     }

@@ -81,18 +81,17 @@ enum class Stage : uint8_t
     HintReplay,        ///< replaying one patched trace to verify a hint
     OracleEnumerate,   ///< crash-state oracle: one crash point explored
     // The check run's stage sequence (core::runCheckTool), in order.
-    SessionOpen,        ///< sources, pool (or forked workers), services
+    SessionOpen,        ///< sources, pool, services
     SessionIngest,      ///< every pipeline thread claims and checks traces
-    SessionGather,      ///< coordinator: reap workers, load their reports
     SessionDrain,       ///< wait for the pool, final gauge sample
-    SessionMerge,       ///< take the pool aggregate / merge worker reports
+    SessionMerge,       ///< take the pool aggregate
     SessionCanonicalize,///< canonical (fileId, traceId, opIndex) order
     SessionHints,       ///< --fix-hints replay and document
     SessionWrite,       ///< --report-out wire report
     SessionOutput       ///< stdout, exit metrics, timeline, finding events
 };
 
-inline constexpr size_t kStageCount = 18;
+inline constexpr size_t kStageCount = 17;
 
 /** Stable span/metric name of @p stage (e.g. "engine.check"). */
 const char *stageName(Stage stage);
@@ -118,8 +117,6 @@ enum class Counter : uint8_t
     OracleMemoHits,     ///< verdicts served from the predicate memo
     WatchdogStalls,     ///< stall episodes the metrics watchdog flagged
     MetricsScrapes,     ///< /metrics + /metrics.json requests served
-    WorkersSpawned,     ///< distributed-check worker processes forked
-    WorkersFailed,      ///< workers that exited abnormally (status > 1)
     /**
      * EnginePool notifies that found a parked worker (a futex-wake
      * proxy): one per EnginePool::kWakeOps ops of unwoken backlog,
@@ -129,7 +126,7 @@ enum class Counter : uint8_t
     PoolWakes
 };
 
-inline constexpr size_t kCounterCount = 19;
+inline constexpr size_t kCounterCount = 17;
 
 /** Stable metric name of @p counter (e.g. "traces_checked"). */
 const char *counterName(Counter counter);

@@ -6,56 +6,26 @@
  * output surface — is the stage sequence of core::runCheckTool
  * (src/core/check_session.hh, where the behavior is documented).
  *
- * Run shapes:
- *  - plain: check the inputs in this process (the historical tool);
- *  - `--worker=i/N --report-out=FILE`: run shard i of an N-way split
- *    and emit a `pmtest-report-v2` wire report instead of stdout;
- *  - `--distribute=N`: fork N workers, gather and merge their wire
- *    reports, and print exactly what the sequential run prints.
+ * Flags choose the model, the thread counts and the output surfaces:
+ * the stdout report (--summary, --quiet, --max-findings, --stats),
+ * the pmtest-report-v2 wire report (--report-out), verified fix hints
+ * (--fix-hints), and the observability outputs (--metrics-json,
+ * --trace-events, --event-log, --metrics-port, --progress).
  *
  * Exit status: 0 when no FAIL findings, 1 when crash-consistency
  * bugs were found, 2 on usage/input errors (malformed flags,
- * unreadable or duplicate inputs, decode failures, failed workers).
+ * unreadable or duplicate inputs, decode failures).
  */
 
-#include <charconv>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "core/check_session.hh"
 #include "util/cli.hh"
 
-namespace
-{
-
 using namespace pmtest;
 using util::CliParser;
 using util::CliStatus;
-
-/** Parse the "--worker=i/N" shard spec into the plan. */
-bool
-parseWorkerSpec(const std::string &spec, core::CheckPlan *plan)
-{
-    const size_t slash = spec.find('/');
-    if (slash == std::string::npos)
-        return false;
-    uint32_t index = 0, count = 0;
-    const char *ibegin = spec.c_str();
-    const char *iend = ibegin + slash;
-    const char *cbegin = iend + 1;
-    const char *cend = spec.c_str() + spec.size();
-    const auto [iptr, iec] = std::from_chars(ibegin, iend, index);
-    const auto [cptr, cec] = std::from_chars(cbegin, cend, count);
-    if (iec != std::errc{} || iptr != iend || cec != std::errc{} ||
-        cptr != cend || cbegin == cend || count == 0)
-        return false;
-    plan->workerIndex = index;
-    plan->workerCount = count;
-    return true;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -63,7 +33,6 @@ main(int argc, char **argv)
     core::CheckPlan plan;
     int model = static_cast<int>(core::ModelKind::X86);
     size_t metrics_port = static_cast<size_t>(-1);
-    std::string worker_spec;
 
     CliParser cli("pmtest_check", "<trace-file-or-dir>...");
     cli.addChoice("--model", &model,
@@ -105,10 +74,6 @@ main(int argc, char **argv)
                 "live TTY progress line on stderr");
     cli.addFlag("--metrics-linger", &plan.metricsLinger,
                 "keep the scrape endpoint up after the run");
-    cli.addString("--worker", &worker_spec,
-                  "run shard i of N (\"i/N\"); needs --report-out");
-    cli.addSize("--distribute", &plan.distribute,
-                "fork N workers and merge their reports", 1);
     cli.addString("--report-out", &plan.reportOutPath,
                   "write the pmtest-report-v2 wire report to FILE");
     cli.positionalCount(1);
@@ -119,10 +84,6 @@ main(int argc, char **argv)
     plan.model = static_cast<core::ModelKind>(model);
     if (metrics_port != static_cast<size_t>(-1))
         plan.metricsPort = static_cast<int32_t>(metrics_port);
-    if (!worker_spec.empty() && !parseWorkerSpec(worker_spec, &plan))
-        return util::cliExitCode(
-            cli.usageError("invalid value for --worker: '" +
-                           worker_spec + "' (want i/N)"));
 
     std::string error;
     bool usage_hint = false;

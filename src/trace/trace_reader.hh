@@ -83,7 +83,7 @@ class TraceFileReader
      * Bytes trace @p i occupies on disk (length prefix + framed
      * body). Validation proved the frames tile [header, index)
      * exactly, so this is the gap to the next frame (or the index).
-     * Byte-range sharding balances shards on these sizes.
+     * The consumed-bytes progress gauge sums these.
      */
     uint64_t
     frameBytes(size_t i) const

@@ -28,49 +28,19 @@ TraceConsumer::window()
 // ---------------------------------------------------------------------------
 
 V2FileSource::V2FileSource(
-    std::shared_ptr<const TraceFileReader> reader, std::string path,
+    std::unique_ptr<const TraceFileReader> reader, std::string path,
     uint32_t file_id)
-    : V2FileSource(std::move(reader), std::move(path), file_id, 0, 0,
-                   0, 1)
-{
-    end_ = reader_->traceCount();
-    cursor_.store(begin_, std::memory_order_relaxed);
-}
-
-V2FileSource::V2FileSource(
-    std::shared_ptr<const TraceFileReader> reader, std::string path,
-    uint32_t file_id, size_t begin, size_t end, size_t shard,
-    size_t shards)
     : reader_(std::move(reader)), path_(std::move(path)),
-      fileId_(file_id), begin_(begin), end_(end), cursor_(begin)
+      fileId_(file_id)
 {
-    name_ = path_;
-    if (shards > 1) {
-        name_ += "[" + std::to_string(shard + 1) + "/" +
-                 std::to_string(shards) + "]";
-    }
 }
 
 uint64_t
 V2FileSource::totalOps() const
 {
     uint64_t total = 0;
-    for (size_t i = begin_; i < end_; i++)
+    for (size_t i = 0; i < reader_->traceCount(); i++)
         total += reader_->opCount(i);
-    return total;
-}
-
-uint64_t
-V2FileSource::sizeBytes() const
-{
-    // A whole-file source accounts the full mapping (header, index
-    // and footer included); a shard accounts only its frame bytes,
-    // so sibling shards sum to less than one double-counted file.
-    if (begin_ == 0 && end_ == reader_->traceCount())
-        return reader_->sizeBytes();
-    uint64_t total = 0;
-    for (size_t i = begin_; i < end_; i++)
-        total += reader_->frameBytes(i);
     return total;
 }
 
@@ -98,11 +68,12 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
 {
     if (max == 0)
         return Pull::Items;
+    const size_t count = reader_->traceCount();
     const size_t first =
         cursor_.fetch_add(max, std::memory_order_relaxed);
-    if (first >= end_)
+    if (first >= count)
         return Pull::End;
-    const size_t last = std::min(end_, first + max);
+    const size_t last = std::min(count, first + max);
     for (size_t i = first; i < last; i++) {
         DecodedTrace decoded;
         if (!reader_->decode(i, &decoded)) {
@@ -120,7 +91,7 @@ TraceSource::Pull
 V2FileSource::checkNext(TraceConsumer &consumer, SourceError *error)
 {
     const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= end_)
+    if (i >= reader_->traceCount())
         return Pull::End;
     Timer timer;
     OpCursor ops;
@@ -364,52 +335,8 @@ openTraceSource(const std::string &path, IngestMode mode,
     auto reader = TraceFileReader::open(path, mode, error);
     if (!reader)
         return nullptr;
-    return std::make_unique<V2FileSource>(
-        std::shared_ptr<const TraceFileReader>(std::move(reader)), path,
-        file_id);
-}
-
-std::vector<std::unique_ptr<TraceSource>>
-shardTraceSource(std::shared_ptr<const TraceFileReader> reader,
-                 const std::string &path, uint32_t file_id,
-                 size_t shards)
-{
-    const size_t count = reader->traceCount();
-    const size_t n =
-        std::max<size_t>(1, std::min(shards, std::max<size_t>(count, 1)));
-
-    uint64_t total_bytes = 0;
-    for (size_t i = 0; i < count; i++)
-        total_bytes += reader->frameBytes(i);
-
-    // Byte-balanced contiguous partition: shard s ends where the
-    // cumulative frame bytes first reach s+1 shares of the total, so
-    // a file of one huge trace and many small ones still splits into
-    // comparable decode workloads.
-    std::vector<std::unique_ptr<TraceSource>> out;
-    out.reserve(n);
-    size_t begin = 0;
-    uint64_t cum = 0;
-    for (size_t s = 0; s < n; s++) {
-        size_t end = begin;
-        if (s + 1 == n) {
-            end = count;
-        } else {
-            const uint64_t target = total_bytes * (s + 1) / n;
-            while (end < count && (cum < target || end == begin)) {
-                cum += reader->frameBytes(end);
-                end++;
-            }
-            // Leave at least one trace per remaining shard.
-            const size_t remaining_shards = n - s - 1;
-            end = std::min(end, count - remaining_shards);
-            end = std::max(end, begin);
-        }
-        out.push_back(std::make_unique<V2FileSource>(
-            reader, path, file_id, begin, end, s, n));
-        begin = end;
-    }
-    return out;
+    return std::make_unique<V2FileSource>(std::move(reader), path,
+                                          file_id);
 }
 
 } // namespace pmtest

@@ -21,20 +21,19 @@
  * recorded by the producer — and its source locations point into a
  * string arena the consumer receives with the trace. Because
  * `Report::canonicalize()` sorts findings by (fileId, traceId,
- * opIndex), any assignment of sources/shards to threads produces a
+ * opIndex), any assignment of traces to threads produces a
  * byte-identical merged report.
  *
  * Implementations:
- *  - V2FileSource      whole v2 file, or a byte-range shard of one
- *                      ([begin, end) slice of the index footer);
- *                      decode happens on the claiming thread, so N
- *                      threads decode N traces concurrently.
+ *  - V2FileSource      one whole v2 file; decode happens on the
+ *                      claiming thread, so N threads decode N traces
+ *                      concurrently.
  *  - CaptureTraceSource the in-process capture sink: the program
  *                      under test pushes sealed traces, the checking
  *                      threads claim them.
- *  - MultiTraceSource  an ordered set of child sources (multiple
- *                      files, or the shards of one file), drained in
- *                      order with cross-child parallelism.
+ *  - MultiTraceSource  an ordered set of child sources (one per
+ *                      input file), drained in order with
+ *                      cross-child parallelism.
  */
 
 #ifndef PMTEST_TRACE_TRACE_SOURCE_HH
@@ -147,7 +146,7 @@ class TraceSource
 
     virtual ~TraceSource() = default;
 
-    /** Human-readable source name (path, "path[2/4]", "<capture>"). */
+    /** Human-readable source name (path, "<capture>"). */
     virtual const std::string &name() const = 0;
 
     /** Traces this source will yield, or kUnknownCount. */
@@ -201,32 +200,21 @@ class TraceSource
 };
 
 /**
- * A whole v2 indexed file, or a [begin, end) index slice of one
- * (a byte-range shard). Shards of the same file share one reader —
- * one mapping, one validation — via the shared_ptr. pull() and
- * checkNext() claim indices from one atomic cursor and decode
- * outside any lock, so concurrent callers decode different traces in
- * parallel.
+ * A whole v2 indexed file. pull() and checkNext() claim indices from
+ * one atomic cursor and decode outside any lock, so concurrent
+ * callers decode different traces in parallel.
  */
 class V2FileSource final : public TraceSource
 {
   public:
     /** Source over the whole of @p reader. */
-    V2FileSource(std::shared_ptr<const TraceFileReader> reader,
+    V2FileSource(std::unique_ptr<const TraceFileReader> reader,
                  std::string path, uint32_t file_id);
 
-    /**
-     * Source over index entries [begin, end) of @p reader; the name
-     * is "path[shard/shards]" when @p shards > 1.
-     */
-    V2FileSource(std::shared_ptr<const TraceFileReader> reader,
-                 std::string path, uint32_t file_id, size_t begin,
-                 size_t end, size_t shard, size_t shards);
-
-    const std::string &name() const override { return name_; }
-    size_t traceCount() const override { return end_ - begin_; }
+    const std::string &name() const override { return path_; }
+    size_t traceCount() const override { return reader_->traceCount(); }
     uint64_t totalOps() const override;
-    uint64_t sizeBytes() const override;
+    uint64_t sizeBytes() const override { return reader_->sizeBytes(); }
     bool mmapBacked() const override { return reader_->mmapBacked(); }
 
     Pull pull(size_t max, std::vector<Trace> *out,
@@ -244,25 +232,16 @@ class V2FileSource final : public TraceSource
         return consumedBytes_.load(std::memory_order_relaxed);
     }
 
-    /** First index (inclusive) of this source's slice. */
-    size_t begin() const { return begin_; }
-
-    /** One-past-last index of this source's slice. */
-    size_t end() const { return end_; }
-
   private:
     /** Set *error to trace @p index's decode failure. */
     void decodeError(size_t index, SourceError *error) const;
     /** Count trace @p index as consumed. */
     void consumed(size_t index);
 
-    std::shared_ptr<const TraceFileReader> reader_;
-    std::string path_; ///< bare file path (for SourceError)
-    std::string name_; ///< path, possibly with a [shard/shards] tag
+    std::unique_ptr<const TraceFileReader> reader_;
+    std::string path_;
     uint32_t fileId_;
-    size_t begin_;
-    size_t end_;
-    std::atomic<size_t> cursor_;
+    std::atomic<size_t> cursor_{0};
     std::atomic<uint64_t> consumedTraces_{0};
     std::atomic<uint64_t> consumedBytes_{0};
 };
@@ -321,8 +300,8 @@ class CaptureTraceSource final : public TraceSource
  * An ordered set of child sources drained front to back. Identity
  * comes from the children (each stamps its own fileId), so the
  * composite only routes claims: concurrent callers drain the current
- * child together and roll over to the next when it ends — shards and
- * multi-file sets parallelize across children with no barrier.
+ * child together and roll over to the next when it ends — a
+ * multi-file set parallelizes across children with no barrier.
  */
 class MultiTraceSource final : public TraceSource
 {
@@ -371,18 +350,6 @@ class MultiTraceSource final : public TraceSource
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path, IngestMode mode,
                 uint32_t file_id, std::string *error);
-
-/**
- * Split @p reader's index into @p shards byte-balanced contiguous
- * slices (frame-byte partitioning, so one huge trace does not leave
- * its shard siblings idle). Returns fewer sources than requested
- * when the file has fewer traces than shards; at least one source is
- * returned even for an empty file.
- */
-std::vector<std::unique_ptr<TraceSource>>
-shardTraceSource(std::shared_ptr<const TraceFileReader> reader,
-                 const std::string &path, uint32_t file_id,
-                 size_t shards);
 
 } // namespace pmtest
 

@@ -4,16 +4,14 @@
  * finding kind, evidence shape and fix-hint shape, a pinned golden
  * encoding, fail-closed parsing under every truncation and every
  * single-bit flip, rejection of v1 files, nonzero reserved bytes and
- * causes that do not belong to their kind, and gather-order
- * independence of mergeReports — the properties distributed
- * scatter/gather checking leans on.
+ * causes that do not belong to their kind — the properties a
+ * reader of `pmtest_check --report-out` leans on.
  */
 
 #include "core/report_io.hh"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -544,93 +542,21 @@ TEST(ReportIoTest, LoadErrorsNameThePath)
     EXPECT_NE(error.find(garbage), std::string::npos);
     EXPECT_NE(error.find("bad magic"), std::string::npos);
     std::remove(garbage.c_str());
-}
 
-/** Split sampleReport's findings into @p n per-worker parts. */
-std::vector<WorkerReport>
-splitIntoWorkers(size_t n)
-{
-    const Report whole = sampleReport();
-    std::vector<WorkerReport> parts(n);
-    for (size_t w = 0; w < n; w++) {
-        parts[w].meta.workerIndex = static_cast<uint32_t>(w);
-        parts[w].meta.workerCount = static_cast<uint32_t>(n);
-        parts[w].meta.traceCount = w + 1;
-        parts[w].meta.totalOps = 10 * (w + 1);
-        parts[w].meta.sourceCount = 1;
-        parts[w].meta.model = ModelKind::X86;
-    }
-    for (size_t i = 0; i < whole.findings().size(); i++)
-        parts[i % n].report.add(whole.findings()[i]);
-    return parts;
-}
-
-TEST(ReportIoTest, MergeIsGatherOrderIndependent)
-{
-    std::vector<WorkerReport> ordered = splitIntoWorkers(3);
-    Report baseline_report;
-    ReportMeta baseline_meta;
-    mergeReports(ordered, &baseline_report, &baseline_meta);
-    std::string baseline;
-    encodeReport(baseline_report, baseline_meta, &baseline);
-
-    // Every permutation of the gather order folds to the same bytes.
-    std::vector<size_t> perm{0, 1, 2};
-    do {
-        std::vector<WorkerReport> shuffled;
-        for (const size_t i : perm)
-            shuffled.push_back(splitIntoWorkers(3)[i]);
-        Report merged;
-        ReportMeta meta;
-        mergeReports(std::move(shuffled), &merged, &meta);
-        std::string wire;
-        encodeReport(merged, meta, &wire);
-        EXPECT_EQ(wire, baseline)
-            << "gather order " << perm[0] << perm[1] << perm[2];
-    } while (std::next_permutation(perm.begin(), perm.end()));
-}
-
-TEST(ReportIoTest, MergeSumsTotalsAndCanonicalizes)
-{
-    Report merged;
-    ReportMeta meta;
-    mergeReports(splitIntoWorkers(3), &merged, &meta);
-    EXPECT_EQ(meta.workerCount, 3u);
-    EXPECT_EQ(meta.traceCount, 1u + 2 + 3);
-    EXPECT_EQ(meta.totalOps, 10u + 20 + 30);
-    EXPECT_EQ(meta.sourceCount, 3u);
-    EXPECT_EQ(merged.findings().size(),
-              sampleReport().findings().size());
-    const auto &fs = merged.findings();
-    for (size_t i = 1; i < fs.size(); i++) {
-        const auto key = [](const Finding &f) {
-            return std::make_tuple(f.fileId, f.traceId, f.opIndex);
-        };
-        EXPECT_LE(key(fs[i - 1]), key(fs[i])) << "finding " << i;
-    }
-}
-
-TEST(ReportIoTest, MergeRoundTripsThroughTheWire)
-{
-    // The actual coordinator path: encode each part, decode, merge.
-    std::vector<WorkerReport> parts = splitIntoWorkers(2);
-    std::vector<WorkerReport> gathered;
-    for (const WorkerReport &part : parts) {
-        std::string wire;
-        encodeReport(part.report, part.meta, &wire);
-        WorkerReport back;
-        ASSERT_TRUE(decodeReport(wire.data(), wire.size(),
-                                 &back.report, &back.meta));
-        gathered.push_back(std::move(back));
-    }
-    Report direct, via_wire;
-    ReportMeta direct_meta, wire_meta;
-    mergeReports(std::move(parts), &direct, &direct_meta);
-    mergeReports(std::move(gathered), &via_wire, &wire_meta);
-    std::string a, b;
-    encodeReport(direct, direct_meta, &a);
-    encodeReport(via_wire, wire_meta, &b);
-    EXPECT_EQ(a, b);
+    // A v1 report on disk fails closed the same way, naming the file.
+    static const unsigned char kV1[] = {
+#include "report_v1_golden.inc"
+    };
+    const std::string v1 = testing::TempDir() + "v1_report.bin";
+    f = std::fopen(v1.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(kV1, 1, sizeof kV1, f), sizeof kV1);
+    std::fclose(f);
+    EXPECT_FALSE(loadReportFile(v1, &sink, nullptr, &error));
+    EXPECT_NE(error.find(v1 + ": unsupported report version"),
+              std::string::npos)
+        << error;
+    std::remove(v1.c_str());
 }
 
 } // namespace

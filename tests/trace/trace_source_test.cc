@@ -1,12 +1,10 @@
 /**
  * @file
  * TraceSource tests: identity stamping and arena attachment across
- * every source kind, byte-balanced shard partitioning, v1 rejection,
- * the blocking capture source, the multi-source composite,
- * decode-error attribution (file + trace index), and the byte-
- * identity of sharded / multi-file ingest against the single-source
- * run — including a two-file set against checking each file
- * separately and merging.
+ * every source kind, v1 rejection, the blocking capture source, the
+ * multi-source composite, decode-error attribution (file + trace
+ * index), windowed checkNext, and the byte-identity of multi-file
+ * ingest against checking each file separately and merging.
  */
 
 #include "trace/trace_source.hh"
@@ -144,87 +142,6 @@ TEST(TraceSourceTest, V1FilesAreRejected)
         EXPECT_FALSE(openTraceSource(path, mode, 0, &error));
         EXPECT_EQ(error.rfind(path + ": v1 trace file", 0), 0u) << error;
     }
-    std::remove(path.c_str());
-}
-
-TEST(TraceSourceTest, ShardsPartitionTheIndexExactly)
-{
-    const auto traces = sampleTraces(11, 3);
-    const std::string path = tmpPath("shard_partition");
-    ASSERT_TRUE(saveTracesToFile(path, traces));
-
-    std::string error;
-    std::shared_ptr<const TraceFileReader> reader =
-        TraceFileReader::open(path, IngestMode::Auto, &error);
-    ASSERT_TRUE(reader) << error;
-
-    for (const size_t shards : {size_t{1}, size_t{2}, size_t{3},
-                                size_t{7}, size_t{11}, size_t{40}}) {
-        auto slices = shardTraceSource(reader, path, 0, shards);
-        ASSERT_FALSE(slices.empty());
-        EXPECT_LE(slices.size(), std::min(shards, traces.size()));
-
-        // Contiguous, in order, covering [0, count) exactly, and no
-        // empty shard (the factory clamps instead).
-        size_t at = 0;
-        uint64_t shard_bytes = 0;
-        for (const auto &slice : slices) {
-            const auto *v2 =
-                dynamic_cast<const V2FileSource *>(slice.get());
-            ASSERT_NE(v2, nullptr);
-            EXPECT_EQ(v2->begin(), at);
-            EXPECT_GT(v2->end(), v2->begin());
-            at = v2->end();
-            shard_bytes += slice->sizeBytes();
-        }
-        EXPECT_EQ(at, traces.size()) << shards << " shards";
-        // Shards account frame bytes only, so they sum to less than
-        // the whole file (header + index + footer excluded).
-        if (slices.size() > 1)
-            EXPECT_LT(shard_bytes, reader->sizeBytes());
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceSourceTest, ShardNamesCarryTheSlice)
-{
-    const auto traces = sampleTraces(4, 2);
-    const std::string path = tmpPath("shard_names");
-    ASSERT_TRUE(saveTracesToFile(path, traces));
-
-    std::string error;
-    std::shared_ptr<const TraceFileReader> reader =
-        TraceFileReader::open(path, IngestMode::Auto, &error);
-    ASSERT_TRUE(reader) << error;
-    auto slices = shardTraceSource(reader, path, 0, 2);
-    ASSERT_EQ(slices.size(), 2u);
-    EXPECT_EQ(slices[0]->name(), path + "[1/2]");
-    EXPECT_EQ(slices[1]->name(), path + "[2/2]");
-    std::remove(path.c_str());
-}
-
-TEST(TraceSourceTest, ShardedIngestMatchesWholeFileByteForByte)
-{
-    const auto traces = sampleTraces(23, 5);
-    const std::string path = tmpPath("shard_verdict");
-    ASSERT_TRUE(saveTracesToFile(path, traces));
-
-    std::string error;
-    auto whole = openTraceSource(path, IngestMode::Auto, 0, &error);
-    ASSERT_TRUE(whole) << error;
-    const std::string reference = checkVerdict(*whole, 1, 0);
-    EXPECT_NE(reference.find("FAIL"), std::string::npos)
-        << "workload must produce findings for the comparison to "
-           "mean anything";
-
-    std::shared_ptr<const TraceFileReader> reader =
-        TraceFileReader::open(path, IngestMode::Auto, &error);
-    ASSERT_TRUE(reader) << error;
-    MultiTraceSource sharded(shardTraceSource(reader, path, 0, 4));
-    EXPECT_EQ(sharded.sourceCount(), 4u);
-    EXPECT_EQ(sharded.traceCount(), traces.size());
-    EXPECT_EQ(checkVerdict(sharded, 4, 4), reference);
-
     std::remove(path.c_str());
 }
 
@@ -456,15 +373,6 @@ TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
     EXPECT_EQ(source->checkNext(consumer, &source_error),
               TraceSource::Pull::End);
 
-    // A shard indexes its traces within the whole file.
-    std::shared_ptr<const TraceFileReader> reader =
-        TraceFileReader::open(path, IngestMode::Auto, &error);
-    ASSERT_TRUE(reader) << error;
-    const auto shards = shardTraceSource(reader, path, 5, 3);
-    ASSERT_EQ(shards.size(), 3u);
-    ASSERT_EQ(shards[2]->checkNext(consumer, &source_error),
-              TraceSource::Pull::Items);
-    EXPECT_EQ(consumer.index, 2u);
     std::remove(path.c_str());
 
     // A capture source hands each pushed trace over whole, indexed
