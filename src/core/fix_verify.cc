@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
@@ -21,9 +22,12 @@ namespace
  * excludes the cause and evidence (epoch numbers and intervals
  * legitimately shift once ops are inserted) and the opIndex (it
  * shifts by construction); a finding "disappears" when no finding
- * with the same severity, kind and source site remains.
+ * with the same severity, kind and source site remains. The site's
+ * file is a view into the trace's string arena (or a static string),
+ * which outlives every count built from it, so keying allocates
+ * nothing per finding.
  */
-using FindingKey = std::tuple<int, int, std::string, uint32_t>;
+using FindingKey = std::tuple<int, int, std::string_view, uint32_t>;
 
 FindingKey
 keyOf(const Finding &f)

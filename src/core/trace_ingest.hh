@@ -4,8 +4,9 @@
  * a whole v2 file, a multi-file set, or the live in-process capture
  * sink — on an engine pool. Traces are independent
  * (paper §4.4), so any thread can check any whole trace: every pool
- * worker and every ingest-side thread claims the next trace from the
- * source's shared cursor and decodes it through a fixed window of
+ * worker and every ingest-side thread claims the next trace in the
+ * source's claim order (long traces longest first, then index order;
+ * see trace_source.hh) and decodes it through a fixed window of
  * ops into its own engine; the finished reports are placed in
  * canonical order once the source is spent (EnginePool::
  * checkSource). Decode and check happen on the same thread with no

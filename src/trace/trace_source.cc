@@ -1,6 +1,7 @@
 #include "trace/trace_source.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "obs/telemetry.hh"
 #include "util/clock.hh"
@@ -24,14 +25,59 @@ TraceConsumer::window()
 }
 
 // ---------------------------------------------------------------------------
+// ClaimSchedule
+// ---------------------------------------------------------------------------
+
+ClaimSchedule::ClaimSchedule(std::vector<Entry> entries)
+    : entries_(std::move(entries))
+{
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry &a, const Entry &b) {
+                  if (a.ops != b.ops)
+                      return a.ops > b.ops;
+                  return std::tie(a.fileId, a.index) <
+                         std::tie(b.fileId, b.index);
+              });
+}
+
+const ClaimSchedule::Entry *
+ClaimSchedule::claim()
+{
+    // A spent schedule is read, not bumped: the claims after it cost
+    // no contended write.
+    if (next_.load(std::memory_order_relaxed) >= entries_.size())
+        return nullptr;
+    const size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    return i < entries_.size() ? &entries_[i] : nullptr;
+}
+
+// ---------------------------------------------------------------------------
 // V2FileSource
 // ---------------------------------------------------------------------------
+
+namespace
+{
+
+/** The long traces in @p reader's index, as entries of @p source. */
+std::vector<ClaimSchedule::Entry>
+longTraces(const TraceFileReader &reader, uint32_t file_id,
+           V2FileSource *source)
+{
+    std::vector<ClaimSchedule::Entry> entries;
+    for (size_t i = 0; i < reader.traceCount(); i++) {
+        if (ClaimSchedule::isLong(reader.opCount(i)))
+            entries.push_back({reader.opCount(i), file_id, i, source});
+    }
+    return entries;
+}
+
+} // namespace
 
 V2FileSource::V2FileSource(
     std::unique_ptr<const TraceFileReader> reader, std::string path,
     uint32_t file_id)
     : reader_(std::move(reader)), path_(std::move(path)),
-      fileId_(file_id)
+      fileId_(file_id), schedule_(longTraces(*reader_, file_id, this))
 {
 }
 
@@ -90,9 +136,24 @@ V2FileSource::pull(size_t max, std::vector<Trace> *out,
 TraceSource::Pull
 V2FileSource::checkNext(TraceConsumer &consumer, SourceError *error)
 {
-    const size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= reader_->traceCount())
-        return Pull::End;
+    if (const ClaimSchedule::Entry *entry = schedule_.claim())
+        return checkTrace(entry->index, consumer, error);
+    // The short traces in index order; the long ones belong to the
+    // schedule (this file's, or a file set's that took them).
+    const size_t count = reader_->traceCount();
+    size_t i;
+    do {
+        i = cursor_.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count)
+            return Pull::End;
+    } while (ClaimSchedule::isLong(reader_->opCount(i)));
+    return checkTrace(i, consumer, error);
+}
+
+TraceSource::Pull
+V2FileSource::checkTrace(size_t i, TraceConsumer &consumer,
+                         SourceError *error)
+{
     Timer timer;
     OpCursor ops;
     std::shared_ptr<std::deque<std::string>> strings;
@@ -212,9 +273,28 @@ CaptureTraceSource::consumedTraces() const
 // MultiTraceSource
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** Every child's long traces, taken for one merged schedule. */
+std::vector<ClaimSchedule::Entry>
+mergeLongTraces(
+    const std::vector<std::unique_ptr<TraceSource>> &children)
+{
+    std::vector<ClaimSchedule::Entry> entries;
+    for (const auto &child : children) {
+        std::vector<ClaimSchedule::Entry> own = child->takeLongTraces();
+        entries.insert(entries.end(), own.begin(), own.end());
+    }
+    return entries;
+}
+
+} // namespace
+
 MultiTraceSource::MultiTraceSource(
     std::vector<std::unique_ptr<TraceSource>> children)
-    : children_(std::move(children))
+    : children_(std::move(children)),
+      schedule_(mergeLongTraces(children_))
 {
     name_ = "<" + std::to_string(children_.size()) + " sources>";
 }
@@ -317,6 +397,8 @@ MultiTraceSource::pull(size_t max, std::vector<Trace> *out,
 TraceSource::Pull
 MultiTraceSource::checkNext(TraceConsumer &consumer, SourceError *error)
 {
+    if (const ClaimSchedule::Entry *entry = schedule_.claim())
+        return entry->source->checkTrace(entry->index, consumer, error);
     return route([&](TraceSource &child) {
         return child.checkNext(consumer, error);
     });

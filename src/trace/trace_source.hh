@@ -16,13 +16,20 @@
  *  - pull() decodes whole traces into a vector, for callers that
  *    want the Trace objects themselves (benches, tests).
  *
+ * Claim order: checkNext() on file sources claims every trace longer
+ * than one decode window first, most ops first, from one
+ * ClaimSchedule built from the v2 index when the source opens (a
+ * file set merges its files' long traces into one schedule); the
+ * remaining traces follow in index order, file by file. pull() claims
+ * in index order. The capture source claims in arrival order.
+ *
  * Identity model: every trace carries a stable (fileId, traceId)
  * pair — fileId assigned per input source in input order, traceId
  * recorded by the producer — and its source locations point into a
  * string arena the consumer receives with the trace. Because
  * `Report::canonicalize()` sorts findings by (fileId, traceId,
- * opIndex), any assignment of traces to threads produces a
- * byte-identical merged report.
+ * opIndex), any claim order and any assignment of traces to threads
+ * produce a byte-identical merged report.
  *
  * Implementations:
  *  - V2FileSource      one whole v2 file; decode happens on the
@@ -32,8 +39,9 @@
  *                      under test pushes sealed traces, the checking
  *                      threads claim them.
  *  - MultiTraceSource  an ordered set of child sources (one per
- *                      input file), drained in order with
- *                      cross-child parallelism.
+ *                      input file): their long traces from one
+ *                      merged schedule, then the rest drained child
+ *                      by child with cross-child parallelism.
  */
 
 #ifndef PMTEST_TRACE_TRACE_SOURCE_HH
@@ -47,6 +55,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -125,10 +134,56 @@ class TraceConsumer
     uint64_t decodeNanos_ = 0;
 };
 
+class V2FileSource;
+
+/**
+ * The claim order of a file source's long traces — those of more than
+ * one decode window: most ops first, ties by (fileId, index). An
+ * early-finishing thread takes the next-longest trace, so the traces
+ * claimed last are the shortest and every thread's busy time ends
+ * close to the mean (Graham's longest-processing-time rule), where
+ * index order can leave a long trace for last. Traces of one window
+ * or less carry no balance and are not scheduled: they keep index
+ * order, and with it their locality. Entries are fixed when the
+ * schedule is built; claim() is safe from any number of threads.
+ */
+class ClaimSchedule
+{
+  public:
+    /** One long trace: trace @p index of @p source. */
+    struct Entry
+    {
+        uint64_t ops;
+        uint32_t fileId;
+        size_t index;
+        V2FileSource *source;
+    };
+
+    /** Whether a trace of @p ops ops is claimed ahead of index order. */
+    static bool isLong(uint64_t ops)
+    {
+        return ops > TraceConsumer::kWindowOps;
+    }
+
+    /** Schedule @p entries (long traces only) in claim order. */
+    explicit ClaimSchedule(std::vector<Entry> entries);
+
+    /** The next entry to check, or nullptr once all are claimed. */
+    const Entry *claim();
+
+    /** Hand over every entry, leaving none; only before any claim(). */
+    std::vector<Entry> take() { return std::exchange(entries_, {}); }
+
+  private:
+    std::vector<Entry> entries_;
+    std::atomic<size_t> next_{0};
+};
+
 /**
  * A thread-safe provider of traces. checkNext() and pull() may be
  * called concurrently from any number of threads; each call claims
- * disjoint traces.
+ * disjoint traces. Drain a source through one of the two: they claim
+ * in different orders, so mixing them can yield a trace twice.
  */
 class TraceSource
 {
@@ -197,12 +252,24 @@ class TraceSource
      */
     virtual Pull checkNext(TraceConsumer &consumer,
                            SourceError *error) = 0;
+
+    /**
+     * Hand this source's long traces over to a composite's merged
+     * schedule (before any claim); checkNext() then claims only the
+     * short ones. Sources without an index have none.
+     */
+    virtual std::vector<ClaimSchedule::Entry> takeLongTraces()
+    {
+        return {};
+    }
 };
 
 /**
- * A whole v2 indexed file. pull() and checkNext() claim indices from
- * one atomic cursor and decode outside any lock, so concurrent
- * callers decode different traces in parallel.
+ * A whole v2 indexed file. checkNext() claims the file's long traces
+ * from its ClaimSchedule, then the short ones from an atomic cursor
+ * in index order; pull() claims every trace from that cursor. Decode
+ * happens outside any lock, so concurrent callers decode different
+ * traces in parallel.
  */
 class V2FileSource final : public TraceSource
 {
@@ -223,6 +290,15 @@ class V2FileSource final : public TraceSource
     /** Decodes the claimed trace a window at a time into @p consumer. */
     Pull checkNext(TraceConsumer &consumer, SourceError *error) override;
 
+    /** checkNext() on trace @p index, which the caller has claimed. */
+    Pull checkTrace(size_t index, TraceConsumer &consumer,
+                    SourceError *error);
+
+    std::vector<ClaimSchedule::Entry> takeLongTraces() override
+    {
+        return schedule_.take();
+    }
+
     uint64_t consumedTraces() const override
     {
         return consumedTraces_.load(std::memory_order_relaxed);
@@ -241,7 +317,13 @@ class V2FileSource final : public TraceSource
     std::unique_ptr<const TraceFileReader> reader_;
     std::string path_;
     uint32_t fileId_;
-    std::atomic<size_t> cursor_{0};
+    ClaimSchedule schedule_;
+    /**
+     * Index order. Every claim writes it, so it starts its own cache
+     * line: the fields every claim only reads (reader_, schedule_)
+     * then stay shared between the claiming threads.
+     */
+    alignas(64) std::atomic<size_t> cursor_{0};
     std::atomic<uint64_t> consumedTraces_{0};
     std::atomic<uint64_t> consumedBytes_{0};
 };
@@ -299,8 +381,11 @@ class CaptureTraceSource final : public TraceSource
 /**
  * An ordered set of child sources drained front to back. Identity
  * comes from the children (each stamps its own fileId), so the
- * composite only routes claims: concurrent callers drain the current
- * child together and roll over to the next when it ends — a
+ * composite only routes claims. checkNext() first claims every
+ * child's long traces from one schedule merged across the children
+ * (per-file schedules would claim a later file's long traces after
+ * an earlier file's short ones); then concurrent callers drain the
+ * current child together and roll over to the next when it ends — a
  * multi-file set parallelizes across children with no barrier.
  */
 class MultiTraceSource final : public TraceSource
@@ -337,6 +422,7 @@ class MultiTraceSource final : public TraceSource
 
     std::vector<std::unique_ptr<TraceSource>> children_;
     std::string name_;
+    ClaimSchedule schedule_;         ///< every child's long traces
     std::atomic<size_t> current_{0}; ///< first non-exhausted child
 };
 

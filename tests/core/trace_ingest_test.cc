@@ -164,13 +164,21 @@ TEST(TraceIngestTest, CorruptLastOpFailsWithoutPartialFindings)
     // first window; only its very last op is corrupt (a file index
     // outside its string table), which open-time validation cannot
     // see. The run must fail with the usual error, trace 1 must add
-    // no finding, and trace 0's finding stays.
+    // no finding, and trace 0's finding stays. Trace 0 is the longer
+    // multi-window trace, so longest-first claiming still checks it
+    // before trace 1 fails the run.
     const std::string path = tmpPath("corrupt_last_op");
     {
-        Trace big = buggyTrace(1);
-        while (big.size() < 2 * TraceConsumer::kWindowOps + 100)
-            big.append(PmOp::sfence(SourceLocation("workload.cc", 44)));
-        std::vector<Trace> traces{buggyTrace(0), big};
+        const auto padded = [](uint64_t id, size_t ops) {
+            Trace t = buggyTrace(id);
+            while (t.size() < ops)
+                t.append(
+                    PmOp::sfence(SourceLocation("workload.cc", 44)));
+            return t;
+        };
+        std::vector<Trace> traces{
+            padded(0, 3 * TraceConsumer::kWindowOps),
+            padded(1, 2 * TraceConsumer::kWindowOps + 100)};
         ASSERT_TRUE(saveTracesToFile(path, traces));
         // The last op record ends where the index begins.
         std::fstream f(path, std::ios::binary | std::ios::in |
@@ -273,6 +281,83 @@ TEST(TraceIngestTest, DuplicateTraceIdsGiveOneOrderAtEveryWorkerCount)
         }
     }
     std::remove(path.c_str());
+    std::remove(report_path.c_str());
+}
+
+TEST(TraceIngestTest, MixedLengthSetGivesOneReportAtEveryWorkerCount)
+{
+    // Two files mixing multi-window traces (claimed longest first,
+    // merged across the files) with single-window ones (claimed in
+    // index order), every trace with findings. Every worker count,
+    // run after run, must print and write the serial run's bytes.
+    const auto rounds = [](uint64_t id, size_t count) {
+        Trace t(id, 0);
+        for (size_t i = 0; i < count; i++) {
+            const uint64_t addr = 0x1000 + 64 * ((id * 13 + i) % 512);
+            t.append(PmOp::write(addr, 64,
+                                 SourceLocation("mixed.cc", 10)));
+            // Every fifth round skips its writeback: a FAIL.
+            if (i % 5 != 0)
+                t.append(PmOp::clwb(addr, 64,
+                                    SourceLocation("mixed.cc", 11)));
+            t.append(PmOp::sfence(SourceLocation("mixed.cc", 12)));
+            t.append(PmOp::isPersist(addr, 64,
+                                     SourceLocation("mixed.cc", 13)));
+        }
+        return t;
+    };
+    // A round is about 3.8 ops: 600 rounds span two windows.
+    const std::vector<std::vector<size_t>> lengths{
+        {20, 1500, 3, 600, 2600, 40}, {2600, 7, 900, 1, 1500}};
+    std::vector<std::string> paths;
+    for (size_t f = 0; f < lengths.size(); f++) {
+        const std::string tag = "mixed_" + std::to_string(f);
+        paths.push_back(tmpPath(tag.c_str()));
+        std::vector<Trace> traces;
+        for (size_t i = 0; i < lengths[f].size(); i++)
+            traces.push_back(rounds(i, lengths[f][i]));
+        ASSERT_TRUE(saveTracesToFile(paths.back(), traces));
+    }
+    const std::string report_path = tmpPath("mixed_report");
+    const auto slurp = [](const std::string &file) {
+        std::ifstream in(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    // stdout past its header line, which names the worker count.
+    const auto findingLines = [](const std::string &text) {
+        return text.substr(text.find('\n') + 1);
+    };
+
+    std::string want_stdout;
+    std::string want_report;
+    for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+        for (int run = 0; run < 10; run++) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " run " + std::to_string(run));
+            CheckPlan plan;
+            plan.inputArgs = paths;
+            plan.workers = workers;
+            plan.maxFindings = 100000;
+            plan.reportOutPath = report_path;
+            std::string error;
+            ASSERT_TRUE(plan.finalize(&error)) << error;
+            testing::internal::CaptureStdout();
+            const int exit_code = runCheckTool(plan);
+            const std::string out =
+                findingLines(testing::internal::GetCapturedStdout());
+            ASSERT_EQ(exit_code, 1);
+            const std::string report = slurp(report_path);
+            if (want_stdout.empty()) {
+                ASSERT_NE(out.find("FAIL"), std::string::npos) << out;
+                want_stdout = out;
+                want_report = report;
+            }
+            ASSERT_EQ(out, want_stdout);
+            ASSERT_EQ(report, want_report);
+        }
+    }
+    for (const std::string &path : paths)
+        std::remove(path.c_str());
     std::remove(report_path.c_str());
 }
 

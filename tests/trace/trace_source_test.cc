@@ -3,8 +3,9 @@
  * TraceSource tests: identity stamping and arena attachment across
  * every source kind, v1 rejection, the blocking capture source, the
  * multi-source composite, decode-error attribution (file + trace
- * index), windowed checkNext, and the byte-identity of multi-file
- * ingest against checking each file separately and merging.
+ * index), windowed checkNext, its longest-first claim order (one
+ * file and a file set), and the byte-identity of multi-file ingest
+ * against checking each file separately and merging.
  */
 
 #include "trace/trace_source.hh"
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine_pool.hh"
@@ -324,7 +326,8 @@ class RecordingConsumer final : public TraceConsumer
 
 TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
 {
-    // Trace 1 spans several windows; traces 0 and 2 fit in one.
+    // Trace 1 spans several windows, so it is claimed first; traces
+    // 0 and 2 fit in one and follow in index order.
     constexpr size_t kWindow = TraceConsumer::kWindowOps;
     std::vector<Trace> traces{sampleTrace(0, 1, 2),
                               sampleTrace(1, 2, kWindow),
@@ -336,7 +339,7 @@ TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
     ASSERT_TRUE(source) << error;
 
     RecordingConsumer consumer;
-    for (size_t index = 0; index < traces.size(); index++) {
+    for (const size_t index : {size_t{1}, size_t{0}, size_t{2}}) {
         const Trace &expected = traces[index];
         SourceError source_error;
         ASSERT_EQ(source->checkNext(consumer, &source_error),
@@ -392,6 +395,110 @@ TEST(TraceSourceTest, CheckNextStreamsFileTracesInFixedWindows)
     EXPECT_EQ(capture.consumedTraces(), 2u);
     EXPECT_EQ(capture.checkNext(consumer, &source_error),
               TraceSource::Pull::End);
+}
+
+/** A trace of exactly @p ops ops (fences; no findings). */
+Trace
+sizedTrace(uint64_t id, size_t ops)
+{
+    Trace t(id, 0);
+    for (size_t i = 0; i < ops; i++)
+        t.append(PmOp::sfence(SourceLocation("sized.cc", 1)));
+    return t;
+}
+
+/** Drain @p source through checkNext: (fileId, index) per claim. */
+std::vector<std::pair<uint32_t, size_t>>
+claimOrder(TraceSource &source)
+{
+    std::vector<std::pair<uint32_t, size_t>> order;
+    RecordingConsumer consumer;
+    SourceError error;
+    TraceSource::Pull result;
+    while ((result = source.checkNext(consumer, &error)) ==
+           TraceSource::Pull::Items)
+        order.emplace_back(consumer.got.fileId(), consumer.index);
+    EXPECT_EQ(result, TraceSource::Pull::End) << error.str();
+    return order;
+}
+
+TEST(TraceSourceTest, ClaimsMultiWindowTracesLongestFirst)
+{
+    // Traces 1, 3 and 4 span several windows (1 and 4 tie, so index
+    // breaks the tie); the rest fit in one, including trace 5 at
+    // exactly one window.
+    constexpr size_t kWindow = TraceConsumer::kWindowOps;
+    const std::vector<Trace> traces{
+        sizedTrace(0, 10),          sizedTrace(1, 3 * kWindow),
+        sizedTrace(2, kWindow - 1), sizedTrace(3, 5 * kWindow),
+        sizedTrace(4, 3 * kWindow), sizedTrace(5, kWindow),
+        sizedTrace(6, 1)};
+    const std::string path = tmpPath("longest_first");
+    ASSERT_TRUE(saveTracesToFile(path, traces));
+    std::string error;
+    auto source = openTraceSource(path, IngestMode::Auto, 2, &error);
+    ASSERT_TRUE(source) << error;
+    using Claims = std::vector<std::pair<uint32_t, size_t>>;
+    EXPECT_EQ(claimOrder(*source),
+              (Claims{{2, 3}, {2, 1}, {2, 4}, {2, 0}, {2, 2}, {2, 5},
+                      {2, 6}}));
+    EXPECT_EQ(source->consumedTraces(), traces.size());
+
+    // pull() keeps index order.
+    source = openTraceSource(path, IngestMode::Auto, 2, &error);
+    ASSERT_TRUE(source) << error;
+    std::vector<Trace> pulled;
+    drain(*source, &pulled, 3);
+    ASSERT_EQ(pulled.size(), traces.size());
+    for (size_t i = 0; i < pulled.size(); i++)
+        EXPECT_EQ(pulled[i].id(), i);
+    std::remove(path.c_str());
+
+    // Single-window traces of varying lengths keep index order.
+    const std::vector<Trace> short_traces{
+        sizedTrace(0, 7), sizedTrace(1, kWindow), sizedTrace(2, 1),
+        sizedTrace(3, kWindow / 2)};
+    ASSERT_TRUE(saveTracesToFile(path, short_traces));
+    source = openTraceSource(path, IngestMode::Auto, 0, &error);
+    ASSERT_TRUE(source) << error;
+    EXPECT_EQ(claimOrder(*source),
+              (Claims{{0, 0}, {0, 1}, {0, 2}, {0, 3}}));
+    std::remove(path.c_str());
+}
+
+TEST(TraceSourceTest, FileSetClaimsLongTracesAcrossFiles)
+{
+    // Every file's long traces come from one schedule merged across
+    // the set (files 0 and 2 tie at 4 windows, so fileId breaks the
+    // tie); then each file's short traces, file by file.
+    constexpr size_t kWindow = TraceConsumer::kWindowOps;
+    const std::vector<std::vector<Trace>> files{
+        {sizedTrace(0, 5), sizedTrace(1, 4 * kWindow),
+         sizedTrace(2, 2 * kWindow)},
+        {sizedTrace(0, 6 * kWindow), sizedTrace(1, 9)},
+        {sizedTrace(0, 4 * kWindow), sizedTrace(1, 3),
+         sizedTrace(2, kWindow + 1), sizedTrace(3, 8)},
+    };
+    std::vector<std::string> paths;
+    std::vector<std::unique_ptr<TraceSource>> children;
+    for (size_t f = 0; f < files.size(); f++) {
+        const std::string tag = "file_set_" + std::to_string(f);
+        paths.push_back(tmpPath(tag.c_str()));
+        ASSERT_TRUE(saveTracesToFile(paths.back(), files[f]));
+        std::string error;
+        children.push_back(
+            openTraceSource(paths.back(), IngestMode::Auto,
+                            static_cast<uint32_t>(f), &error));
+        ASSERT_TRUE(children.back()) << error;
+    }
+    MultiTraceSource combined(std::move(children));
+    using Claims = std::vector<std::pair<uint32_t, size_t>>;
+    EXPECT_EQ(claimOrder(combined),
+              (Claims{{1, 0}, {0, 1}, {2, 0}, {0, 2}, {2, 2}, {0, 0},
+                      {1, 1}, {2, 1}, {2, 3}}));
+    EXPECT_EQ(combined.consumedTraces(), 9u);
+    for (const std::string &path : paths)
+        std::remove(path.c_str());
 }
 
 TEST(TraceSourceTest, SourceErrorRendersFileAndIndex)
